@@ -78,28 +78,38 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_vertex_set(path: str) -> list[int]:
-    """1-indexed vertex ids separated by whitespace; 'c'/'#' lines are comments."""
+    """1-indexed vertex ids separated by whitespace or commas; 'c'/'#' lines
+    are comments."""
     out = []
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith(("c", "#")):
             continue
-        for tok in line.split():
+        for tok in line.replace(",", " ").split():
             out.append(int(tok) - 1)
     return out
 
 
-def _pick_algorithm(g: Graph, kmax: int) -> str:
+def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int] | None]:
+    """Resolve `auto` to the algorithm it routes to, with the modulator that
+    decided the route (None where no modulator was searched)."""
+    if algo != "auto":
+        return algo, None
     if not g.forbidden and is_connected(g) and g.max_degree() <= 5:
-        return "lowdeg"
-    if not g.forbidden and distance_to_clique_set(g, kmax) is not None:
-        return "dtc"
-    if not g.forbidden and twin_cover_set(g, kmax) is not None:
-        return "twincover"
-    return "brute" if g.n <= 24 else "ilp"
+        return "lowdeg", None
+    if not g.forbidden:
+        mod = distance_to_clique_set(g, kmax)
+        if mod is not None:
+            return "dtc", mod
+        cover = twin_cover_set(g, kmax)
+        if cover is not None:
+            return "twincover", cover
+    return ("brute" if g.n <= 24 else "ilp"), None
 
 
-def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None):
+def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None,
+               modulator: frozenset[int] | None = None):
+    """Run `algo`; dtc and twincover search a modulator unless given one."""
     if algo == "lowdeg":
         return solve_min_alliance_lowdeg(g)
     if algo == "brute":
@@ -107,12 +117,12 @@ def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None):
     if algo == "ilp":
         return solve_min_alliance_ilp(g, time_limit=time_limit)
     if algo == "dtc":
-        mod = distance_to_clique_set(g, kmax)
+        mod = distance_to_clique_set(g, kmax) if modulator is None else modulator
         if mod is None:
             raise ValueError(f"no distance-to-clique set within k_max={kmax}")
         return solve_dtc(g, mod)
     if algo == "twincover":
-        cover = twin_cover_set(g, kmax)
+        cover = twin_cover_set(g, kmax) if modulator is None else modulator
         if cover is None:
             raise ValueError(f"no twin cover within k_max={kmax}")
         return solve_twincover(g, cover)
@@ -130,10 +140,11 @@ def _record_for(g: Graph, instance: str, algo: str) -> ResultRecord:
 
 
 def _solve_record(g: Graph, instance: str, algo: str, kmax: int,
-                  oracle: bool, time_limit: float | None) -> ResultRecord:
+                  oracle: bool, time_limit: float | None,
+                  modulator: frozenset[int] | None = None) -> ResultRecord:
     rec = _record_for(g, instance, algo)
     t0 = time.perf_counter()
-    sol = _solve_one(g, algo, kmax, time_limit)
+    sol = _solve_one(g, algo, kmax, time_limit, modulator)
     rec.wall_time_s = round(time.perf_counter() - t0, 6)
     if sol is not None:
         rec.size = sol.size
@@ -184,10 +195,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 def _cmd_solve(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
-    algo = args.algo
-    if algo == "auto":
-        algo = _pick_algorithm(g, args.kmax)
-    rec = _solve_record(g, args.graph, algo, args.kmax, args.oracle, args.time_limit)
+    algo, mod = _pick_algorithm(g, args.algo, args.kmax)
+    rec = _solve_record(
+        g, args.graph, algo, args.kmax, args.oracle, args.time_limit, mod
+    )
     return EXIT_OK, rec.to_dict()
 
 
@@ -286,9 +297,9 @@ def _cmd_bench(args) -> tuple[int, list[dict]]:
         g = parse_dimacs(path.read_text())
         per_algo: dict[str, ResultRecord] = {}
         for algo in algos:
-            real = _pick_algorithm(g, args.kmax) if algo == "auto" else algo
+            real, mod = _pick_algorithm(g, algo, args.kmax)
             rec = _solve_record(
-                g, path.name, real, args.kmax, args.oracle, args.time_limit
+                g, path.name, real, args.kmax, args.oracle, args.time_limit, mod
             )
             per_algo[algo] = rec
             records.append(rec.to_dict())
@@ -396,3 +407,7 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -3,15 +3,11 @@ partitions of the leftover graph that the parameterized solvers consume."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
 from .graphs import Graph, VertexRangeError
-
-# lexicographic minimisation falls back to the branching witness above this
-_ENUM_GUARD = 2_000_000
 
 
 class RemainderNotCliqueError(ValueError):
@@ -55,7 +51,8 @@ class TwinPartition:
 
 
 def remainder_is_clique(g: Graph, modulator: Iterable[int]) -> bool:
-    rest = [v for v in range(g.n) if v not in set(modulator)]
+    mod = set(modulator)
+    rest = [v for v in range(g.n) if v not in mod]
     return all(g.has_edge(u, v) for u, v in combinations(rest, 2))
 
 
@@ -70,76 +67,61 @@ def is_twin_cover(g: Graph, cover: Iterable[int]) -> bool:
     return True
 
 
-def _min_deletion_set(g: Graph, k_max: int, find_conflict, is_valid):
-    """Shared branch-and-bound: smallest vertex set whose removal fixes every
-    conflict pair, then the lexicographically smallest witness of that size."""
+def _min_cover(edges: list[tuple[int, int]], k_max: int) -> frozenset[int] | None:
+    """Lexicographically smallest minimum vertex cover of `edges` with at most
+    `k_max` vertices, or None.
+
+    `edges` must be sorted, each pair (u, v) with u < v.  The search branches on
+    the first uncovered edge (c, d), c first.  Every vertex added below that
+    node is an endpoint of a later edge, so it is >= c; a minimum cover with c
+    thus precedes every cover of its size without c, and the first minimum
+    cover found is the lexicographically smallest.
+    """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    best: list[set[int] | None] = [None]
+    best: frozenset[int] | None = None
 
-    def dfs(partial: set[int]):
-        if best[0] is not None and len(partial) >= len(best[0]):
+    def dfs(partial: set[int], i: int) -> None:
+        # edges before index i are covered by `partial`
+        nonlocal best
+        if best is not None and len(partial) >= len(best):
             return
-        pair = find_conflict(partial)
-        if pair is None:
-            best[0] = set(partial)
+        while i < len(edges) and (edges[i][0] in partial or edges[i][1] in partial):
+            i += 1
+        if i == len(edges):
+            best = frozenset(partial)
             return
         if len(partial) >= k_max:
             return
-        for v in pair:
+        for v in edges[i]:
             partial.add(v)
-            dfs(partial)
+            dfs(partial, i + 1)
             partial.remove(v)
 
-    dfs(set())
-    if best[0] is None:
-        return None
-    size = len(best[0])
-    if size and math.comb(g.n, size) <= _ENUM_GUARD:
-        for cand in combinations(range(g.n), size):
-            if is_valid(cand):
-                return frozenset(cand)
-    return frozenset(best[0])
+    dfs(set(), 0)
+    return best
 
 
 def distance_to_clique_set(g: Graph, k_max: int) -> frozenset[int] | None:
     """Smallest vertex set (size <= k_max) whose removal leaves a clique.
 
     Returns the lexicographically smallest witness of minimum size, or None
-    when no such set within the budget exists.
+    when no such set within the budget exists.  The set is a vertex cover of
+    the non-edges.
     """
-    non_edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-
-    def find_conflict(partial: set[int]):
-        for u, v in non_edges:
-            if u not in partial and v not in partial:
-                return (u, v)
-        return None
-
-    return _min_deletion_set(
-        g, k_max, find_conflict, lambda cand: remainder_is_clique(g, cand)
-    )
+    adj = g.adj_sets
+    non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if v not in adj[u]]
+    return _min_cover(non_edges, k_max)
 
 
 def twin_cover_set(g: Graph, k_max: int) -> frozenset[int] | None:
-    """Smallest twin cover of size <= k_max (lex-smallest witness), or None."""
+    """Smallest twin cover of size <= k_max (lex-smallest witness), or None.
+
+    A twin cover is a vertex cover of the edges joining non-twins.
+    """
     closed = [g.adj_sets[v] | {v} for v in range(g.n)]
-    bad_edges = [(u, v) for u, v in g.edges if closed[u] != closed[v]]
-
-    def find_conflict(partial: set[int]):
-        for u, v in bad_edges:
-            if u not in partial and v not in partial:
-                return (u, v)
-        return None
-
-    return _min_deletion_set(
-        g, k_max, find_conflict, lambda cand: is_twin_cover(g, cand)
-    )
+    # g.edges is sorted with u < v in every pair
+    return _min_cover([(u, v) for u, v in g.edges if closed[u] != closed[v]], k_max)
 
 
 def _signature(g: Graph, v: int, modulator: set[int]) -> tuple[int, ...]:

@@ -1,6 +1,10 @@
 """End-to-end command-line checks: every subcommand, exit codes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,12 +50,16 @@ def vertex_file(tmp_path, name, vertices_one_indexed):
 
 
 def test_verify_valid_set(capsys, tmp_path, bridge_file):
-    sfile = vertex_file(tmp_path, "set.txt", [5, 6, 7])
-    code, out = run(capsys, "verify", bridge_file, sfile)
-    assert code == EXIT_OK
-    assert out["valid"] is True
-    assert out["size"] == 3
-    assert out["violations"] == []
+    spaced = vertex_file(tmp_path, "set.txt", [5, 6, 7])
+    commas = tmp_path / "commas.txt"
+    commas.write_text("# members\n5,6\n7\n")
+    for sfile in (spaced, str(commas)):
+        code, out = run(capsys, "verify", bridge_file, sfile)
+        assert code == EXIT_OK
+        assert out["valid"] is True
+        assert out["size"] == 3
+        assert out["witness"] == [5, 6, 7]
+        assert out["violations"] == []
 
 
 def test_verify_reports_violations(capsys, tmp_path, bridge_file):
@@ -184,6 +192,19 @@ def test_gen_inline_and_to_file(capsys, tmp_path):
     code, out2 = run(capsys, "gen", "cubic:n=8", "--seed", "5", "--out", str(path))
     assert code == EXIT_OK
     assert parse_dimacs(path.read_text()).edges == g.edges
+
+
+def test_module_entry_point_prints_one_document():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minalliance.cli", "gen", "cubic:n=6", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK
+    out = json.loads(proc.stdout)  # exactly one JSON document
+    assert out["n"] == 6 and out["seed"] == 1
 
 
 def test_gen_seed_env_fallback(capsys, monkeypatch):

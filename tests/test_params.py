@@ -1,6 +1,7 @@
 """Structural parameters: clique modulators, twin covers, partitions."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -14,7 +15,11 @@ from minalliance import (
     partition_twin_classes,
     twin_cover_set,
 )
-from minalliance.params import InvalidTwinCoverError, RemainderNotCliqueError
+from minalliance.params import (
+    InvalidTwinCoverError,
+    RemainderNotCliqueError,
+    remainder_is_clique,
+)
 
 from _oracles import (
     is_twin_cover_oracle,
@@ -29,6 +34,22 @@ def complete_graph(n):
 
 def star(n_leaves):
     return build_graph(n_leaves + 1, [(0, i + 1) for i in range(n_leaves)])
+
+
+def lex_min(sets):
+    return min(tuple(sorted(m)) for m in sets)
+
+
+# C(n, s) candidate sets of the minimum size s, beyond what enumerating them
+# could check: the witness must still be the lexicographic minimum
+MANY_CANDIDATES = 2_000_000
+
+
+def test_remainder_is_clique_accepts_one_shot_iterable():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    assert remainder_is_clique(g, {2})
+    assert remainder_is_clique(g, iter([2]))
+    assert not remainder_is_clique(g, iter([1]))
 
 
 # ------------------------------------------------------------ distance to clique
@@ -75,8 +96,21 @@ def test_dtc_minimal_and_valid(seed):
     g = build_graph(n, edges)
     got = distance_to_clique_set(g, n)
     want = smallest_clique_modulators(n, edges)
-    assert len(got) == len(next(iter(want)))
-    assert got in want
+    assert tuple(sorted(got)) == lex_min(want)
+
+
+def test_dtc_lexicographic_choice_on_many_candidates():
+    # a random core padded with universal vertices, which add no non-edge
+    rng = random.Random(17)
+    core = 9
+    edges = [
+        (a, b) for a in range(core) for b in range(a + 1, core) if rng.random() < 0.5
+    ]
+    want = lex_min(smallest_clique_modulators(core, edges))
+    n = 120
+    assert math.comb(n, len(want)) > MANY_CANDIDATES
+    edges += [(a, b) for b in range(core, n) for a in range(b)]
+    assert tuple(sorted(distance_to_clique_set(build_graph(n, edges), core))) == want
 
 
 # ------------------------------------------------------------ twin cover
@@ -120,8 +154,20 @@ def test_twin_cover_minimal_and_valid(seed):
     got = twin_cover_set(g, n)
     want = smallest_twin_covers(n, edges)
     assert is_twin_cover_oracle(n, edges, got)
-    assert len(got) == len(next(iter(want)))
-    assert got in want
+    assert tuple(sorted(got)) == lex_min(want)
+
+
+def test_twin_cover_lexicographic_choice_on_many_candidates():
+    # a random core padded with isolated vertices, which add no edge
+    rng = random.Random(5)
+    core = 9
+    edges = [
+        (a, b) for a in range(core) for b in range(a + 1, core) if rng.random() < 0.45
+    ]
+    want = lex_min(smallest_twin_covers(core, edges))
+    n = 120
+    assert math.comb(n, len(want)) > MANY_CANDIDATES
+    assert tuple(sorted(twin_cover_set(build_graph(n, edges), core))) == want
 
 
 # ------------------------------------------------------------ twin classes
