@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand prints one JSON document on stdout.  Exit codes: 0 success,
-1 invalid input, 2 a solver returned a witness that failed verification.
+1 invalid input or a budget overrun, 2 a solver returned a witness that failed
+verification.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .fpt import solve_dtc, solve_twincover
 from .generators import generate
 from .graphs import Graph, GraphError, is_connected
-from .ilp import solve_min_alliance_ilp
+from .ilp import IlpBudgetExceeded, solve_min_alliance_ilp
 from .lowdeg import solve_min_alliance_lowdeg
 from .params import distance_to_clique_set, partition_clique_sets, twin_cover_set
 from .reduction import (
@@ -38,6 +39,9 @@ EXIT_INVALID = 1
 EXIT_INTERNAL = 2
 
 SEED_ENV = "MINALLIANCE_SEED"
+
+# brute force's own guard; above it `auto` and `--oracle` use the ILP encoding
+BRUTE_MAX_N = 24
 
 
 @dataclass
@@ -104,7 +108,7 @@ def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int]
         cover = twin_cover_set(g, kmax)
         if cover is not None:
             return "twincover", cover
-    return ("brute" if g.n <= 24 else "ilp"), None
+    return ("brute" if g.n <= BRUTE_MAX_N else "ilp"), None
 
 
 def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None,
@@ -155,7 +159,10 @@ def _solve_record(g: Graph, instance: str, algo: str, kmax: int,
                 f"{algo} returned an invalid witness on {instance}"
             )
     if oracle:
-        ref = brute_force_min_alliance(g)
+        if g.n <= BRUTE_MAX_N:
+            ref = brute_force_min_alliance(g)
+        else:
+            ref = solve_min_alliance_ilp(g, time_limit=time_limit)
         rec.oracle_size = None if ref is None else ref.size
         rec.match = (rec.size == rec.oracle_size)
     return rec
@@ -391,6 +398,16 @@ def run_command(argv: list[str]) -> int:
     except InternalVerificationError as exc:
         print(json.dumps({"error": str(exc), "kind": "internal"}))
         return EXIT_INTERNAL
+    except IlpBudgetExceeded as exc:
+        inc = exc.alliance
+        members = [v + 1 for v in inc.members] if inc is not None and inc.valid else None
+        print(json.dumps({
+            "error": str(exc),
+            "kind": "budget",
+            "incumbent": members,
+            "incumbent_size": None if members is None else len(members),
+        }))
+        return EXIT_INVALID
     except (
         GraphError,
         DimacsError,

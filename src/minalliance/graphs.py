@@ -249,19 +249,22 @@ def shortest_cycle_with_vertices(g: Graph, v: int) -> tuple[int, tuple[int, ...]
 
     Computed exactly: for every other vertex w, the cheapest pair of
     internally disjoint v-w paths is a 2-unit min-cost flow where every
-    vertex except v and w has unit capacity and unit cost.
+    vertex except v and w has unit capacity and unit cost; the smallest
+    (length, vertex tuple) over all w wins.  The length from
+    `shortest_cycle_through` comes first: without a cycle the answer is None
+    at once, and a vertex w with 2 * dist(v, w) > length lies on no cycle of
+    that length, so it runs no flow.
     """
     if not (0 <= v < g.n):
         raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
-    if g.degree(v) < 2:
+    length = shortest_cycle_through(g, v)
+    if length is None:
         return None
     dist = distances_from(g, v)
     best: tuple[int, tuple[int, ...]] | None = None
     for w in range(g.n):
-        if w == v or dist[w] == UNREACHABLE or g.degree(w) < 2:
+        if w == v or dist[w] == UNREACHABLE or g.degree(w) < 2 or 2 * dist[w] > length:
             continue
-        if best is not None and 2 * dist[w] > best[0]:
-            continue  # every cycle through v and w is strictly longer
         net = _MinCostFlow(2 * g.n)
         for u in range(g.n):
             if u != v and u != w:
@@ -272,10 +275,7 @@ def shortest_cycle_with_vertices(g: Graph, v: int) -> tuple[int, tuple[int, ...]
                     continue
                 net.add(_out(x), _in(y), 1, 0)
         flow, cost = net.run(_out(v), _in(w), 2)
-        if flow < 2:
-            continue
-        length = cost + 2
-        if best is not None and length > best[0]:
+        if flow < 2 or cost + 2 > length:
             continue
         used: set[int] = set()
         members = {v, w}
@@ -283,16 +283,50 @@ def shortest_cycle_with_vertices(g: Graph, v: int) -> tuple[int, tuple[int, ...]
             for node in _trace_unit(net, _out(v), used):
                 if node % 2 == 1:
                     members.add(node // 2)
-        cand = (length, tuple(sorted(members)))
+        cand = (cost + 2, tuple(sorted(members)))
         if best is None or cand < best:
             best = cand
     return best
 
 
 def shortest_cycle_through(g: Graph, v: int) -> int | None:
-    """Length of the shortest simple cycle containing v, or None if acyclic at v."""
-    found = shortest_cycle_with_vertices(g, v)
-    return None if found is None else found[0]
+    """Length of the shortest simple cycle containing v, or None if acyclic at v.
+
+    One BFS from v labels every vertex with the neighbour of v it descends
+    from (Itai & Rodeh, "Finding a minimum circuit in a graph", 1978).  An
+    edge (x, y) whose endpoints carry different labels closes a cycle through
+    v of length dist[x] + dist[y] + 1: the two tree paths lie in different
+    branches, so they meet only at v.  The bound is exact: walking the
+    shortest cycle from one neighbour of v to the other, some edge changes
+    label, and its bound is at most the cycle's length.  Edges towards
+    shallower vertices were scanned from their other end, so once
+    2 * dist[x] + 1 >= best no later edge closes a shorter cycle.
+    """
+    if not (0 <= v < g.n):
+        raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
+    dist = [UNREACHABLE] * g.n
+    label = [-1] * g.n
+    dist[v] = 0
+    q = deque()
+    for u in g.adj[v]:
+        dist[u] = 1
+        label[u] = u
+        q.append(u)
+    best: int | None = None
+    while q:
+        x = q.popleft()
+        if best is not None and 2 * dist[x] + 1 >= best:
+            break
+        for y in g.adj[x]:
+            if dist[y] == UNREACHABLE:
+                dist[y] = dist[x] + 1
+                label[y] = label[x]
+                q.append(y)
+            elif y != v and label[y] != label[x]:
+                cand = dist[x] + dist[y] + 1
+                if best is None or cand < best:
+                    best = cand
+    return best
 
 
 def min_disjoint_path_pair(g: Graph, v: int, targets: Iterable[int]) -> PathPair | None:

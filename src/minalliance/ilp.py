@@ -28,6 +28,8 @@ class IlpBudgetExceeded(RuntimeError):
 
     Carries the best integer solution seen so far (if any) so callers can
     still use the incumbent as an upper-bound witness.
+    `solve_min_alliance_ilp` also sets `alliance` to that incumbent as a
+    verified AllianceSolution.
     """
 
     def __init__(
@@ -39,6 +41,7 @@ class IlpBudgetExceeded(RuntimeError):
         super().__init__(message)
         self.incumbent = incumbent
         self.incumbent_value = incumbent_value
+        self.alliance = None
 
 
 @dataclass(frozen=True)
@@ -399,10 +402,21 @@ def encode_min_alliance_ilp(g: Graph) -> IlpProblem:
 
 
 def solve_min_alliance_ilp(g: Graph, *, time_limit: float | None = None):
-    """Minimum alliance via the 0-1 encoding; returns a verified AllianceSolution."""
+    """Minimum alliance via the 0-1 encoding; returns a verified AllianceSolution.
+
+    Raises IlpBudgetExceeded past `time_limit`, with the incumbent (if any)
+    verified in its `alliance` attribute.
+    """
     from .alliances import InternalVerificationError, verify_alliance
 
-    sol = solve_ilp(encode_min_alliance_ilp(g), time_limit=time_limit)
+    try:
+        sol = solve_ilp(encode_min_alliance_ilp(g), time_limit=time_limit)
+    except IlpBudgetExceeded as exc:
+        if exc.incumbent is not None:
+            exc.alliance = verify_alliance(
+                g, [v for v, xv in enumerate(exc.incumbent) if xv]
+            )
+        raise
     if sol.status == "infeasible":
         return None
     members = [v for v, xv in enumerate(sol.assignment) if xv]

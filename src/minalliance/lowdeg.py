@@ -4,7 +4,15 @@ One subproblem per vertex v: the smallest alliance containing v is either v
 alone (degree <= 1), a shortest path from v to a nearby vertex of degree at
 most three, a shortest cycle through v, or (degree 4 or 5) the cheapest pair
 of internally disjoint paths from v to two such low-degree vertices.  The
-global answer is the best subproblem result.
+global answer is the smallest (size, kind rank, witness) key over every root
+and candidate.
+
+`solve_min_alliance_lowdeg` finds that key in two passes without solving
+every subproblem in full.  Pass 1 takes the singleton, path and path-pair
+candidates of every root.  Pass 2 considers cycles only when one can still
+win, reads every root's shortest-cycle length from one BFS per root, and
+runs the min-cost flows that build a cycle witness only at the roots of
+minimum length.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .graphs import (
     distances_from,
     is_connected,
     min_disjoint_path_pair,
+    shortest_cycle_through,
     shortest_cycle_with_vertices,
 )
 
@@ -55,8 +64,8 @@ def _check_lowdeg_input(g: Graph) -> None:
         raise ValueError("the low-degree solver does not support forbidden vertices")
 
 
-def _candidates(g: Graph, v: int):
-    """Yield (size, kind, witness tuple) candidates for the subproblem at v."""
+def _path_candidates(g: Graph, v: int):
+    """Yield the (size, kind, witness tuple) candidates at v that are not cycles."""
     d = g.degree(v)
     if d <= 1:
         yield 1, "singleton", (v,)
@@ -75,9 +84,35 @@ def _candidates(g: Graph, v: int):
         if pair is not None:
             merged = set(pair.path_x) | set(pair.path_y)
             yield pair.total_vertices, "path-pair", tuple(sorted(merged))
+
+
+def _candidates(g: Graph, v: int):
+    """Yield (size, kind, witness tuple) candidates for the subproblem at v."""
+    yield from _path_candidates(g, v)
     cyc = shortest_cycle_with_vertices(g, v)
     if cyc is not None:
         yield cyc[0], "cycle", cyc[1]
+
+
+def _best_verified(g: Graph, v: int, candidates):
+    """The smallest (key, kind) among `candidates` at root v, verified; or None.
+
+    Keys are (size, kind rank, witness), so ties between equal-size
+    candidates break by kind, then by witness order.
+    """
+    best = min(
+        (((size, _KIND_RANK[kind], witness), kind) for size, kind, witness in candidates),
+        default=None,
+    )
+    if best is not None:
+        witness = best[0][2]
+        checked = verify_alliance(g, witness)
+        if not checked.valid:
+            raise InternalVerificationError(
+                f"subproblem witness {witness} at root {v} is not an alliance: "
+                f"{checked.violations}"
+            )
+    return best
 
 
 def solve_subproblem(g: Graph, v: int) -> SubproblemResult:
@@ -89,24 +124,10 @@ def solve_subproblem(g: Graph, v: int) -> SubproblemResult:
     _check_lowdeg_input(g)
     if not (0 <= v < g.n):
         raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
-    return _subproblem_unchecked(g, v)
-
-
-def _subproblem_unchecked(g: Graph, v: int) -> SubproblemResult:
-    best = None
-    for size, kind, witness in _candidates(g, v):
-        key = (size, _KIND_RANK[kind], witness)
-        if best is None or key < best[0]:
-            best = (key, kind)
+    best = _best_verified(g, v, _candidates(g, v))
     if best is None:
         return SubproblemResult(root=v, best_size=None, witness=(), kind=None)
     (size, _rank, witness), kind = best
-    checked = verify_alliance(g, witness)
-    if not checked.valid:
-        raise InternalVerificationError(
-            f"subproblem witness {witness} at root {v} is not an alliance: "
-            f"{checked.violations}"
-        )
     return SubproblemResult(root=v, best_size=size, witness=witness, kind=kind)
 
 
@@ -118,16 +139,49 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
     have at most one defender inside, hence degree at most three -- so the
     path / path-pair candidates rooted there are no larger.  The best
     candidate over all roots is therefore exact.
+
+    The answer is the smallest key (size, kind rank, witness) over every
+    root and candidate, found in two passes.  Pass 1 takes the singleton,
+    path and path-pair candidates of every root.  A cycle (rank 2) of length
+    L beats the best pass-1 key (s, r, .) only if L < s, or L == s and
+    r == 3 (a path pair), so no cycle longer than `bound` (s - 1 if r < 2,
+    else s) can win.  Pass 2 reads every root's shortest-cycle length from
+    one BFS per root and runs the flow-based witness search only at the
+    roots whose length is the minimum and within the bound: shorter cycles
+    beat longer ones, and each root's witness depends on (g, root) alone, so
+    the answer equals the best of all subproblems.
     """
     _check_lowdeg_input(g)
-    best: tuple[tuple[int, int, tuple[int, ...]], SubproblemResult] | None = None
+    best = None
     for v in range(g.n):
-        sub = _subproblem_unchecked(g, v)
-        if sub.best_size is None:
-            continue
-        key = (sub.best_size, _KIND_RANK[sub.kind], sub.witness)
-        if best is None or key < best[0]:
-            best = (key, sub)
+        found = _best_verified(g, v, _path_candidates(g, v))
+        if found is not None and (best is None or found < best):
+            best = found
+    if best is None:
+        bound = g.n
+    else:
+        size, rank, _witness = best[0]
+        bound = size - 1 if rank < _KIND_RANK["cycle"] else size
+    if bound >= 3:  # no cycle is shorter
+        lengths = {}
+        for v in range(g.n):
+            if g.degree(v) >= 2:
+                length = shortest_cycle_through(g, v)
+                if length is not None and length <= bound:
+                    lengths[v] = length
+        shortest = min(lengths.values(), default=None)
+        for v, length in lengths.items():
+            if length != shortest:
+                continue
+            cyc = shortest_cycle_with_vertices(g, v)
+            if cyc is None or cyc[0] != length:
+                raise InternalVerificationError(
+                    f"the flows found cycle {cyc} at root {v}, "
+                    f"the BFS a length of {length}"
+                )
+            found = _best_verified(g, v, [(length, "cycle", cyc[1])])
+            if best is None or found < best:
+                best = found
     if best is None:
         raise InternalVerificationError("no subproblem produced a candidate")
-    return verify_alliance(g, best[1].witness)
+    return verify_alliance(g, best[0][2])

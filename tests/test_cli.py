@@ -115,6 +115,54 @@ def test_solve_oracle_match_flag(capsys, bridge_file):
     assert out["match"] is True
 
 
+def test_solve_oracle_above_brute_force_limit_uses_ilp(capsys, tmp_path):
+    g = generate("cubic:n=30", 1)
+    path = tmp_path / "cubic30.dimacs"
+    path.write_text(emit_dimacs(g))
+    code, out = run(capsys, "solve", str(path), "--oracle")
+    assert code == EXIT_OK
+    assert out["algorithm"] == "lowdeg"
+    assert out["oracle_size"] == out["size"] == 2
+    assert out["match"] is True
+
+
+def test_ilp_budget_overrun_is_one_json_document(capsys, tmp_path):
+    g = generate("degcap:n=40,dmax=8", 3)
+    path = tmp_path / "hard.dimacs"
+    path.write_text(emit_dimacs(g))
+    code = run_command(["solve", str(path), "--algo", "ilp", "--time-limit", "0.2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["kind"] == "budget"
+    assert "time limit" in out["error"]
+    if out["incumbent"] is None:
+        assert out["incumbent_size"] is None
+    else:
+        assert out["incumbent_size"] == len(out["incumbent"])
+        assert verify_alliance(g, [v - 1 for v in out["incumbent"]]).valid
+
+
+def test_ilp_budget_overrun_reports_verified_incumbent(capsys, bridge_file, monkeypatch):
+    import minalliance.ilp as ilp
+
+    def out_of_time(prob, **_kw):
+        # vertices 5, 6, 7 (1-indexed) form an alliance of the bridge graph
+        x = tuple(1 if v in (4, 5, 6) else 0 for v in range(prob.var_count))
+        raise ilp.IlpBudgetExceeded("time limit exceeded after 3 nodes", x, 3)
+
+    monkeypatch.setattr(ilp, "solve_ilp", out_of_time)
+    code, out = run(capsys, "solve", bridge_file, "--algo", "ilp", "--time-limit", "1")
+    assert code == EXIT_INVALID
+    assert out == {
+        "error": "time limit exceeded after 3 nodes",
+        "kind": "budget",
+        "incumbent": [5, 6, 7],
+        "incumbent_size": 3,
+    }
+
+
 def test_solve_kmax_too_small_is_invalid_input(capsys, tmp_path):
     g = generate("cliqueplus:n=12,k=3", 1)
     path = tmp_path / "cp.dimacs"

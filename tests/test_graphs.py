@@ -172,6 +172,31 @@ def test_cycle_through_matches_enumeration(seed):
         assert shortest_cycle_through(g, v) == min_cycle_through(n, g.edges, v)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_cycle_length_bfs_matches_flow_witness(seed):
+    """Beyond the enumeration oracle's n <= 8: the BFS length equals the
+    length of the witness the min-cost flows build, and that witness is a
+    chordless cycle through v (a chord would close a shorter one)."""
+    n = 11 + seed  # 11..30
+    g = random_graph(n, (2 + seed % 3) / n, 500 + seed)
+    for v in range(n):
+        length = shortest_cycle_through(g, v)
+        found = shortest_cycle_with_vertices(g, v)
+        if length is None:
+            assert found is None
+            continue
+        assert found[0] == length == len(found[1])
+        members = set(found[1])
+        assert v in members
+        assert all(len(g.adj_sets[u] & members) == 2 for u in members)
+        seen, stack = {v}, [v]
+        while stack:
+            for y in g.adj_sets[stack.pop()] & members - seen:
+                seen.add(y)
+                stack.append(y)
+        assert seen == members
+
+
 def test_cycle_tie_break_is_lexicographic():
     # two vertex-disjoint triangles through 0: {0,1,2} and {0,3,4}
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])

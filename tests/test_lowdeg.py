@@ -10,12 +10,30 @@ from minalliance import (
     solve_subproblem,
     verify_alliance,
 )
-from minalliance.graphs import VertexRangeError
+from minalliance.graphs import VertexRangeError, min_disjoint_path_pair
 from minalliance.lowdeg import DegreeBoundError
 
 
 def cycle_graph(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def circulant(n, step):
+    """C_n(1, step): 4-regular for n >= 7 and step in (2, 3)."""
+    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, step)}
+    return build_graph(n, sorted(edges))
+
+
+RANK = {"singleton": 0, "path": 1, "cycle": 2, "path-pair": 3}
+
+
+def best_of_all_subproblems(g):
+    """The definition the two-pass solver must equal: the smallest
+    (size, kind rank, witness) over every root's full subproblem."""
+    subs = [solve_subproblem(g, v) for v in range(g.n)]
+    return min(
+        (s.best_size, RANK[s.kind], s.witness) for s in subs if s.best_size is not None
+    )
 
 
 def test_subproblem_at_the_hub(square_bridge_clique):
@@ -118,3 +136,31 @@ def test_atlas_sample_agrees(atlas_corpus):
     # the full corpus is the acceptance suite's job; spot-check a slice here
     for g in atlas_corpus[::17]:
         assert solve_min_alliance_lowdeg(g).size == brute_force_min_alliance(g).size
+
+
+@pytest.mark.parametrize("seed", range(122))
+def test_two_passes_equal_best_of_all_subproblems(seed):
+    g = generate(f"degcap:n={6 + seed % 15},dmax={4 + seed % 2}", 4000 + seed)
+    assert solve_min_alliance_lowdeg(g).members == best_of_all_subproblems(g)[2]
+
+
+@pytest.mark.parametrize("step", (2, 3))
+@pytest.mark.parametrize("n", range(7, 21))
+def test_circulants_take_the_best_cycle(n, step):
+    # 4-regular: no vertex of degree <= 3, so only a cycle can win
+    g = circulant(n, step)
+    size, rank, witness = best_of_all_subproblems(g)
+    assert rank == RANK["cycle"]
+    assert solve_min_alliance_lowdeg(g).members == witness
+
+
+def test_cycle_beats_path_pair_of_equal_size():
+    # root 0 has degree 4: leaves 1 and 2 give the path pair {0, 1, 2},
+    # and the triangle {0, 3, 4} is a cycle of the same size
+    g = build_graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4),
+                        (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
+    pair = min_disjoint_path_pair(g, 0, [1, 2, 5, 6])
+    assert pair.total_vertices == 3 and {*pair.path_x, *pair.path_y} == {0, 1, 2}
+    sub = solve_subproblem(g, 0)
+    # (0, 1, 2) < (0, 3, 4): the cycle wins on kind rank, not on witness order
+    assert (sub.best_size, sub.kind, sub.witness) == (3, "cycle", (0, 3, 4))
