@@ -2,6 +2,7 @@
 
 from .alliances import (
     AllianceSolution,
+    BudgetExceeded,
     InternalVerificationError,
     SearchGuardError,
     brute_force_min_alliance,
@@ -61,5 +62,6 @@ from .reduction import (
     minimum_dominating_set,
     moore_bound,
 )
+from .search import solve_min_alliance_search
 
 __version__ = "0.1.0"

@@ -21,6 +21,26 @@ class InternalVerificationError(RuntimeError):
     """A solver produced a witness that fails verification (solver bug)."""
 
 
+class BudgetExceeded(RuntimeError):
+    """A solver ran past its time budget.
+
+    `alliance` is the incumbent as checked by `verify_alliance` (or None) and
+    `lower_bound` a size no alliance falls below (or None when the solver
+    has not proven one).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        alliance: AllianceSolution | None = None,
+        lower_bound: int | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.alliance = alliance
+        self.lower_bound = lower_bound
+
+
 def protection_threshold(degree: int) -> int:
     """Defenders needed by a member of degree `degree`: ceil((degree+1)/2)."""
     if degree < 0:

@@ -3,6 +3,15 @@
 Every subcommand prints one JSON document on stdout.  Exit codes: 0 success,
 1 invalid input or a budget overrun, 2 a solver returned a witness that failed
 verification.
+
+`solve --algo auto` routes a connected graph without forbidden vertices and
+with maximum degree five to `lowdeg`, else a graph with a distance-to-clique
+set or a twin cover of at most `--kmax` vertices to `dtc` or `twincover`,
+and everything else to the branch and bound `search`.  Brute force and the
+ILP encoding stay selectable and are `--oracle`'s two oracles.  Past
+`--time-limit`, `search` and the ILP raise `BudgetExceeded`, printed as one
+`"kind": "budget"` document with the verified incumbent and the proven lower
+bound (each null when unknown).
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .alliances import (
+    BudgetExceeded,
     InternalVerificationError,
     SearchGuardError,
     brute_force_min_alliance,
@@ -25,7 +35,7 @@ from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .fpt import solve_dtc, solve_twincover
 from .generators import generate
 from .graphs import Graph, GraphError, is_connected
-from .ilp import IlpBudgetExceeded, solve_min_alliance_ilp
+from .ilp import solve_min_alliance_ilp
 from .lowdeg import solve_min_alliance_lowdeg
 from .params import distance_to_clique_set, partition_clique_sets, twin_cover_set
 from .reduction import (
@@ -33,6 +43,7 @@ from .reduction import (
     build_reduction,
     extract_dominating_set,
 )
+from .search import solve_min_alliance_search
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -40,7 +51,7 @@ EXIT_INTERNAL = 2
 
 SEED_ENV = "MINALLIANCE_SEED"
 
-# brute force's own guard; above it `auto` and `--oracle` use the ILP encoding
+# brute force's own guard; above it `--oracle` uses the ILP encoding
 BRUTE_MAX_N = 24
 
 
@@ -108,7 +119,7 @@ def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int]
         cover = twin_cover_set(g, kmax)
         if cover is not None:
             return "twincover", cover
-    return ("brute" if g.n <= BRUTE_MAX_N else "ilp"), None
+    return "search", None
 
 
 def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None,
@@ -116,6 +127,8 @@ def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None,
     """Run `algo`; dtc and twincover search a modulator unless given one."""
     if algo == "lowdeg":
         return solve_min_alliance_lowdeg(g)
+    if algo == "search":
+        return solve_min_alliance_search(g, time_limit=time_limit)
     if algo == "brute":
         return brute_force_min_alliance(g)
     if algo == "ilp":
@@ -340,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algo",
         default="auto",
-        choices=["auto", "brute", "lowdeg", "ilp", "dtc", "twincover"],
+        choices=["auto", "search", "brute", "lowdeg", "ilp", "dtc", "twincover"],
     )
     p.add_argument("--kmax", type=int, default=5)
     p.add_argument("--oracle", action="store_true")
@@ -398,7 +411,7 @@ def run_command(argv: list[str]) -> int:
     except InternalVerificationError as exc:
         print(json.dumps({"error": str(exc), "kind": "internal"}))
         return EXIT_INTERNAL
-    except IlpBudgetExceeded as exc:
+    except BudgetExceeded as exc:
         inc = exc.alliance
         members = [v + 1 for v in inc.members] if inc is not None and inc.valid else None
         print(json.dumps({
@@ -406,6 +419,7 @@ def run_command(argv: list[str]) -> int:
             "kind": "budget",
             "incumbent": members,
             "incumbent_size": None if members is None else len(members),
+            "lower_bound": exc.lower_bound,
         }))
         return EXIT_INVALID
     except (

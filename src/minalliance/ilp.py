@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .alliances import protection_threshold
+from .alliances import BudgetExceeded, protection_threshold
 from .graphs import Graph
 
 
@@ -23,13 +23,14 @@ class IlpError(ValueError):
     """Malformed problem data."""
 
 
-class IlpBudgetExceeded(RuntimeError):
+class IlpBudgetExceeded(BudgetExceeded):
     """Raised when solve_ilp runs past its time or node budget.
 
     Carries the best integer solution seen so far (if any) so callers can
     still use the incumbent as an upper-bound witness.
     `solve_min_alliance_ilp` also sets `alliance` to that incumbent as a
-    verified AllianceSolution.
+    verified AllianceSolution.  `lower_bound` stays None: the branch and
+    bound keeps no global bound.
     """
 
     def __init__(
@@ -41,7 +42,6 @@ class IlpBudgetExceeded(RuntimeError):
         super().__init__(message)
         self.incumbent = incumbent
         self.incumbent_value = incumbent_value
-        self.alliance = None
 
 
 @dataclass(frozen=True)

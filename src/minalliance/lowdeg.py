@@ -8,11 +8,11 @@ global answer is the smallest (size, kind rank, witness) key over every root
 and candidate.
 
 `solve_min_alliance_lowdeg` finds that key in two passes without solving
-every subproblem in full.  Pass 1 takes the singleton, path and path-pair
-candidates of every root.  Pass 2 considers cycles only when one can still
-win, reads every root's shortest-cycle length from one BFS per root, and
-runs the min-cost flows that build a cycle witness only at the roots of
-minimum length.
+every subproblem in full.  Pass 1 takes the singleton and path candidates
+of every root (a path pair never gives the global answer).  Pass 2 considers
+cycles only when one can still win, reads every root's shortest-cycle length
+from one BFS per root, and runs the min-cost flows that build a cycle
+witness only at the roots of minimum length.
 """
 
 from __future__ import annotations
@@ -64,31 +64,38 @@ def _check_lowdeg_input(g: Graph) -> None:
         raise ValueError("the low-degree solver does not support forbidden vertices")
 
 
+def _low_targets(g: Graph, v: int) -> tuple[list[int], list[int]]:
+    """BFS distances from v and the other vertices of degree <= 3 it reaches."""
+    dist = distances_from(g, v)
+    low = [
+        x for x in range(g.n)
+        if x != v and g.degree(x) <= 3 and dist[x] != UNREACHABLE
+    ]
+    return dist, low
+
+
 def _path_candidates(g: Graph, v: int):
-    """Yield the (size, kind, witness tuple) candidates at v that are not cycles."""
+    """Yield v's singleton or path candidate (size, kind, witness tuple);
+    none at a root of degree 4 or 5."""
     d = g.degree(v)
     if d <= 1:
         yield 1, "singleton", (v,)
-        return
-    dist = distances_from(g, v)
-    low = [x for x in range(g.n) if x != v and g.degree(x) <= 3]
-    if d <= 3:
-        reach = [(dist[x], x) for x in low if dist[x] != UNREACHABLE]
-        if reach:
-            dx, x = min(reach)
-            path = bfs_path(g, v, x)
-            yield dx + 1, "path", tuple(sorted(path))
-    else:
-        targets = [x for x in low if dist[x] != UNREACHABLE]
-        pair = min_disjoint_path_pair(g, v, targets) if targets else None
-        if pair is not None:
-            merged = set(pair.path_x) | set(pair.path_y)
-            yield pair.total_vertices, "path-pair", tuple(sorted(merged))
+    elif d <= 3:
+        dist, low = _low_targets(g, v)
+        if low:
+            dx, x = min((dist[x], x) for x in low)
+            yield dx + 1, "path", tuple(sorted(bfs_path(g, v, x)))
 
 
 def _candidates(g: Graph, v: int):
     """Yield (size, kind, witness tuple) candidates for the subproblem at v."""
     yield from _path_candidates(g, v)
+    if g.degree(v) >= 4:
+        _dist, low = _low_targets(g, v)
+        pair = min_disjoint_path_pair(g, v, low) if low else None
+        if pair is not None:
+            merged = set(pair.path_x) | set(pair.path_y)
+            yield pair.total_vertices, "path-pair", tuple(sorted(merged))
     cyc = shortest_cycle_with_vertices(g, v)
     if cyc is not None:
         yield cyc[0], "cycle", cyc[1]
@@ -141,15 +148,18 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
     candidate over all roots is therefore exact.
 
     The answer is the smallest key (size, kind rank, witness) over every
-    root and candidate, found in two passes.  Pass 1 takes the singleton,
-    path and path-pair candidates of every root.  A cycle (rank 2) of length
-    L beats the best pass-1 key (s, r, .) only if L < s, or L == s and
-    r == 3 (a path pair), so no cycle longer than `bound` (s - 1 if r < 2,
-    else s) can win.  Pass 2 reads every root's shortest-cycle length from
-    one BFS per root and runs the flow-based witness search only at the
-    roots whose length is the minimum and within the bound: shorter cycles
-    beat longer ones, and each root's witness depends on (g, root) alone, so
-    the answer equals the best of all subproblems.
+    root and candidate, found in two passes.  A path pair v -> x, v -> y
+    never is that key: x..v..y is a path between two vertices of degree at
+    most three, so the singleton or path candidate at x has at most as many
+    vertices and a lower kind rank.  Pass 1 therefore takes only the
+    singleton and path candidates of every root.  A cycle (rank 2) of
+    length L beats their best key (s, r < 2, .) only if L < s, so no cycle
+    longer than `bound` = s - 1 can win.  Pass 2 reads every root's
+    shortest-cycle length from one BFS per root and runs the flow-based
+    witness search only at the roots whose length is the minimum and within
+    the bound: shorter cycles beat longer ones, and each root's witness
+    depends on (g, root) alone, so the answer equals the best of all
+    subproblems.
     """
     _check_lowdeg_input(g)
     best = None
@@ -157,11 +167,7 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
         found = _best_verified(g, v, _path_candidates(g, v))
         if found is not None and (best is None or found < best):
             best = found
-    if best is None:
-        bound = g.n
-    else:
-        size, rank, _witness = best[0]
-        bound = size - 1 if rank < _KIND_RANK["cycle"] else size
+    bound = g.n if best is None else best[0][0] - 1
     if bound >= 3:  # no cycle is shorter
         lengths = {}
         for v in range(g.n):

@@ -1,0 +1,129 @@
+"""Exact minimum defensive alliance by solution-size branch and bound.
+
+The general solver for graphs no specialised algorithm covers, in the style
+of Fernau & Raible, "Alliances in graphs: a complexity-theoretic study"
+(SOFSEM 2007): grow one connected vertex set from a root, always branching
+on the member that lacks the most defenders.
+"""
+
+from __future__ import annotations
+
+from time import monotonic
+
+from .alliances import (
+    AllianceSolution,
+    BudgetExceeded,
+    InternalVerificationError,
+    protection_threshold,
+    verify_alliance,
+)
+from .graphs import Graph
+
+
+def solve_min_alliance_search(
+    g: Graph, *, time_limit: float | None = None
+) -> AllianceSolution | None:
+    """Minimum defensive alliance avoiding forbidden vertices, or None.
+
+    Iterative deepening on the size budget k, from the least threshold
+    ceil((d(v)+1)/2) of an allowed vertex upwards; the first k with an
+    alliance of at most k vertices is the optimum.  For each k the allowed
+    roots are tried in ascending order, every earlier root banned.  A node
+    holds a connected member set S and a banned set; the member u with the
+    largest deficit need(u) - |N[u] cap S| (ties: smallest id) is branched
+    on.  With c_1 < c_2 < ... its allowed neighbours outside S and outside
+    the banned set, branch i adds c_i and bans c_1..c_{i-1}, for i up to
+    (number of candidates - deficit + 1).  A node is pruned when the deficit
+    exceeds the remaining budget k - |S| or the number of candidates.
+
+    Exactness: every component of an alliance is an alliance (a member's
+    neighbours inside lie in its component), so an optimum A may be taken
+    connected; let r be its least vertex.  At root r no earlier root lies in
+    A, and at every node with S inside A and no banned vertex in A, the
+    deficit of u is at least the number of its candidates that A still
+    needs, so at least `deficit` candidates lie in A and the first of them,
+    c_j, has j <= candidates - deficit + 1.  Branch j alone keeps S inside A
+    and every banned vertex outside it, and the budget prune never cuts it
+    (the deficit is at most |A - S| <= k - |S|).  So each k at or above the
+    optimum finds an alliance, and each k below it finds none.
+
+    The witness is the first alliance found in this fixed order, so it
+    depends on the graph alone.  Past `time_limit` seconds the search raises
+    BudgetExceeded with no incumbent and `lower_bound` = the k being
+    searched, which every smaller k has been proven not to reach.
+    """
+    roots = [v for v in range(g.n) if v not in g.forbidden]
+    if not roots:
+        return None
+    # neighbours a member needs inside S: ceil((d+1)/2) minus itself
+    need = [protection_threshold(g.degree(v)) - 1 for v in range(g.n)]
+    deadline = None if time_limit is None else monotonic() + time_limit
+    for k in range(min(need[v] for v in roots) + 1, len(roots) + 1):
+        members = _alliance_within(g, k, roots, need, deadline)
+        if members is not None:
+            checked = verify_alliance(g, members)
+            if not checked.valid:
+                raise InternalVerificationError(
+                    f"search witness {members} fails alliance verification"
+                )
+            return checked
+    return None
+
+
+def _alliance_within(
+    g: Graph, k: int, roots: list[int], need: list[int], deadline: float | None
+) -> list[int] | None:
+    """The first alliance of at most k vertices in the search order, or None."""
+    adj = g.adj  # each neighbour list ascending
+    inside = [0] * g.n  # |N(v) cap S|
+    # a vertex is blocked while it is a member, banned or forbidden
+    blocked = [v in g.forbidden for v in range(g.n)]
+    members: list[int] = []
+
+    def add(v: int) -> None:
+        blocked[v] = True
+        members.append(v)
+        for u in adj[v]:
+            inside[u] += 1
+
+    def drop_last() -> None:  # leaves the vertex blocked, that is banned
+        for u in adj[members.pop()]:
+            inside[u] -= 1
+
+    for root in roots:
+        add(root)
+        # one frame per branching node: [candidates, branches taken, width]
+        frames: list[list] = []
+        while True:
+            if deadline is not None and monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"time limit exceeded while searching size {k}", lower_bound=k
+                )
+            worst, deficit = -1, 0
+            for u in members:
+                d = need[u] - inside[u]
+                if d > deficit or (d == deficit and d > 0 and u < worst):
+                    worst, deficit = u, d
+            if deficit == 0:
+                return sorted(members)
+            cands = [c for c in adj[worst] if not blocked[c]]
+            if deficit <= k - len(members) and deficit <= len(cands):
+                frames.append([cands, 0, len(cands) - deficit + 1])
+            # next branch: undo the last one (its vertex stays banned), or
+            # lift the frame's bans and backtrack once every branch is taken
+            while frames:
+                frame = frames[-1]
+                cands, taken, width = frame
+                if taken:
+                    drop_last()
+                if taken < width:
+                    add(cands[taken])
+                    frame[1] = taken + 1
+                    break
+                for c in cands[:width]:
+                    blocked[c] = False
+                frames.pop()
+            else:
+                drop_last()  # the root, banned for the later roots
+                break
+    return None

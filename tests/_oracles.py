@@ -254,3 +254,39 @@ def gadget_estimate_oracle(budget):
         else:
             lo = mid + 1
     return lo
+
+
+def milp_min_alliance_size(n, edges, forbidden=()):
+    """Optimum alliance size from `scipy.optimize.milp` (HiGHS), or None.
+
+    The 0-1 program states the raw majority comparison: a chosen vertex v
+    with `inside` neighbours chosen needs 1 + inside >= d(v) - inside, that
+    is 2 * sum_{u in N(v)} x_u - (d(v) - 1) * x_v >= 0; plus sum x >= 1 and
+    x_f = 0 for forbidden f.  scipy is imported here, so the module loads
+    without it.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    adj = adjacency(n, edges)
+    rows = np.zeros((n + 1, n))
+    for v in range(n):
+        for u in adj[v]:
+            rows[v, u] = 2
+        rows[v, v] = -(len(adj[v]) - 1)
+    rows[n, :] = 1
+    lower = np.zeros(n + 1)
+    lower[n] = 1
+    upper = np.ones(n)
+    upper[list(set(forbidden))] = 0
+    res = milp(
+        c=np.ones(n),
+        constraints=LinearConstraint(rows, lower, np.inf),
+        integrality=np.ones(n),
+        bounds=Bounds(np.zeros(n), upper),
+    )
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise AssertionError(f"milp stopped without a verdict: {res.message}")
+    return round(res.fun)

@@ -160,6 +160,44 @@ def test_ilp_budget_overrun_reports_verified_incumbent(capsys, bridge_file, monk
         "kind": "budget",
         "incumbent": [5, 6, 7],
         "incumbent_size": 3,
+        "lower_bound": None,
+    }
+
+
+def test_solve_auto_falls_back_to_search(capsys, tmp_path):
+    # max degree 8, no small modulator: once 20 s and more in the ILP
+    g = generate("degcap:n=40,dmax=8", 3)
+    path = tmp_path / "hard.dimacs"
+    path.write_text(emit_dimacs(g))
+    code, out = run(capsys, "solve", str(path))
+    assert code == EXIT_OK
+    assert out["algorithm"] == "search"
+    assert out["size"] == 8
+    assert verify_alliance(g, [v - 1 for v in out["witness"]]).valid
+
+
+def test_solve_search_with_oracle(capsys, bridge_file):
+    code, out = run(capsys, "solve", bridge_file, "--algo", "search", "--oracle")
+    assert code == EXIT_OK
+    assert out["algorithm"] == "search"
+    assert out["witness"] == [1, 2]
+    assert out["match"] is True
+
+
+def test_search_budget_overrun_reports_lower_bound(capsys, bridge_file, monkeypatch):
+    import minalliance.search as search
+
+    reads = iter([0.0])  # the deadline is set at 0 + 1 s; every later read is past it
+    monkeypatch.setattr(search, "monotonic", lambda: next(reads, 1e9))
+    code, out = run(capsys, "solve", bridge_file, "--algo", "search", "--time-limit", "1")
+    assert code == EXIT_INVALID
+    # degree-2 vertices need 2 defenders, so size 2 is searched first
+    assert out == {
+        "error": "time limit exceeded while searching size 2",
+        "kind": "budget",
+        "incumbent": None,
+        "incumbent_size": None,
+        "lower_bound": 2,
     }
 
 

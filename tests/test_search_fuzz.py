@@ -1,0 +1,45 @@
+"""Differential fuzzing of the branch and bound against brute force."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from minalliance import brute_force_min_alliance, build_graph, solve_min_alliance_search
+
+
+@st.composite
+def _part(draw, max_n):
+    """(n, edges) with sparse and dense edge sets alike."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if draw(st.booleans()):
+        chosen = set(pairs) - chosen
+    return n, sorted(chosen)
+
+
+@st.composite
+def _graphs(draw):
+    """Up to 12 vertices: one part, or two with no edge between them, and
+    any set of forbidden vertices."""
+    n, edges = draw(_part(8))
+    n2, edges2 = draw(_part(4)) if draw(st.booleans()) else (0, [])
+    edges += [(a + n, b + n) for a, b in edges2]
+    n += n2
+    forbidden = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return build_graph(n, edges, forbidden)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_graphs())
+def test_search_agrees_with_brute_force(g):
+    sol = solve_min_alliance_search(g)
+    ref = brute_force_min_alliance(g)
+    if ref is None:
+        assert sol is None
+        return
+    assert sol.size == ref.size
+    assert sol.valid
+    assert solve_min_alliance_search(g) == sol
