@@ -27,7 +27,6 @@ from .graphs import (
     girth,
     is_connected,
     min_disjoint_path_pair,
-    shortest_cycle_through,
 )
 from .ilp import (
     IlpBudgetExceeded,

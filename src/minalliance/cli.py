@@ -272,10 +272,14 @@ def _cmd_reduce(args) -> tuple[int, dict]:
 
 def _cmd_extract(args) -> tuple[int, dict]:
     payload = json.loads(Path(args.instance).read_text())
-    if payload.get("kind") != "dominating-set-reduction":
+    if not isinstance(payload, dict) or payload.get("kind") != "dominating-set-reduction":
         raise ValueError(f"{args.instance} is not a reduction instance file")
-    src = parse_dimacs(payload["source_dimacs"])
-    inst = build_reduction(src, int(payload["k"]))
+    source, k = payload.get("source_dimacs"), payload.get("k")
+    if not isinstance(source, str) or not isinstance(k, int):
+        raise ValueError(
+            f"{args.instance} lacks a DIMACS string 'source_dimacs' or an integer 'k'"
+        )
+    inst = build_reduction(parse_dimacs(source), k)
     members = _read_vertex_set(args.set)
     ds = extract_dominating_set(inst, members)
     return EXIT_OK, {

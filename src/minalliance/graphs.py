@@ -245,67 +245,28 @@ def _trace_unit(net: _MinCostFlow, start: int, used: set[int]) -> list[int]:
 
 
 def shortest_cycle_with_vertices(g: Graph, v: int) -> tuple[int, tuple[int, ...]] | None:
-    """Shortest simple cycle containing v, as (length, sorted vertex tuple).
-
-    Computed exactly: for every other vertex w, the cheapest pair of
-    internally disjoint v-w paths is a 2-unit min-cost flow where every
-    vertex except v and w has unit capacity and unit cost; the smallest
-    (length, vertex tuple) over all w wins.  The length from
-    `shortest_cycle_through` comes first: without a cycle the answer is None
-    at once, and a vertex w with 2 * dist(v, w) > length lies on no cycle of
-    that length, so it runs no flow.
-    """
-    if not (0 <= v < g.n):
-        raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
-    length = shortest_cycle_through(g, v)
-    if length is None:
-        return None
-    dist = distances_from(g, v)
-    best: tuple[int, tuple[int, ...]] | None = None
-    for w in range(g.n):
-        if w == v or dist[w] == UNREACHABLE or g.degree(w) < 2 or 2 * dist[w] > length:
-            continue
-        net = _MinCostFlow(2 * g.n)
-        for u in range(g.n):
-            if u != v and u != w:
-                net.add(_in(u), _out(u), 1, 1)
-        for a, b in g.edges:
-            for x, y in ((a, b), (b, a)):
-                if x == w or y == v:
-                    continue
-                net.add(_out(x), _in(y), 1, 0)
-        flow, cost = net.run(_out(v), _in(w), 2)
-        if flow < 2 or cost + 2 > length:
-            continue
-        used: set[int] = set()
-        members = {v, w}
-        for _ in range(2):
-            for node in _trace_unit(net, _out(v), used):
-                if node % 2 == 1:
-                    members.add(node // 2)
-        cand = (cost + 2, tuple(sorted(members)))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def shortest_cycle_through(g: Graph, v: int) -> int | None:
-    """Length of the shortest simple cycle containing v, or None if acyclic at v.
+    """Shortest simple cycle containing v, as (length, sorted vertex tuple),
+    or None if no cycle passes through v.
 
     One BFS from v labels every vertex with the neighbour of v it descends
     from (Itai & Rodeh, "Finding a minimum circuit in a graph", 1978).  An
     edge (x, y) whose endpoints carry different labels closes a cycle through
-    v of length dist[x] + dist[y] + 1: the two tree paths lie in different
-    branches, so they meet only at v.  The bound is exact: walking the
-    shortest cycle from one neighbour of v to the other, some edge changes
-    label, and its bound is at most the cycle's length.  Edges towards
-    shallower vertices were scanned from their other end, so once
-    2 * dist[x] + 1 >= best no later edge closes a shorter cycle.
+    v of length dist[x] + dist[y] + 1: v and the two first-discovery tree
+    paths v..x and v..y, which lie in different branches and so meet only at
+    v.  The length is exact: walking the shortest cycle from one neighbour of
+    v to the other, some edge changes label, and the cycle it closes is no
+    longer.  Edges towards shallower vertices were scanned from their other
+    end, so once 2 * dist[x] + 1 >= best no later edge closes a shorter cycle.
+
+    Tie-break: the witness is the cycle closed by the first edge, in BFS scan
+    order (vertices by discovery, neighbours ascending), that reaches the
+    minimum length.  It is not the lexicographically smallest such cycle.
     """
     if not (0 <= v < g.n):
         raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
     dist = [UNREACHABLE] * g.n
     label = [-1] * g.n
+    parent = [v] * g.n
     dist[v] = 0
     q = deque()
     for u in g.adj[v]:
@@ -321,12 +282,20 @@ def shortest_cycle_through(g: Graph, v: int) -> int | None:
             if dist[y] == UNREACHABLE:
                 dist[y] = dist[x] + 1
                 label[y] = label[x]
+                parent[y] = x
                 q.append(y)
             elif y != v and label[y] != label[x]:
                 cand = dist[x] + dist[y] + 1
                 if best is None or cand < best:
-                    best = cand
-    return best
+                    best, closing = cand, (x, y)
+    if best is None:
+        return None
+    members = [v]
+    for u in closing:
+        while u != v:
+            members.append(u)
+            u = parent[u]
+    return best, tuple(sorted(members))
 
 
 def min_disjoint_path_pair(g: Graph, v: int, targets: Iterable[int]) -> PathPair | None:
@@ -375,30 +344,10 @@ def min_disjoint_path_pair(g: Graph, v: int, targets: Iterable[int]) -> PathPair
 
 
 def girth(g: Graph) -> int | None:
-    """Length of the shortest cycle anywhere in the graph, or None if a forest.
-
-    Per-root BFS: every non-tree edge closes a cycle of length at most
-    dist(x)+dist(y)+1, and rooting the BFS on the shortest cycle attains it.
-    """
-    best: int | None = None
-    for r in range(g.n):
-        dist = [UNREACHABLE] * g.n
-        parent = [-1] * g.n
-        dist[r] = 0
-        q = deque([r])
-        while q:
-            x = q.popleft()
-            for y in g.adj[x]:
-                if dist[y] == UNREACHABLE:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    q.append(y)
-        for x, y in g.edges:
-            if parent[y] == x or parent[x] == y:
-                continue
-            if dist[x] == UNREACHABLE or dist[y] == UNREACHABLE:
-                continue
-            cand = dist[x] + dist[y] + 1
-            if best is None or cand < best:
-                best = cand
-    return best
+    """Length of the shortest cycle anywhere in the graph, or None if a forest:
+    the least shortest cycle through any vertex."""
+    return min(
+        (cyc[0] for v in range(g.n)
+         if (cyc := shortest_cycle_with_vertices(g, v)) is not None),
+        default=None,
+    )

@@ -9,10 +9,10 @@ and candidate.
 
 `solve_min_alliance_lowdeg` finds that key in two passes without solving
 every subproblem in full.  Pass 1 takes the singleton and path candidates
-of every root (a path pair never gives the global answer).  Pass 2 considers
-cycles only when one can still win, reads every root's shortest-cycle length
-from one BFS per root, and runs the min-cost flows that build a cycle
-witness only at the roots of minimum length.
+of every root (a path pair never gives the global answer) and stops at the
+first root of degree at most one.  Pass 2 considers cycles only when one can
+still win and takes each root's shortest cycle, length and witness, from one
+branch-labelled BFS; no min-cost flow runs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .graphs import (
     distances_from,
     is_connected,
     min_disjoint_path_pair,
-    shortest_cycle_through,
     shortest_cycle_with_vertices,
 )
 
@@ -152,42 +151,32 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
     never is that key: x..v..y is a path between two vertices of degree at
     most three, so the singleton or path candidate at x has at most as many
     vertices and a lower kind rank.  Pass 1 therefore takes only the
-    singleton and path candidates of every root.  A cycle (rank 2) of
-    length L beats their best key (s, r < 2, .) only if L < s, so no cycle
-    longer than `bound` = s - 1 can win.  Pass 2 reads every root's
-    shortest-cycle length from one BFS per root and runs the flow-based
-    witness search only at the roots whose length is the minimum and within
-    the bound: shorter cycles beat longer ones, and each root's witness
-    depends on (g, root) alone, so the answer equals the best of all
-    subproblems.
+    singleton and path candidates of every root, and returns at the first
+    root of degree at most one, whose key (1, 0, (v,)) no other key beats.
+    A cycle (rank 2) of length L beats the best key so far only if L is
+    below its size, or equal to it when that key is a cycle too, so no
+    cycle longer than `bound` can win.  Pass 2 takes every root's shortest
+    cycle from one branch-labelled BFS (`shortest_cycle_with_vertices`,
+    which depends on (g, root) alone) and offers those within the bound, so
+    the answer equals the best of all subproblems.
     """
     _check_lowdeg_input(g)
     best = None
     for v in range(g.n):
+        if g.degree(v) <= 1:
+            return verify_alliance(g, (v,))
         found = _best_verified(g, v, _path_candidates(g, v))
         if found is not None and (best is None or found < best):
             best = found
     bound = g.n if best is None else best[0][0] - 1
     if bound >= 3:  # no cycle is shorter
-        lengths = {}
         for v in range(g.n):
-            if g.degree(v) >= 2:
-                length = shortest_cycle_through(g, v)
-                if length is not None and length <= bound:
-                    lengths[v] = length
-        shortest = min(lengths.values(), default=None)
-        for v, length in lengths.items():
-            if length != shortest:
-                continue
             cyc = shortest_cycle_with_vertices(g, v)
-            if cyc is None or cyc[0] != length:
-                raise InternalVerificationError(
-                    f"the flows found cycle {cyc} at root {v}, "
-                    f"the BFS a length of {length}"
-                )
-            found = _best_verified(g, v, [(length, "cycle", cyc[1])])
-            if best is None or found < best:
-                best = found
+            if cyc is not None and cyc[0] <= bound:
+                found = _best_verified(g, v, [(cyc[0], "cycle", cyc[1])])
+                if best is None or found < best:
+                    best = found
+                bound = best[0][0]
     if best is None:
         raise InternalVerificationError("no subproblem produced a candidate")
     return verify_alliance(g, best[0][2])

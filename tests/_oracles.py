@@ -82,6 +82,27 @@ def min_cycle_through(n, edges, v):
     return min(lengths) if lengths else None
 
 
+def min_cycle_through_by_edge_deletion(n, edges, v):
+    """Shortest cycle through v without enumerating cycles: the least
+    1 + dist(u, v) over the edges vu, measured with vu deleted."""
+    adj = adjacency(n, edges)
+    best = None
+    for u in adj[v]:
+        dist = {u: 0}
+        frontier = [u]
+        while frontier and v not in dist:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in dist and {x, y} != {u, v}:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
 def girth_by_enumeration(n, edges):
     lengths = [len(c) for c in simple_cycles(n, edges)]
     return min(lengths) if lengths else None

@@ -268,6 +268,20 @@ def test_extract_rejects_foreign_json(capsys, tmp_path):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"kind": "dominating-set-reduction", "k": 2},
+    {"kind": "dominating-set-reduction", "source_dimacs": "p edge 1 0\n"},
+])
+def test_extract_rejects_malformed_instance(capsys, tmp_path, payload):
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps(payload))
+    sfile = vertex_file(tmp_path, "s.txt", [1])
+    code, out = run(capsys, "extract", str(bogus), sfile)
+    assert code == EXIT_INVALID
+    assert out["kind"] == "invalid-input"
+
+
 def test_gen_inline_and_to_file(capsys, tmp_path):
     code, out = run(capsys, "gen", "cubic:n=8", "--seed", "5")
     assert code == EXIT_OK

@@ -11,7 +11,6 @@ from minalliance import (
     girth,
     is_connected,
     min_disjoint_path_pair,
-    shortest_cycle_through,
 )
 from minalliance.graphs import (
     UNREACHABLE,
@@ -27,6 +26,7 @@ from _oracles import (
     floyd_warshall,
     girth_by_enumeration,
     min_cycle_through,
+    min_cycle_through_by_edge_deletion,
     simple_cycles,
 )
 
@@ -142,20 +142,25 @@ def test_is_connected():
 # ---------------------------------------------------------------- cycles
 
 
+def cycle_length(g, v):
+    found = shortest_cycle_with_vertices(g, v)
+    return None if found is None else found[0]
+
+
 def test_cycle_through_tree_is_none():
     tree = build_graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
     for v in range(5):
-        assert shortest_cycle_through(tree, v) is None
+        assert shortest_cycle_with_vertices(tree, v) is None
 
 
 def test_cycle_through_reference(square_bridge_clique):
-    assert shortest_cycle_through(square_bridge_clique, 4) == 3
+    assert cycle_length(square_bridge_clique, 4) == 3
 
 
 def test_cycle_through_c6():
     g = cycle_graph(6)
     for v in range(6):
-        assert shortest_cycle_through(g, v) == 6
+        assert shortest_cycle_with_vertices(g, v) == (6, tuple(range(6)))
 
 
 def test_cycle_witness_is_a_cycle(square_bridge_clique):
@@ -169,23 +174,40 @@ def test_cycle_through_matches_enumeration(seed):
     n = 4 + seed % 5
     g = random_graph(n, 0.4, 300 + seed)
     for v in range(n):
-        assert shortest_cycle_through(g, v) == min_cycle_through(n, g.edges, v)
+        assert cycle_length(g, v) == min_cycle_through(n, g.edges, v)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cycle_witness_is_an_enumerated_shortest_cycle(seed):
+    n = 4 + seed % 5  # up to n=8
+    g = random_graph(n, 0.5, 700 + seed)
+    cycles = simple_cycles(n, g.edges)
+    for v in range(n):
+        found = shortest_cycle_with_vertices(g, v)
+        through = [c for c in cycles if v in c]
+        if not through:
+            assert found is None
+            continue
+        length = min(len(c) for c in through)
+        assert found[0] == length
+        assert frozenset(found[1]) in {c for c in through if len(c) == length}
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_cycle_length_bfs_matches_flow_witness(seed):
-    """Beyond the enumeration oracle's n <= 8: the BFS length equals the
-    length of the witness the min-cost flows build, and that witness is a
-    chordless cycle through v (a chord would close a shorter one)."""
+def test_cycle_witness_is_a_chordless_cycle_through_v(seed):
+    """Beyond the enumeration oracle's n <= 8: the length agrees with
+    deleting each edge at v in turn, and the witness is a chordless cycle
+    through v (a chord would close a shorter one)."""
     n = 11 + seed  # 11..30
     g = random_graph(n, (2 + seed % 3) / n, 500 + seed)
     for v in range(n):
-        length = shortest_cycle_through(g, v)
         found = shortest_cycle_with_vertices(g, v)
-        if length is None:
+        want = min_cycle_through_by_edge_deletion(n, g.edges, v)
+        if want is None:
             assert found is None
             continue
-        assert found[0] == length == len(found[1])
+        assert found[0] == want
+        assert found[0] == len(found[1])
         members = set(found[1])
         assert v in members
         assert all(len(g.adj_sets[u] & members) == 2 for u in members)
@@ -197,12 +219,16 @@ def test_cycle_length_bfs_matches_flow_witness(seed):
         assert seen == members
 
 
-def test_cycle_tie_break_is_lexicographic():
-    # two vertex-disjoint triangles through 0: {0,1,2} and {0,3,4}
+def test_cycle_tie_break_is_first_closing_edge():
+    # two 4-cycles through 0: {0,1,5,4} and {0,2,6,3}.  The BFS from 0
+    # discovers 5 from 1 and 6 from 2, then scanning 3 meets 6 first, so
+    # (3, 6) closes the witness although (0, 1, 4, 5) sorts first.
+    g = build_graph(7, [(0, 1), (0, 2), (0, 3), (0, 4),
+                        (1, 5), (4, 5), (2, 6), (3, 6)])
+    assert shortest_cycle_with_vertices(g, 0) == (4, (0, 2, 3, 6))
+    # two triangles through 0: (1, 2) is the first closing edge
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
-    length, witness = shortest_cycle_with_vertices(g, 0)
-    assert length == 3
-    assert witness == (0, 1, 2)
+    assert shortest_cycle_with_vertices(g, 0) == (3, (0, 1, 2))
 
 
 # ---------------------------------------------------------------- path pairs

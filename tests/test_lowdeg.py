@@ -1,5 +1,7 @@
 """Low-degree exact solver: per-vertex subproblems and the global minimum."""
 
+import random
+
 import pytest
 
 from minalliance import (
@@ -18,9 +20,13 @@ def cycle_graph(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def circulant(n, step):
-    """C_n(1, step): 4-regular for n >= 7 and step in (2, 3)."""
-    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, step)}
+def circulant(n, step, label=None):
+    """C_n(1, step), vertex i renamed label[i]: 4-regular for n >= 7 and
+    step in (2, 3)."""
+    label = label or range(n)
+    edges = {
+        tuple(sorted((label[i], label[(i + d) % n]))) for i in range(n) for d in (1, step)
+    }
     return build_graph(n, sorted(edges))
 
 
@@ -152,6 +158,33 @@ def test_circulants_take_the_best_cycle(n, step):
     size, rank, witness = best_of_all_subproblems(g)
     assert rank == RANK["cycle"]
     assert solve_min_alliance_lowdeg(g).members == witness
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", range(10, 21))
+def test_relabelled_circulants_take_the_best_cycle(n, seed):
+    # C_n(1, 3) under a random naming: several roots of the shortest cycle
+    # length find different witnesses, and a later root's may sort first
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    g = circulant(n, 3, label)
+    assert solve_min_alliance_lowdeg(g).members == best_of_all_subproblems(g)[2]
+
+
+def test_global_solve_runs_no_min_cost_flow(monkeypatch):
+    # the circulants above, where a cycle must win, solved with every
+    # min-cost flow failing: cycle witnesses come from the BFS alone
+    expected = {
+        (n, step): best_of_all_subproblems(circulant(n, step))[2]
+        for step in (2, 3) for n in range(7, 21)
+    }
+
+    def no_flow(*args):
+        raise AssertionError("solve_min_alliance_lowdeg ran a min-cost flow")
+
+    monkeypatch.setattr("minalliance.graphs._MinCostFlow.run", no_flow)
+    for (n, step), witness in expected.items():
+        assert solve_min_alliance_lowdeg(circulant(n, step)).members == witness
 
 
 def test_cycle_beats_path_pair_of_equal_size():
