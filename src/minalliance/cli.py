@@ -9,9 +9,11 @@ with maximum degree five to `lowdeg`, else a graph with a distance-to-clique
 set or a twin cover of at most `--kmax` vertices to `dtc` or `twincover`,
 and everything else to the branch and bound `search`.  Brute force and the
 ILP encoding stay selectable and are `--oracle`'s two oracles.  Past
-`--time-limit`, `search` and the ILP raise `BudgetExceeded`, printed as one
-`"kind": "budget"` document with the verified incumbent and the proven lower
-bound (each null when unknown).
+`--time-limit`, `search`, the ILP, `dtc` and `twincover` raise
+`BudgetExceeded`, printed as one `"kind": "budget"` document with the
+verified incumbent and the proven lower bound (each null when unknown);
+`lowdeg` and brute force ignore the limit.  A negative limit is invalid
+input.
 """
 
 from __future__ import annotations
@@ -137,12 +139,12 @@ def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None,
         mod = distance_to_clique_set(g, kmax) if modulator is None else modulator
         if mod is None:
             raise ValueError(f"no distance-to-clique set within k_max={kmax}")
-        return solve_dtc(g, mod)
+        return solve_dtc(g, mod, time_limit=time_limit)
     if algo == "twincover":
         cover = twin_cover_set(g, kmax) if modulator is None else modulator
         if cover is None:
             raise ValueError(f"no twin cover within k_max={kmax}")
-        return solve_twincover(g, cover)
+        return solve_twincover(g, cover, time_limit=time_limit)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -154,6 +156,11 @@ def _record_for(g: Graph, instance: str, algo: str) -> ResultRecord:
         m=g.m,
         params={"max_degree": g.max_degree(), "forbidden": len(g.forbidden)},
     )
+
+
+def _check_time_limit(time_limit: float | None) -> None:
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"--time-limit must be a nonnegative number, got {time_limit}")
 
 
 def _solve_record(g: Graph, instance: str, algo: str, kmax: int,
@@ -214,6 +221,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_solve(args) -> tuple[int, dict]:
+    _check_time_limit(args.time_limit)
     g = _read_graph(args.graph)
     algo, mod = _pick_algorithm(g, args.algo, args.kmax)
     rec = _solve_record(
@@ -311,6 +319,7 @@ def _cmd_gen(args) -> tuple[int, dict]:
 
 
 def _cmd_bench(args) -> tuple[int, list[dict]]:
+    _check_time_limit(args.time_limit)
     corpus = sorted(Path(args.corpus).glob("*.dimacs"))
     if not corpus:
         raise ValueError(f"no .dimacs files under {args.corpus}")

@@ -2,18 +2,21 @@
 tiny integer programs for the interchangeable remainder vertices.
 
 Both solvers follow the same shape.  Fix how the solution meets the modulator
-(and which remainder groups stay empty), check the guess is internally
-coherent, then let an ILP choose how many interchangeable vertices each group
-contributes.  Materialised witnesses are always re-verified; a failure there
-is a solver bug, never a caller error.
+(and, for dtc, a threshold level; for twin cover, how many cliques are full
+or partial), check the guess is internally coherent, then let an ILP choose
+how many interchangeable vertices each group contributes.  Materialised
+witnesses are always re-verified; a failure there is a solver bug, never a
+caller error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import monotonic
 
 from .alliances import (
     AllianceSolution,
+    BudgetExceeded,
     InternalVerificationError,
     protection_threshold,
     verify_alliance,
@@ -26,7 +29,8 @@ from .params import partition_clique_sets, partition_twin_classes
 @dataclass(frozen=True)
 class DtcGuess:
     picked_modulator: tuple[int, ...]
-    null_classes: tuple[int, ...]
+    # the threshold level L (row X >= L), or None where every class is empty
+    level: int | None
 
 
 @dataclass(frozen=True)
@@ -59,17 +63,50 @@ def _require_plain(g: Graph) -> None:
         raise ValueError("parameterized solvers do not support forbidden vertices")
 
 
-def solve_dtc(g: Graph, modulator) -> AllianceSolution:
-    sol, _stats = solve_dtc_detailed(g, modulator)
+def _over_budget(solver: str, g: Graph, best) -> BudgetExceeded:
+    """The budget exit: the verified incumbent (or None), no lower bound."""
+    return BudgetExceeded(
+        f"time limit exceeded in the {solver} guess loop",
+        alliance=None if best is None else verify_alliance(g, best[1]),
+    )
+
+
+def solve_dtc(g: Graph, modulator, *, time_limit: float | None = None) -> AllianceSolution:
+    sol, _stats = solve_dtc_detailed(g, modulator, time_limit=time_limit)
     return sol
 
 
-def solve_dtc_detailed(g: Graph, modulator) -> tuple[AllianceSolution, SolveStats]:
+def solve_dtc_detailed(
+    g: Graph, modulator, *, time_limit: float | None = None
+) -> tuple[AllianceSolution, SolveStats]:
     """Minimum alliance when `g` minus `modulator` is a clique.
 
-    Enumerates every subset P of the modulator and every set of twin classes
-    forced empty; a per-guess ILP picks how many vertices each surviving class
-    contributes.  Witnesses take the lexicographically smallest class members.
+    Enumerates every subset P of the modulator and, per P, one threshold
+    level; a per-guess ILP picks how many vertices each twin class C_i of
+    the remainder contributes.  All members of C_i share the signature
+    sig_i and one degree, hence one threshold thr_i.
+
+    Exactness: the remainder is one clique, so a picked member of C_i is
+    defended by every picked remainder vertex (itself included) and by
+    sig_i cap P.  With X the number of picked remainder vertices, P plus
+    the picks is an alliance iff the demand rows of P hold and
+    X >= req_i = thr_i - |sig_i cap P| for every class in use, that is
+    X >= L for L the largest req_i in use.  So the 2^t choices of classes
+    to leave empty collapse to the levels L in the sorted distinct req_i:
+    the level-L ILP lets each class with req_i <= L take 0..|C_i| vertices,
+    fixes the others at 0 and adds the one row X >= L.  Every solution of
+    it is an alliance, and an optimum whose largest used req_i is L is
+    feasible for it.  When P is non-empty one more level fixes every class
+    at 0 (P alone); when P is empty every req_i = thr_i >= 1, so X >= L
+    keeps the set non-empty.  A level costs at least |P| + max(L, 0)
+    vertices and levels are visited in that order, so the loop stops at the
+    first level that cannot reach the best size.  That makes at most
+    2^|D| * (t + 1) guesses.
+
+    The witness is the least (size, sorted members) over all guesses, where
+    each class gives its lowest-id members.  Past `time_limit` seconds
+    (checked once per guess) the solver raises BudgetExceeded with the
+    verified incumbent (or None) and no lower bound.
     """
     _require_plain(g)
     part = partition_twin_classes(g, modulator)
@@ -77,41 +114,45 @@ def solve_dtc_detailed(g: Graph, modulator) -> tuple[AllianceSolution, SolveStat
     classes = part.classes
     t = len(classes)
     stats = SolveStats()
+    deadline = None if time_limit is None else monotonic() + time_limit
     best: tuple[int, tuple[int, ...]] | None = None
     best_guess: DtcGuess | None = None
     # all members of a class share one degree, hence one threshold
-    thr = [
-        protection_threshold(g.degree(tc.members[0])) if tc.members else 0
-        for tc in classes
-    ]
+    thr = [protection_threshold(g.degree(tc.members[0])) for tc in classes]
+    ones = tuple([1] * t)
     for pmask in range(1 << len(mod)):
         picked = [mod[i] for i in range(len(mod)) if pmask >> i & 1]
         pset = frozenset(picked)
-        demands = [(u, demand(g, u, pset)) for u in picked]
-        for nmask in range(1 << t):
-            null = frozenset(i for i in range(t) if nmask >> i & 1)
-            if not picked and len(null) == t:
-                continue  # the empty set is not an alliance
+        demand_rows = [
+            (tuple(1 if u in tc.signature else 0 for tc in classes), demand(g, u, pset))
+            for u in picked
+        ]
+        req = [
+            thr[i] - sum(1 for w in tc.signature if w in pset)
+            for i, tc in enumerate(classes)
+        ]
+        levels: list[int | None] = sorted(set(req))
+        if picked:
+            levels.insert(0, None)  # every class empty: P alone
+        for idx, level in enumerate(levels):
+            floor = 0 if level is None else max(level, 0)
+            if best is not None and len(picked) + floor > best[0]:
+                stats.pruned += len(levels) - idx
+                break
+            if deadline is not None and monotonic() > deadline:
+                raise _over_budget("dtc", g, best)
             stats.guesses += 1
-            live = [i for i in range(t) if i not in null]
-            if best is not None and len(picked) + len(live) > best[0]:
-                stats.pruned += 1
-                continue
-            bounds = tuple(
-                (0, 0) if i in null else (1, len(classes[i].members))
-                for i in range(t)
-            )
-            cons: list[tuple[tuple[int, ...], int]] = []
-            for u, du in demands:
-                coeffs = tuple(1 if u in classes[i].signature else 0 for i in range(t))
-                cons.append((coeffs, du))
-            for i in live:
-                # the remainder is one clique: every picked remainder vertex
-                # defends every class member, picked cover vertices add theirs
-                inside_p = sum(1 for w in classes[i].signature if w in pset)
-                cons.append((tuple([1] * t), thr[i] - inside_p))
+            if level is None:
+                bounds = ((0, 0),) * t
+                cons = demand_rows
+            else:
+                bounds = tuple(
+                    (0, len(tc.members)) if req[i] <= level else (0, 0)
+                    for i, tc in enumerate(classes)
+                )
+                cons = demand_rows + [(ones, level)]
             prob = IlpProblem(
-                objective=tuple([1] * t), constraints=tuple(cons), bounds=bounds
+                objective=ones, constraints=tuple(cons), bounds=bounds
             )
             stats.ilp_solves += 1
             sol = solve_ilp(prob)
@@ -121,8 +162,8 @@ def solve_dtc_detailed(g: Graph, modulator) -> tuple[AllianceSolution, SolveStat
             if best is not None and size > best[0]:
                 continue
             members = list(picked)
-            for i, cnt in enumerate(sol.assignment):
-                members.extend(classes[i].members[:cnt])
+            for tc, cnt in zip(classes, sol.assignment):
+                members.extend(tc.members[:cnt])
             cand = (size, tuple(sorted(members)))
             if best is None or cand < best:
                 checked = verify_alliance(g, cand[1])
@@ -132,22 +173,23 @@ def solve_dtc_detailed(g: Graph, modulator) -> tuple[AllianceSolution, SolveStat
                         f"{checked.violations}"
                     )
                 best = cand
-                best_guess = DtcGuess(
-                    picked_modulator=tuple(picked),
-                    null_classes=tuple(sorted(null)),
-                )
+                best_guess = DtcGuess(picked_modulator=tuple(picked), level=level)
     if best is None:
         raise InternalVerificationError("no feasible guess on a non-empty graph")
     stats.best_guess = best_guess
     return verify_alliance(g, best[1]), stats
 
 
-def solve_twincover(g: Graph, cover) -> AllianceSolution:
-    sol, _stats = solve_twincover_detailed(g, cover)
+def solve_twincover(
+    g: Graph, cover, *, time_limit: float | None = None
+) -> AllianceSolution:
+    sol, _stats = solve_twincover_detailed(g, cover, time_limit=time_limit)
     return sol
 
 
-def solve_twincover_detailed(g: Graph, cover) -> tuple[AllianceSolution, SolveStats]:
+def solve_twincover_detailed(
+    g: Graph, cover, *, time_limit: float | None = None
+) -> tuple[AllianceSolution, SolveStats]:
     """Minimum alliance given a twin cover of `g`.
 
     Case 1: if some clique has at least as many vertices as its set's cover
@@ -156,12 +198,15 @@ def solve_twincover_detailed(g: Graph, cover) -> tuple[AllianceSolution, SolveSt
     at least that large.  Case 2 therefore forces every such clique empty and
     enumerates, per (clique set, size): how many cliques are fully picked and
     how many partially, with an ILP choosing the partial amounts.  The answer
-    is the better of the two cases.
+    is the better of the two cases.  Past `time_limit` seconds (checked once
+    per case-2 guess) the solver raises BudgetExceeded with the verified
+    incumbent (or None) and no lower bound.
     """
     _require_plain(g)
     part = partition_clique_sets(g, cover)
     cov = part.modulator
     stats = SolveStats()
+    deadline = None if time_limit is None else monotonic() + time_limit
     best: tuple[int, tuple[int, ...]] | None = None
     best_guess: TcGuess | None = None
 
@@ -263,6 +308,8 @@ def solve_twincover_detailed(g: Graph, cover) -> tuple[AllianceSolution, SolveSt
             if idx == len(groups):
                 if not picked and not chosen:
                     return  # the empty set is not an alliance
+                if deadline is not None and monotonic() > deadline:
+                    raise _over_budget("twin-cover", g, best)
                 stats.guesses += 1
                 finish(picked, pset, demands, sig_in_p, chosen)
                 return

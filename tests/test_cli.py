@@ -201,6 +201,55 @@ def test_search_budget_overrun_reports_lower_bound(capsys, bridge_file, monkeypa
     }
 
 
+def test_dtc_budget_overrun_is_one_json_document(capsys, tmp_path, monkeypatch):
+    import minalliance.fpt as fpt
+
+    g = generate("cliqueplus:n=30,k=3", 1)
+    path = tmp_path / "cp.dimacs"
+    path.write_text(emit_dimacs(g))
+    reads = iter([0.0])  # the deadline is set at 0 + 1 s; every later read is past it
+    monkeypatch.setattr(fpt, "monotonic", lambda: next(reads, 1e9))
+    code, out = run(capsys, "solve", str(path), "--time-limit", "1")
+    assert code == EXIT_INVALID
+    assert out == {
+        "error": "time limit exceeded in the dtc guess loop",
+        "kind": "budget",
+        "incumbent": None,
+        "incumbent_size": None,
+        "lower_bound": None,
+    }
+
+
+@pytest.mark.parametrize("limit", ["-1", "-0.5", "nan"])
+@pytest.mark.parametrize(
+    "spec, extra",
+    [
+        ("cubic:n=8", []),  # auto: lowdeg
+        ("cliqueplus:n=12,k=3", []),  # auto: dtc
+        ("cliqueplus:n=12,k=3", ["--algo", "search"]),
+    ],
+)
+def test_solve_rejects_a_negative_time_limit(capsys, tmp_path, spec, extra, limit):
+    path = tmp_path / "g.dimacs"
+    path.write_text(emit_dimacs(generate(spec, 1)))
+    code = run_command(["solve", str(path), *extra, f"--time-limit={limit}"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["kind"] == "invalid-input"
+    assert "--time-limit" in out["error"]
+
+
+def test_bench_rejects_a_negative_time_limit(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "g.dimacs").write_text(emit_dimacs(generate("cubic:n=8", 1)))
+    code, out = run(capsys, "bench", str(corpus), "--time-limit=-1")
+    assert code == EXIT_INVALID
+    assert out["kind"] == "invalid-input"
+
+
 def test_solve_kmax_too_small_is_invalid_input(capsys, tmp_path):
     g = generate("cliqueplus:n=12,k=3", 1)
     path = tmp_path / "cp.dimacs"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from minalliance import (
+    BudgetExceeded,
     brute_force_min_alliance,
     build_graph,
     demand,
@@ -17,6 +18,7 @@ from minalliance import (
     solve_dtc,
     solve_dtc_detailed,
     solve_ilp,
+    solve_min_alliance_search,
     solve_twincover,
     solve_twincover_detailed,
     twin_cover_set,
@@ -104,9 +106,30 @@ def test_dtc_guess_budget():
     sol, stats = solve_dtc_detailed(g, mod)
     assert sol.valid
     t = len(partition_twin_classes(g, mod).classes)
-    assert stats.guesses <= 2 ** len(mod) * 2 ** t
+    assert stats.guesses <= 2 ** len(mod) * (t + 1)
     assert stats.ilp_solves <= stats.guesses
     assert stats.best_guess is not None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dtc_witness_is_least_over_every_level(seed):
+    # levels that can only tie the best size are still solved, so the
+    # witness is the least (size, members) over all guesses
+    g = generate("cliqueplus:n=6,k=1", seed)
+    sol = solve_dtc(g, distance_to_clique_set(g, 1))
+    assert sol.size == brute_force_min_alliance(g).size
+    assert sol.members == (0, 1, 3)
+
+
+def test_dtc_frontier_graph_takes_one_guess_per_level():
+    # 16 383 ILPs when every set of empty twin classes was a guess
+    g = generate("cliqueplus:n=60,k=4", 7)
+    mod = distance_to_clique_set(g, 4)
+    sol, stats = solve_dtc_detailed(g, mod)
+    assert sol.valid
+    assert sol.size == solve_min_alliance_search(g).size
+    t = len(partition_twin_classes(g, mod).classes)
+    assert stats.guesses <= 2 ** len(mod) * (t + 1)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -121,6 +144,59 @@ def test_dtc_matches_both_oracles(seed):
     assert sol.valid
     assert sol.size == brute_force_min_alliance(g).size
     assert sol.size == solve_ilp(encode_min_alliance_ilp(g)).objective_value
+
+
+def _clock_after(reads):
+    """A clock that stands still for `reads` reads, then jumps past any deadline."""
+    ticks = iter(range(reads))
+    return lambda: 0.0 if next(ticks, None) is not None else 1e9
+
+
+@pytest.mark.parametrize(
+    "solve, spec, find",
+    [
+        (solve_dtc, "cliqueplus:n=30,k=3", distance_to_clique_set),
+        (solve_twincover, "twincover:n=20,t=3,zmax=4", twin_cover_set),
+    ],
+)
+def test_budget_exit_carries_the_verified_incumbent(monkeypatch, solve, spec, find):
+    import minalliance.fpt as fpt
+
+    g = generate(spec, 1)
+    mod = find(g, 3)
+    full = solve(g, mod)
+    exits, sizes = 0, []
+    for reads in (1, 2, 3, 5, 8, 10**6):
+        monkeypatch.setattr(fpt, "monotonic", _clock_after(reads))
+        try:
+            sol = solve(g, mod, time_limit=1.0)
+        except BudgetExceeded as stop:
+            exits += 1
+            assert "time limit" in str(stop)
+            assert stop.lower_bound is None
+            inc = stop.alliance
+            if inc is not None:
+                assert inc.valid and inc.size >= full.size
+                sizes.append(inc.size)
+        else:
+            assert sol == full
+            sizes.append(sol.size)
+    assert exits >= 3
+    assert sizes[-1] == full.size  # the clock never ran out
+    assert sizes == sorted(sizes, reverse=True)  # incumbents only improve
+
+
+def test_no_clock_read_without_a_time_limit(monkeypatch):
+    import minalliance.fpt as fpt
+
+    def no_clock():
+        raise AssertionError("the clock was read without a time limit")
+
+    monkeypatch.setattr(fpt, "monotonic", no_clock)
+    g = generate("cliqueplus:n=30,k=3", 1)
+    assert solve_dtc(g, distance_to_clique_set(g, 3)).valid
+    g = generate("twincover:n=20,t=3,zmax=4", 1)
+    assert solve_twincover(g, twin_cover_set(g, 3)).valid
 
 
 def test_dtc_accepts_oversized_modulator():
