@@ -14,11 +14,15 @@ ILP encoding stay selectable and are `--oracle`'s two oracles.  Past
 verified incumbent and the proven lower bound (each null when unknown);
 `lowdeg` and brute force ignore the limit.  A negative limit is invalid
 input.
+
+`run_command` builds the argparse tree once per process and reuses it; each
+call parses into a fresh namespace, so no option carries over to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -413,10 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:

@@ -3,7 +3,7 @@ marks forbidden vertices.  Vertices are 1-indexed on disk, 0-indexed in code."""
 
 from __future__ import annotations
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, _freeze
 
 
 class DimacsError(ValueError):
@@ -85,7 +85,8 @@ def parse_dimacs(text: str | bytes) -> Graph:
         raise MalformedHeaderError("missing problem line", max(1, header_line))
     if len(edges) != m:
         raise DimacsError(f"header promised {m} edges, found {len(edges)}", header_line)
-    return build_graph(n, edges, forbidden)
+    # every edge and forbidden vertex was checked above, with its line number
+    return _freeze(n, edges, forbidden)
 
 
 def emit_dimacs(g: Graph, comment: str | None = None) -> str:

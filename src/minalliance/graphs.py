@@ -79,19 +79,30 @@ def build_graph(
             raise DuplicateEdgeError(f"duplicate edge ({e[0]}, {e[1]})")
         seen.add(e)
         edges.append(e)
+    forbidden = frozenset(forbidden)
+    bad = [v for v in forbidden if not (0 <= v < n)]
+    if bad:
+        raise VertexRangeError(f"forbidden vertex {bad[0]} out of range for n={n}")
+    return _freeze(n, edges, forbidden)
+
+
+def _freeze(n: int, edges: list[tuple[int, int]], forbidden: Iterable[int]) -> Graph:
+    """The graph on already validated edges (u < v, in range, no repeats).
+
+    Sorting the edges once leaves every adjacency list sorted: vertex w
+    receives its neighbours a < w from the edges (a, w) in increasing a,
+    all before the edges (w, b), which follow in increasing b.
+    """
     edges.sort()
     neigh: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         neigh[u].append(v)
         neigh[v].append(u)
-    bad = [v for v in forbidden if not (0 <= v < n)]
-    if bad:
-        raise VertexRangeError(f"forbidden vertex {bad[0]} out of range for n={n}")
     return Graph(
         n=n,
         edges=tuple(edges),
-        adj=tuple(tuple(sorted(a)) for a in neigh),
-        adj_sets=tuple(frozenset(a) for a in neigh),
+        adj=tuple(map(tuple, neigh)),
+        adj_sets=tuple(map(frozenset, neigh)),
         forbidden=frozenset(forbidden),
     )
 

@@ -10,9 +10,10 @@ and candidate.
 `solve_min_alliance_lowdeg` finds that key in two passes without solving
 every subproblem in full.  Pass 1 takes the singleton and path candidates
 of every root (a path pair never gives the global answer) and stops at the
-first root of degree at most one.  Pass 2 considers cycles only when one can
-still win and takes each root's shortest cycle, length and witness, from one
-branch-labelled BFS; no min-cost flow runs.
+first root of degree at most one; each root's BFS stops at the end of the
+first level that holds a vertex of degree at most three.  Pass 2 considers
+cycles only when one can still win and takes each root's shortest cycle,
+length and witness, from one branch-labelled BFS; no min-cost flow runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .graphs import (
     Graph,
     UNREACHABLE,
     VertexRangeError,
-    bfs_path,
     distances_from,
     is_connected,
     min_disjoint_path_pair,
@@ -63,14 +63,49 @@ def _check_lowdeg_input(g: Graph) -> None:
         raise ValueError("the low-degree solver does not support forbidden vertices")
 
 
-def _low_targets(g: Graph, v: int) -> tuple[list[int], list[int]]:
-    """BFS distances from v and the other vertices of degree <= 3 it reaches."""
+def _low_targets(g: Graph, v: int) -> list[int]:
+    """The other vertices of degree <= 3 that v reaches, the path pair's
+    targets."""
     dist = distances_from(g, v)
-    low = [
+    return [
         x for x in range(g.n)
         if x != v and g.degree(x) <= 3 and dist[x] != UNREACHABLE
     ]
-    return dist, low
+
+
+def _nearest_low_path(g: Graph, v: int) -> list[int] | None:
+    """A shortest path from v to the least of its nearest other vertices of
+    degree at most three, or None if v reaches no such vertex.
+
+    One BFS from v, level by level, that records first-discovery parents
+    and stops at the end of the first level holding a vertex x != v of
+    degree at most three; x is the least such vertex of that level.  Levels
+    are distance classes, so x is min((dist[x], x)) over every such vertex
+    v reaches, the vertex a full BFS from v would pick.  The scan order
+    (vertices by discovery, neighbours ascending) is that of `bfs_path`, and
+    a parent is set once, at discovery, so walking the parents back from x
+    gives the path `bfs_path(g, v, x)` returns.
+    """
+    parent = {v: v}
+    level = [v]
+    while level:
+        nxt = []
+        for x in level:
+            for y in g.adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+        low = [y for y in nxt if len(g.adj[y]) <= 3]
+        if low:
+            x = min(low)
+            path = [x]
+            while x != v:
+                x = parent[x]
+                path.append(x)
+            path.reverse()
+            return path
+        level = nxt
+    return None
 
 
 def _path_candidates(g: Graph, v: int):
@@ -80,17 +115,16 @@ def _path_candidates(g: Graph, v: int):
     if d <= 1:
         yield 1, "singleton", (v,)
     elif d <= 3:
-        dist, low = _low_targets(g, v)
-        if low:
-            dx, x = min((dist[x], x) for x in low)
-            yield dx + 1, "path", tuple(sorted(bfs_path(g, v, x)))
+        path = _nearest_low_path(g, v)
+        if path is not None:
+            yield len(path), "path", tuple(sorted(path))
 
 
 def _candidates(g: Graph, v: int):
     """Yield (size, kind, witness tuple) candidates for the subproblem at v."""
     yield from _path_candidates(g, v)
     if g.degree(v) >= 4:
-        _dist, low = _low_targets(g, v)
+        low = _low_targets(g, v)
         pair = min_disjoint_path_pair(g, v, low) if low else None
         if pair is not None:
             merged = set(pair.path_x) | set(pair.path_y)
@@ -159,6 +193,9 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
     cycle from one branch-labelled BFS (`shortest_cycle_with_vertices`,
     which depends on (g, root) alone) and offers those within the bound, so
     the answer equals the best of all subproblems.
+
+    Pass 1 runs no full BFS: each root's BFS stops at the end of the first
+    level that holds a vertex of degree at most three (`_nearest_low_path`).
     """
     _check_lowdeg_input(g)
     best = None

@@ -5,6 +5,10 @@ Floyd-Warshall, subset scans -- and shares no code with the library.  Where
 the library uses the threshold form ceil((d+1)/2), the alliance oracle here
 uses the raw majority comparison |N[v] cap S| >= |N[v] setminus S| so the two
 formulations are compared, not one implementation against itself.
+
+The one exception is `nearest_low_path_by_full_bfs`: the library's former
+two-BFS computation of a low-degree root's path, kept so that its one-BFS
+replacement is checked against it byte for byte.
 """
 
 from __future__ import annotations
@@ -101,6 +105,24 @@ def min_cycle_through_by_edge_deletion(n, edges, v):
         if v in dist and (best is None or dist[v] + 1 < best):
             best = dist[v] + 1
     return best
+
+
+def nearest_low_path_by_full_bfs(g, v):
+    """The path candidate's path as `lowdeg` used to find it: a full BFS
+    from v, the least (dist, x) over the other vertices of degree <= 3 that
+    v reaches, then a second BFS (`bfs_path`) from v to x.  None if v
+    reaches no such vertex."""
+    from minalliance.graphs import UNREACHABLE, bfs_path, distances_from
+
+    dist = distances_from(g, v)
+    low = [
+        x for x in range(g.n)
+        if x != v and g.degree(x) <= 3 and dist[x] != UNREACHABLE
+    ]
+    if not low:
+        return None
+    _dx, x = min((dist[x], x) for x in low)
+    return bfs_path(g, v, x)
 
 
 def girth_by_enumeration(n, edges):

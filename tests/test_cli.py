@@ -459,3 +459,51 @@ def test_write_counterexample_helper(tmp_path):
     assert path.name == "case7.counterexample.json"
     assert (tmp_path / "artifacts" / "case7.dimacs").read_text() == emit_dimacs(g)
     assert json.loads(path.read_text())["records"]["lowdeg"]["size"] == 3
+
+
+def test_options_do_not_carry_over_between_calls(capsys, tmp_path):
+    # a dtc set of 3 vertices and no twin cover of 2: --kmax decides the route
+    g = generate("cliqueplus:n=12,k=3", 1)
+    path = tmp_path / "cp.dimacs"
+    path.write_text(emit_dimacs(g))
+    code, out = run(capsys, "solve", str(path), "--algo", "search", "--kmax", "2", "--oracle")
+    assert (code, out["algorithm"], out["match"]) == (EXIT_OK, "search", True)
+    code, out = run(capsys, "solve", str(path), "--kmax", "2")
+    assert (code, out["algorithm"]) == (EXIT_OK, "search")
+    code, plain = run(capsys, "solve", str(path))
+    # auto with the default kmax 5, and no --oracle fields
+    assert (code, plain["algorithm"]) == (EXIT_OK, "dtc")
+    assert "match" not in plain and "oracle_size" not in plain
+    assert plain["size"] == out["size"]
+
+
+def test_errors_and_help_leave_the_next_call_intact(capsys, bridge_file):
+    _, want = run(capsys, "solve", bridge_file)
+    assert run_command(["solve", bridge_file, "--algo", "nope"]) == EXIT_INVALID
+    assert run_command(["solve", "--help"]) == EXIT_OK
+    assert run_command(["--help"]) == EXIT_OK
+    assert run_command([]) == EXIT_INVALID
+    capsys.readouterr()
+    code, out = run(capsys, "solve", bridge_file)  # one JSON document
+    assert code == EXIT_OK
+    assert {k: v for k, v in out.items() if k != "wall_time_s"} == {
+        k: v for k, v in want.items() if k != "wall_time_s"
+    }
+
+
+def test_parser_is_built_at_most_once(capsys, monkeypatch, bridge_file):
+    import minalliance.cli as cli_mod
+
+    built = []
+    real = cli_mod.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli_mod, "build_parser", counting)
+    cli_mod._shared_parser.cache_clear()
+    for argv in (["solve", bridge_file], ["gen", "cubic:n=6"], ["solve", "--nonsense"]) * 5:
+        run_command(argv)
+    capsys.readouterr()
+    assert len(built) == 1

@@ -1,6 +1,6 @@
 import pytest
 
-from minalliance import build_graph, build_reduction, emit_dimacs, parse_dimacs
+from minalliance import build_graph, build_reduction, emit_dimacs, generate, parse_dimacs
 from minalliance.dimacs import (
     DimacsError,
     DuplicateEdgeError,
@@ -86,3 +86,24 @@ def test_emit_comment_header():
     text = emit_dimacs(g, comment="two lines\nof remarks")
     assert text.startswith("c two lines\nc of remarks\np edge 2 1\n")
     assert emit_dimacs(parse_dimacs(text)) == emit_dimacs(g)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cubic:n=30", "degcap:n=24,dmax=5", "degcap:n=16,dmax=8",
+     "cliqueplus:n=20,k=3", "twincover:n=24,t=4"],
+)
+def test_parse_of_emit_is_the_same_graph(spec):
+    for seed in range(3):
+        g = generate(spec, seed)
+        assert parse_dimacs(emit_dimacs(g)) == g
+
+
+def test_parse_of_emit_keeps_forbidden_vertices():
+    target = build_reduction(generate("cubic:n=4", 0), 1).target
+    assert target.forbidden
+    back = parse_dimacs(emit_dimacs(target))
+    assert back == target
+    assert (back.adj, back.adj_sets, back.forbidden) == (
+        target.adj, target.adj_sets, target.forbidden
+    )

@@ -75,6 +75,13 @@ def test_build_rejects_out_of_range():
 def test_build_rejects_bad_forbidden():
     with pytest.raises(VertexRangeError):
         build_graph(2, [(0, 1)], forbidden=[5])
+    with pytest.raises(VertexRangeError):
+        build_graph(2, [(0, 1)], forbidden=iter([0, 5]))
+
+
+def test_build_keeps_forbidden_given_as_an_iterator():
+    g = build_graph(3, [(0, 1), (1, 2)], forbidden=iter([2, 0]))
+    assert g.forbidden == frozenset({0, 2})
 
 
 def test_reference_graph_degrees(square_bridge_clique):

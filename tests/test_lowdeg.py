@@ -13,7 +13,9 @@ from minalliance import (
     verify_alliance,
 )
 from minalliance.graphs import VertexRangeError, min_disjoint_path_pair
-from minalliance.lowdeg import DegreeBoundError
+from minalliance.lowdeg import DegreeBoundError, _nearest_low_path
+
+from _oracles import nearest_low_path_by_full_bfs
 
 
 def cycle_graph(n):
@@ -197,3 +199,79 @@ def test_cycle_beats_path_pair_of_equal_size():
     sub = solve_subproblem(g, 0)
     # (0, 1, 2) < (0, 3, 4): the cycle wins on kind rank, not on witness order
     assert (sub.best_size, sub.kind, sub.witness) == (3, "cycle", (0, 3, 4))
+
+
+def random_capped_graph(n, dmax, p, rng):
+    """G(n, p) with every edge dropped that would lift a degree above dmax;
+    often disconnected."""
+    deg = [0] * n
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p and deg[u] < dmax and deg[v] < dmax:
+                deg[u] += 1
+                deg[v] += 1
+                edges.append((u, v))
+    return build_graph(n, edges)
+
+
+def far_low_graphs():
+    """Graphs whose low-degree vertices are far from most roots, or out of
+    their reach, or absent."""
+    for n in range(8, 41, 4):
+        whole = circulant(n, 2)  # 4-regular: no vertex of degree <= 3
+        yield whole
+        # one edge removed: its two ends, n // 2 apart, are the only ones
+        cut = (n // 2, n // 2 + 1)
+        yield build_graph(n, [e for e in whole.edges if e != cut])
+        # a 4-regular part beside a path: the path's vertices are out of reach
+        part = circulant(n - 4, 2)
+        tail = [(n - 4, n - 3), (n - 3, n - 2), (n - 2, n - 1)]
+        yield build_graph(n, list(part.edges) + tail)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nearest_low_path_matches_the_full_bfs_oracle(seed):
+    rng = random.Random(5000 + seed)
+    graphs = [
+        random_capped_graph(rng.randint(1, 40), rng.randint(1, 5), rng.uniform(0.02, 0.3), rng),
+        generate(f"degcap:n={rng.randint(5, 40)},dmax={rng.randint(3, 5)}", 5000 + seed),
+    ]
+    if seed == 0:
+        graphs += far_low_graphs()
+    for g in graphs:
+        for v in range(g.n):
+            assert _nearest_low_path(g, v) == nearest_low_path_by_full_bfs(g, v), (g.n, g.edges, v)
+
+
+def test_far_low_graphs_reach_far_and_find_none():
+    lengths = set()
+    for g in far_low_graphs():
+        for v in range(g.n):
+            path = _nearest_low_path(g, v)
+            lengths.add(None if path is None else len(path))
+    assert None in lengths and max(x for x in lengths if x is not None) >= 6
+
+
+SPARSE_LOWDEG_SPECS = (
+    "cubic:n=30", "cubic:n=38", "cubic:n=48", "cubic:n=56",
+    "degcap:n=30,dmax=3", "degcap:n=32,dmax=5", "degcap:n=36,dmax=4",
+    "degcap:n=40,dmax=5", "degcap:n=44,dmax=3",
+)
+
+
+def test_global_solve_runs_no_full_bfs(monkeypatch):
+    # the sparse-lowdeg families: the witnesses with the old two-BFS path
+    # search in pass 1, then the same solves with every full BFS from lowdeg
+    # and every bfs_path failing (lowdeg no longer imports bfs_path)
+    graphs = [generate(spec, seed) for spec in SPARSE_LOWDEG_SPECS for seed in range(8)]
+    with monkeypatch.context() as m:
+        m.setattr("minalliance.lowdeg._nearest_low_path", nearest_low_path_by_full_bfs)
+        expected = [solve_min_alliance_lowdeg(g).members for g in graphs]
+
+    def no_bfs(*args):
+        raise AssertionError("solve_min_alliance_lowdeg ran a full BFS")
+
+    monkeypatch.setattr("minalliance.lowdeg.distances_from", no_bfs)
+    monkeypatch.setattr("minalliance.graphs.bfs_path", no_bfs)
+    assert [solve_min_alliance_lowdeg(g).members for g in graphs] == expected
