@@ -7,13 +7,15 @@ verification.
 `solve --algo auto` routes a connected graph without forbidden vertices and
 with maximum degree five to `lowdeg`, else a graph with a distance-to-clique
 set or a twin cover of at most `--kmax` vertices to `dtc` or `twincover`,
-and everything else to the branch and bound `search`.  Brute force and the
-ILP encoding stay selectable and are `--oracle`'s two oracles.  Past
-`--time-limit`, `search`, the ILP, `dtc` and `twincover` raise
-`BudgetExceeded`, printed as one `"kind": "budget"` document with the
-verified incumbent and the proven lower bound (each null when unknown);
-`lowdeg` and brute force ignore the limit.  A negative limit is invalid
-input.
+and everything else to the branch and bound `search`, which climbs from a
+proven lower bound on the size and descends from an incumbent in turn.
+Brute force and the ILP encoding stay selectable and are `--oracle`'s two
+oracles.  Past `--time-limit`, `search`, the ILP, `dtc` and `twincover`
+raise `BudgetExceeded`, printed as one `"kind": "budget"` document with the
+verified incumbent and the proven lower bound (each null when unknown;
+`search` always has a lower bound, and an incumbent once its first descent
+has found one); `lowdeg` and brute force ignore the limit.  A negative
+limit is invalid input.
 
 `run_command` builds the argparse tree once per process and reuses it; each
 call parses into a fresh namespace, so no option carries over to the next.

@@ -134,25 +134,25 @@ def _candidates(g: Graph, v: int):
         yield cyc[0], "cycle", cyc[1]
 
 
-def _best_verified(g: Graph, v: int, candidates):
-    """The smallest (key, kind) among `candidates` at root v, verified; or None.
+def _best(candidates):
+    """The smallest (key, kind) among `candidates`, or None.
 
     Keys are (size, kind rank, witness), so ties between equal-size
     candidates break by kind, then by witness order.
     """
-    best = min(
+    return min(
         (((size, _KIND_RANK[kind], witness), kind) for size, kind, witness in candidates),
         default=None,
     )
-    if best is not None:
-        witness = best[0][2]
-        checked = verify_alliance(g, witness)
-        if not checked.valid:
-            raise InternalVerificationError(
-                f"subproblem witness {witness} at root {v} is not an alliance: "
-                f"{checked.violations}"
-            )
-    return best
+
+
+def _verified(g: Graph, witness: tuple[int, ...], what: str) -> AllianceSolution:
+    checked = verify_alliance(g, witness)
+    if not checked.valid:
+        raise InternalVerificationError(
+            f"{what} {witness} is not an alliance: {checked.violations}"
+        )
+    return checked
 
 
 def solve_subproblem(g: Graph, v: int) -> SubproblemResult:
@@ -164,10 +164,11 @@ def solve_subproblem(g: Graph, v: int) -> SubproblemResult:
     _check_lowdeg_input(g)
     if not (0 <= v < g.n):
         raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
-    best = _best_verified(g, v, _candidates(g, v))
+    best = _best(_candidates(g, v))
     if best is None:
         return SubproblemResult(root=v, best_size=None, witness=(), kind=None)
     (size, _rank, witness), kind = best
+    _verified(g, witness, f"subproblem witness at root {v}")
     return SubproblemResult(root=v, best_size=size, witness=witness, kind=kind)
 
 
@@ -196,13 +197,15 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
 
     Pass 1 runs no full BFS: each root's BFS stops at the end of the first
     level that holds a vertex of degree at most three (`_nearest_low_path`).
+    Candidates are compared by key alone: only the answer is checked by
+    `verify_alliance`, and one that fails raises InternalVerificationError.
     """
     _check_lowdeg_input(g)
     best = None
     for v in range(g.n):
         if g.degree(v) <= 1:
-            return verify_alliance(g, (v,))
-        found = _best_verified(g, v, _path_candidates(g, v))
+            return _verified(g, (v,), "lowdeg answer")
+        found = _best(_path_candidates(g, v))
         if found is not None and (best is None or found < best):
             best = found
     bound = g.n if best is None else best[0][0] - 1
@@ -210,10 +213,10 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
         for v in range(g.n):
             cyc = shortest_cycle_with_vertices(g, v)
             if cyc is not None and cyc[0] <= bound:
-                found = _best_verified(g, v, [(cyc[0], "cycle", cyc[1])])
+                found = _best([(cyc[0], "cycle", cyc[1])])
                 if best is None or found < best:
                     best = found
                 bound = best[0][0]
     if best is None:
         raise InternalVerificationError("no subproblem produced a candidate")
-    return verify_alliance(g, best[0][2])
+    return _verified(g, best[0][2], "lowdeg answer")

@@ -8,6 +8,7 @@ on the member that lacks the most defenders.
 
 from __future__ import annotations
 
+from itertools import chain, cycle
 from time import monotonic
 
 from .alliances import (
@@ -25,16 +26,30 @@ def solve_min_alliance_search(
 ) -> AllianceSolution | None:
     """Minimum defensive alliance avoiding forbidden vertices, or None.
 
-    Iterative deepening on the size budget k, from the least threshold
-    ceil((d(v)+1)/2) of an allowed vertex upwards; the first k with an
-    alliance of at most k vertices is the optimum.  For each k the allowed
-    roots are tried in ascending order, every earlier root banned.  A node
-    holds a connected member set S and a banned set; the member u with the
-    largest deficit need(u) - |N[u] cap S| (ties: smallest id) is branched
-    on.  With c_1 < c_2 < ... its allowed neighbours outside S and outside
-    the banned set, branch i adds c_i and bans c_1..c_{i-1}, for i up to
-    (number of candidates - deficit + 1).  A node is pruned when the deficit
-    exceeds the remaining budget k - |S| or the number of candidates.
+    Level k asks `_alliance_within` for the first alliance of at most k
+    vertices in the search order.  Levels run on one fixed schedule between
+    lo, a size every smaller one is proven not to reach (first the least
+    threshold ceil((d(v)+1)/2) of an allowed vertex), and hi, the size of
+    the incumbent (first n' + 1, for the n' allowed vertices).  A climb runs
+    level lo and sets lo += 1 if it finds nothing; what it finds has size
+    lo, the optimum.  A descent runs level hi - 1 and sets hi to the size of
+    what it finds, or lo = hi if it finds nothing.  The schedule is one
+    climb, one descent (level n', which finds an incumbent if any alliance
+    exists), then descent and climb in turn until lo == hi.  It counts
+    levels, not seconds, so the levels run, the witness and the budget exits
+    depend on the graph alone.  A climb alone is fast when the optimum is
+    near the threshold, a descent alone when it is near n' (the
+    dominating-set reduction targets); in turn, the schedule runs at most
+    about twice the levels of the better direction.
+
+    Inside a level, the allowed roots are tried in ascending order, every
+    earlier root banned.  A node holds a connected member set S and a
+    banned set; the member u with the largest deficit need(u) - |N[u] cap S|
+    (ties: smallest id) is branched on.  With c_1 < c_2 < ... its allowed
+    neighbours outside S and outside the banned set, branch i adds c_i and
+    bans c_1..c_{i-1}, for i up to (number of candidates - deficit + 1).  A
+    node is pruned when the deficit exceeds the remaining budget k - |S| or
+    the number of candidates.
 
     Exactness: every component of an alliance is an alliance (a member's
     neighbours inside lie in its component), so an optimum A may be taken
@@ -44,13 +59,24 @@ def solve_min_alliance_search(
     needs, so at least `deficit` candidates lie in A and the first of them,
     c_j, has j <= candidates - deficit + 1.  Branch j alone keeps S inside A
     and every banned vertex outside it, and the budget prune never cuts it
-    (the deficit is at most |A - S| <= k - |S|).  So each k at or above the
-    optimum finds an alliance, and each k below it finds none.
+    (the deficit is at most |A - S| <= k - |S|).  So each level at or above
+    the optimum finds an alliance, and each level below it finds none: a
+    failed climb proves lo + 1 a lower bound, a failed descent proves hi
+    optimal, and both directions are exact.
 
-    The witness is the first alliance found in this fixed order, so it
-    depends on the graph alone.  Past `time_limit` seconds the search raises
-    BudgetExceeded with no incumbent and `lower_bound` = the k being
-    searched, which every smaller k has been proven not to reach.
+    The witness is the first alliance at the optimum level, the one a climb
+    alone returns, so it depends on the graph alone, and no level is run
+    twice for it.  The nodes a level visits, and their order, depend on k
+    only through the budget prune, so a lower level visits a subsequence of
+    a higher level's nodes.  If level k finds A first, level |A| still
+    visits every node on the way to A (their deficits are at most |A - S|,
+    as above) and no alliance before it, so it finds A first too.  The
+    schedule's last find has the optimum size, so it is that witness.
+
+    Past `time_limit` seconds the search raises BudgetExceeded with
+    `lower_bound` = lo, which every smaller size is proven not to reach,
+    and the incumbent as checked by `verify_alliance`, or None before the
+    first descent has found one.
     """
     roots = [v for v in range(g.n) if v not in g.forbidden]
     if not roots:
@@ -58,16 +84,38 @@ def solve_min_alliance_search(
     # neighbours a member needs inside S: ceil((d+1)/2) minus itself
     need = [protection_threshold(g.degree(v)) - 1 for v in range(g.n)]
     deadline = None if time_limit is None else monotonic() + time_limit
-    for k in range(min(need[v] for v in roots) + 1, len(roots) + 1):
-        members = _alliance_within(g, k, roots, need, deadline)
-        if members is not None:
-            checked = verify_alliance(g, members)
-            if not checked.valid:
-                raise InternalVerificationError(
-                    f"search witness {members} fails alliance verification"
-                )
-            return checked
-    return None
+    lo = min(need[v] for v in roots) + 1
+    hi = len(roots) + 1  # no incumbent yet: one past the largest level
+    best = None
+    # climb, the incumbent's descent, then descent and climb in turn
+    climbs = chain((True, False), cycle((False, True)))
+    try:
+        while lo < hi:
+            k = lo if next(climbs) else hi - 1
+            members = _alliance_within(g, k, roots, need, deadline)
+            if members is None:
+                lo = k + 1
+            else:
+                best, hi = members, len(members)
+    except BudgetExceeded:
+        message = f"time limit exceeded while searching size {lo}"
+        if best is not None:
+            message += f"; incumbent of size {hi}"
+        raise BudgetExceeded(
+            message,
+            alliance=None if best is None else _checked(g, best),
+            lower_bound=lo,
+        ) from None
+    return None if best is None else _checked(g, best)
+
+
+def _checked(g: Graph, members: list[int]) -> AllianceSolution:
+    checked = verify_alliance(g, members)
+    if not checked.valid:
+        raise InternalVerificationError(
+            f"search witness {members} fails alliance verification"
+        )
+    return checked
 
 
 def _alliance_within(

@@ -6,9 +6,11 @@ the library uses the threshold form ceil((d+1)/2), the alliance oracle here
 uses the raw majority comparison |N[v] cap S| >= |N[v] setminus S| so the two
 formulations are compared, not one implementation against itself.
 
-The one exception is `nearest_low_path_by_full_bfs`: the library's former
-two-BFS computation of a low-degree root's path, kept so that its one-BFS
-replacement is checked against it byte for byte.
+The two exceptions are the library's former ways of computing a witness,
+kept so that their replacements are checked against them byte for byte:
+`nearest_low_path_by_full_bfs`, the two-BFS computation of a low-degree
+root's path, and `climb_only_search`, the size schedule of the general
+branch and bound before it descended from an incumbent.
 """
 
 from __future__ import annotations
@@ -123,6 +125,23 @@ def nearest_low_path_by_full_bfs(g, v):
         return None
     _dx, x = min((dist[x], x) for x in low)
     return bfs_path(g, v, x)
+
+
+def climb_only_search(g):
+    """The witness tuple `solve_min_alliance_search` used to return, or None:
+    the levels k of `_alliance_within`, from the least threshold of an
+    allowed vertex upwards, the first level that finds an alliance giving
+    the answer."""
+    from minalliance.search import _alliance_within
+
+    roots = [v for v in range(g.n) if v not in g.forbidden]
+    need = [(g.degree(v) + 2) // 2 - 1 for v in range(g.n)]
+    first = min((need[v] + 1 for v in roots), default=1)
+    for k in range(first, len(roots) + 1):
+        members = _alliance_within(g, k, roots, need, None)
+        if members is not None:
+            return tuple(members)
+    return None
 
 
 def girth_by_enumeration(n, edges):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -199,6 +200,35 @@ def test_search_budget_overrun_reports_lower_bound(capsys, bridge_file, monkeypa
         "incumbent_size": None,
         "lower_bound": 2,
     }
+
+
+def test_search_budget_overrun_carries_the_incumbent(capsys, tmp_path, monkeypatch):
+    import minalliance.search as search
+
+    rng = random.Random(4005)
+    n = 40
+    g = build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5])
+    path = tmp_path / "gnp.dimacs"
+    path.write_text(emit_dimacs(g))
+    level = search._alliance_within
+    passes = []
+
+    def counted(*args):
+        passes.append(level(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(search, "_alliance_within", counted)
+    # the clock stands still through the lower bound's level and the
+    # incumbent's pass, then jumps past any deadline
+    monkeypatch.setattr(search, "monotonic", lambda: 0.0 if len(passes) < 2 else 1e9)
+    code, out = run(capsys, "solve", str(path), "--algo", "search", "--time-limit", "1")
+    assert code == EXIT_INVALID
+    assert passes[0] is None and passes[1] is not None
+    assert out["kind"] == "budget"
+    assert out["incumbent"] is not None
+    assert out["incumbent_size"] == len(out["incumbent"]) >= out["lower_bound"]
+    assert verify_alliance(g, [v - 1 for v in out["incumbent"]]).valid
+    assert f"searching size {out['lower_bound']}" in out["error"]
 
 
 def test_dtc_budget_overrun_is_one_json_document(capsys, tmp_path, monkeypatch):

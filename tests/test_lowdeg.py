@@ -5,6 +5,7 @@ import random
 import pytest
 
 from minalliance import (
+    InternalVerificationError,
     brute_force_min_alliance,
     build_graph,
     generate,
@@ -275,3 +276,28 @@ def test_global_solve_runs_no_full_bfs(monkeypatch):
     monkeypatch.setattr("minalliance.lowdeg.distances_from", no_bfs)
     monkeypatch.setattr("minalliance.graphs.bfs_path", no_bfs)
     assert [solve_min_alliance_lowdeg(g).members for g in graphs] == expected
+
+
+def test_global_solve_verifies_only_its_answer(monkeypatch):
+    import minalliance.lowdeg as lowdeg
+
+    checked = []
+
+    def counting(g, witness):
+        checked.append(tuple(witness))
+        return verify_alliance(g, witness)
+
+    monkeypatch.setattr(lowdeg, "verify_alliance", counting)
+    for g in [generate(spec, 1) for spec in SPARSE_LOWDEG_SPECS] + [cycle_graph(6)]:
+        checked.clear()
+        sol = solve_min_alliance_lowdeg(g)
+        assert checked == [sol.members]
+
+
+def test_global_solve_rejects_an_invalid_answer(monkeypatch):
+    def thin(g, v):  # each root alone, though no vertex of C5 has degree <= 1
+        yield 1, "singleton", (v,)
+
+    monkeypatch.setattr("minalliance.lowdeg._path_candidates", thin)
+    with pytest.raises(InternalVerificationError, match="not an alliance"):
+        solve_min_alliance_lowdeg(cycle_graph(5))

@@ -17,7 +17,7 @@ from minalliance import (
     verify_alliance,
 )
 
-from _oracles import milp_min_alliance_size
+from _oracles import climb_only_search, milp_min_alliance_size
 
 
 def test_no_allowed_vertex_has_no_alliance():
@@ -66,7 +66,12 @@ def test_budget_lower_bound_is_proven(monkeypatch):
         try:
             sol = solve_min_alliance_search(g, time_limit=1.0)
         except BudgetExceeded as stop:
-            assert stop.alliance is None
+            # no incumbent before the first descent, then one no smaller
+            # than the proven bound
+            assert stop.alliance is None or (
+                verify_alliance(g, stop.alliance.members).valid
+                and stop.alliance.size >= stop.lower_bound
+            )
             assert f"searching size {stop.lower_bound}" in str(stop)
             bounds.append(stop.lower_bound)
         else:
@@ -76,14 +81,60 @@ def test_budget_lower_bound_is_proven(monkeypatch):
     assert bounds[-1] == 8  # the optimum, once the clock never runs out
 
 
+def _reduction(source, seed):
+    src = generate(source, seed)
+    return build_reduction(src, len(minimum_dominating_set(src)))
+
+
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
 def test_reduction_targets_reach_k_prime(source):
-    src = generate(source, 1)
-    inst = build_reduction(src, len(minimum_dominating_set(src)))
+    inst = _reduction(source, 1)
     sol = solve_min_alliance_search(inst.target)
     assert sol.valid
     assert sol.size == inst.k_prime
     assert len(extract_dominating_set(inst, sol.members)) <= inst.k
+
+
+@pytest.mark.parametrize("source, most", [("cubic:n=6", 26), ("cubic:n=8", 32)])
+def test_descent_bounds_the_levels_run(source, most, monkeypatch):
+    # a climb alone runs 38 and 54 levels: every size from the threshold 3
+    # up to the optimum 40 or 56
+    import minalliance.search as search
+
+    level = search._alliance_within
+    levels = []
+
+    def counted(g, k, *rest):
+        levels.append(k)
+        return level(g, k, *rest)
+
+    monkeypatch.setattr(search, "_alliance_within", counted)
+    inst = _reduction(source, 1)
+    assert solve_min_alliance_search(inst.target).size == inst.k_prime
+    assert len(levels) <= most
+
+
+def _union(a, b):
+    return build_graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("recipe", [
+    ("reduction", "cubic:n=4"),
+    ("reduction", "cubic:n=6"),
+    *(("gen", f"degcap:n={n},dmax={d}") for n in (12, 16, 20, 24) for d in (6, 7, 8)),
+    ("union", "cubic:n=12", "cubic:n=14"),
+    ("union", "cubic:n=14", "cubic:n=14"),
+])
+def test_witness_matches_climb_only(recipe, seed):
+    kind, spec, *other = recipe
+    if kind == "reduction":
+        g = _reduction(spec, seed).target
+    elif kind == "union":
+        g = _union(generate(spec, seed), generate(other[0], seed + 100))
+    else:
+        g = generate(spec, seed)
+    assert solve_min_alliance_search(g).members == climb_only_search(g)
 
 
 def _dense_graph(n, variant):
@@ -108,5 +159,6 @@ def test_size_matches_milp_above_brute_force(n, variant):
     sol = solve_min_alliance_search(g)
     expected = milp_min_alliance_size(g.n, g.edges, g.forbidden)
     assert (None if sol is None else sol.size) == expected
+    assert (None if sol is None else sol.members) == climb_only_search(g)
     if sol is not None:
         assert verify_alliance(g, sol.members).valid

@@ -6,7 +6,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from minalliance import brute_force_min_alliance, build_graph, solve_min_alliance_search
+from minalliance import (
+    brute_force_min_alliance,
+    build_graph,
+    protection_threshold,
+    solve_min_alliance_search,
+)
+from minalliance.search import _alliance_within
+
+from _oracles import climb_only_search
 
 
 @st.composite
@@ -36,6 +44,7 @@ def _graphs(draw):
 @given(_graphs())
 def test_search_agrees_with_brute_force(g):
     sol = solve_min_alliance_search(g)
+    assert (None if sol is None else sol.members) == climb_only_search(g)
     ref = brute_force_min_alliance(g)
     if ref is None:
         assert sol is None
@@ -43,3 +52,15 @@ def test_search_agrees_with_brute_force(g):
     assert sol.size == ref.size
     assert sol.valid
     assert solve_min_alliance_search(g) == sol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_graphs())
+def test_a_level_finds_its_first_alliance_at_its_size(g):
+    # why the schedule never runs the optimum level again for the witness
+    roots = [v for v in range(g.n) if v not in g.forbidden]
+    need = [protection_threshold(g.degree(v)) - 1 for v in range(g.n)]
+    for k in range(1, len(roots) + 1):
+        found = _alliance_within(g, k, roots, need, None)
+        if found is not None:
+            assert _alliance_within(g, len(found), roots, need, None) == found
