@@ -21,12 +21,10 @@ from .fpt import (
 from .generators import GeneratorSpec, generate, parse_generator_spec
 from .graphs import (
     Graph,
-    PathPair,
     build_graph,
     distances_from,
     girth,
     is_connected,
-    min_disjoint_path_pair,
 )
 from .ilp import (
     IlpBudgetExceeded,

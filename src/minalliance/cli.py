@@ -118,7 +118,7 @@ def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int]
     decided the route (None where no modulator was searched)."""
     if algo != "auto":
         return algo, None
-    if not g.forbidden and is_connected(g) and g.max_degree() <= 5:
+    if not g.forbidden and g.max_degree() <= 5 and is_connected(g):
         return "lowdeg", None
     if not g.forbidden:
         mod = distance_to_clique_set(g, kmax)

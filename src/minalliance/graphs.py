@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 UNREACHABLE = -1
 
@@ -153,108 +153,6 @@ def is_connected(g: Graph) -> bool:
     return distances_from(g, 0).count(UNREACHABLE) == 0
 
 
-@dataclass(frozen=True)
-class PathPair:
-    """Two internally vertex-disjoint paths from a common origin to distinct targets."""
-
-    endpoint_x: int
-    endpoint_y: int
-    path_x: tuple[int, ...]
-    path_y: tuple[int, ...]
-    total_vertices: int
-
-
-class _MinCostFlow:
-    """Successive-shortest-path min-cost flow on a small network.
-
-    Arc order is fixed by insertion, and the Bellman-Ford scan is
-    deterministic, so equal-cost solutions always resolve the same way.
-    """
-
-    def __init__(self, node_count: int):
-        self.node_count = node_count
-        self.head: list[list[int]] = [[] for _ in range(node_count)]
-        # parallel arrays: to, cap, cost
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-
-    def add(self, u: int, v: int, cap: int, cost: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-
-    def run(self, s: int, t: int, want: int) -> tuple[int, int]:
-        """Push up to `want` units s->t; returns (flow, cost)."""
-        flow = 0
-        total = 0
-        inf = float("inf")
-        while flow < want:
-            dist = [inf] * self.node_count
-            in_queue = [False] * self.node_count
-            pre_arc = [-1] * self.node_count
-            dist[s] = 0
-            q = deque([s])
-            in_queue[s] = True
-            while q:
-                x = q.popleft()
-                in_queue[x] = False
-                for a in self.head[x]:
-                    if self.cap[a] > 0 and dist[x] + self.cost[a] < dist[self.to[a]]:
-                        y = self.to[a]
-                        dist[y] = dist[x] + self.cost[a]
-                        pre_arc[y] = a
-                        if not in_queue[y]:
-                            q.append(y)
-                            in_queue[y] = True
-            if dist[t] == inf:
-                break
-            # augment one unit (all caps here are 0/1 on forward arcs)
-            x = t
-            while x != s:
-                a = pre_arc[x]
-                self.cap[a] -= 1
-                self.cap[a ^ 1] += 1
-                x = self.to[a ^ 1]
-            flow += 1
-            total += int(dist[t])
-        return flow, total
-
-    def flowed(self, arc: int) -> int:
-        # arcs were added in pairs; the reverse arc holds the pushed flow
-        return self.cap[arc ^ 1]
-
-
-def _in(u: int) -> int:
-    return 2 * u
-
-
-def _out(u: int) -> int:
-    return 2 * u + 1
-
-
-def _trace_unit(net: _MinCostFlow, start: int, used: set[int]) -> list[int]:
-    """Follow one unit of flow from `start`, consuming arcs via `used`."""
-    seq = []
-    node = start
-    while True:
-        nxt = None
-        for a in net.head[node]:
-            if a % 2 == 0 and a not in used and net.flowed(a) > 0:
-                nxt = a
-                break
-        if nxt is None:
-            return seq
-        used.add(nxt)
-        node = net.to[nxt]
-        seq.append(node)
-
-
 def shortest_cycle_with_vertices(g: Graph, v: int) -> tuple[int, tuple[int, ...]] | None:
     """Shortest simple cycle containing v, as (length, sorted vertex tuple),
     or None if no cycle passes through v.
@@ -307,51 +205,6 @@ def shortest_cycle_with_vertices(g: Graph, v: int) -> tuple[int, tuple[int, ...]
             members.append(u)
             u = parent[u]
     return best, tuple(sorted(members))
-
-
-def min_disjoint_path_pair(g: Graph, v: int, targets: Iterable[int]) -> PathPair | None:
-    """Cheapest pair of internally vertex-disjoint paths from v to two distinct targets.
-
-    Cost is the total number of distinct vertices used (v counted once).
-    Returns None when no such pair exists.
-    """
-    tset = sorted(set(targets))
-    for t in tset:
-        if not (0 <= t < g.n):
-            raise VertexRangeError(f"target {t} out of range for n={g.n}")
-    if v in tset:
-        raise ValueError(f"origin {v} may not be one of the targets")
-    if len(tset) < 2:
-        return None
-    sink = 2 * g.n
-    net = _MinCostFlow(2 * g.n + 1)
-    for u in range(g.n):
-        if u != v:
-            net.add(_in(u), _out(u), 1, 1)
-    for a, b in g.edges:
-        for x, y in ((a, b), (b, a)):
-            if y == v:
-                continue
-            net.add(_out(x), _in(y), 1, 0)
-    for t in tset:
-        net.add(_out(t), sink, 1, 0)
-    flow, cost = net.run(_out(v), sink, 2)
-    if flow < 2:
-        return None
-    used: set[int] = set()
-    paths = []
-    for _ in range(2):
-        seq = _trace_unit(net, _out(v), used)
-        verts = [v] + [node // 2 for node in seq if node % 2 == 1 and node != sink]
-        paths.append(verts)
-    paths.sort(key=lambda p: p[-1])
-    return PathPair(
-        endpoint_x=paths[0][-1],
-        endpoint_y=paths[1][-1],
-        path_x=tuple(paths[0]),
-        path_y=tuple(paths[1]),
-        total_vertices=cost + 1,
-    )
 
 
 def girth(g: Graph) -> int | None:

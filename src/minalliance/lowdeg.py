@@ -1,19 +1,19 @@
 """Polynomial minimum-alliance search for graphs of maximum degree five.
 
-One subproblem per vertex v: the smallest alliance containing v is either v
-alone (degree <= 1), a shortest path from v to a nearby vertex of degree at
-most three, a shortest cycle through v, or (degree 4 or 5) the cheapest pair
-of internally disjoint paths from v to two such low-degree vertices.  The
-global answer is the smallest (size, kind rank, witness) key over every root
-and candidate.
+With maximum degree five every cycle is an alliance, and so is every path
+between two vertices of degree at most three.  Each root v offers up to
+three shapes: v alone (degree at most one), a shortest path from v to the
+nearest other vertex of degree at most three (degree two or three), and a
+shortest cycle through v.  The global answer is the smallest (size, kind
+rank, witness) key over every root and shape.
 
 `solve_min_alliance_lowdeg` finds that key in two passes without solving
 every subproblem in full.  Pass 1 takes the singleton and path candidates
-of every root (a path pair never gives the global answer) and stops at the
-first root of degree at most one; each root's BFS stops at the end of the
-first level that holds a vertex of degree at most three.  Pass 2 considers
-cycles only when one can still win and takes each root's shortest cycle,
-length and witness, from one branch-labelled BFS; no min-cost flow runs.
+of every root and stops at the first root of degree at most one; each
+root's BFS stops at the end of the first level that holds a vertex of
+degree at most three.  Pass 2 considers cycles only when one can still win
+and takes each root's shortest cycle, length and witness, from one
+branch-labelled BFS.
 """
 
 from __future__ import annotations
@@ -27,15 +27,12 @@ from .alliances import (
 )
 from .graphs import (
     Graph,
-    UNREACHABLE,
     VertexRangeError,
-    distances_from,
     is_connected,
-    min_disjoint_path_pair,
     shortest_cycle_with_vertices,
 )
 
-_KIND_RANK = {"singleton": 0, "path": 1, "cycle": 2, "path-pair": 3}
+_KIND_RANK = {"singleton": 0, "path": 1, "cycle": 2}
 
 
 class DegreeBoundError(ValueError):
@@ -61,16 +58,6 @@ def _check_lowdeg_input(g: Graph) -> None:
         raise ValueError("the low-degree solver expects a connected graph")
     if g.forbidden:
         raise ValueError("the low-degree solver does not support forbidden vertices")
-
-
-def _low_targets(g: Graph, v: int) -> list[int]:
-    """The other vertices of degree <= 3 that v reaches, the path pair's
-    targets."""
-    dist = distances_from(g, v)
-    return [
-        x for x in range(g.n)
-        if x != v and g.degree(x) <= 3 and dist[x] != UNREACHABLE
-    ]
 
 
 def _nearest_low_path(g: Graph, v: int) -> list[int] | None:
@@ -123,12 +110,6 @@ def _path_candidates(g: Graph, v: int):
 def _candidates(g: Graph, v: int):
     """Yield (size, kind, witness tuple) candidates for the subproblem at v."""
     yield from _path_candidates(g, v)
-    if g.degree(v) >= 4:
-        low = _low_targets(g, v)
-        pair = min_disjoint_path_pair(g, v, low) if low else None
-        if pair is not None:
-            merged = set(pair.path_x) | set(pair.path_y)
-            yield pair.total_vertices, "path-pair", tuple(sorted(merged))
     cyc = shortest_cycle_with_vertices(g, v)
     if cyc is not None:
         yield cyc[0], "cycle", cyc[1]
@@ -156,10 +137,15 @@ def _verified(g: Graph, witness: tuple[int, ...], what: str) -> AllianceSolution
 
 
 def solve_subproblem(g: Graph, v: int) -> SubproblemResult:
-    """Smallest alliance containing v, among the structured candidate shapes.
+    """The best of v's shapes: v alone, the path to v's nearest other
+    vertex of degree at most three, or the shortest cycle through v.
 
     Ties between equal-size candidates break by kind
-    (singleton < path < cycle < path-pair), then by witness order.
+    (singleton < path < cycle), then by witness order.  This is not the
+    smallest alliance containing v in general: the centre of K_{1,4} needs
+    two leaves beside it, which no shape gives.  `best_size` is None when v
+    has no shape, that is when v lies on no cycle and either has degree 4
+    or 5 or reaches no other vertex of degree at most three.
     """
     _check_lowdeg_input(g)
     if not (0 <= v < g.n):
@@ -175,19 +161,19 @@ def solve_subproblem(g: Graph, v: int) -> SubproblemResult:
 def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
     """Minimum defensive alliance of a connected graph with max degree five.
 
-    Any minimum alliance S either induces a cycle (so the shortest-cycle
-    candidate at a cycle vertex is no larger) or induces a tree whose leaves
-    have at most one defender inside, hence degree at most three -- so the
-    path / path-pair candidates rooted there are no larger.  The best
+    A minimum alliance S induces a connected subgraph.  If it holds a cycle,
+    the shortest-cycle candidate at a vertex of that cycle is no larger than
+    S.  Otherwise it induces a tree.  A one-vertex tree is a vertex of degree
+    at most one, the singleton candidate.  A larger tree has two leaves,
+    each with one defender inside, hence of degree at most three; the path
+    between them in the tree is an alliance no larger than S, so the
+    singleton or path candidate at either leaf is no larger.  The best
     candidate over all roots is therefore exact.
 
     The answer is the smallest key (size, kind rank, witness) over every
-    root and candidate, found in two passes.  A path pair v -> x, v -> y
-    never is that key: x..v..y is a path between two vertices of degree at
-    most three, so the singleton or path candidate at x has at most as many
-    vertices and a lower kind rank.  Pass 1 therefore takes only the
-    singleton and path candidates of every root, and returns at the first
-    root of degree at most one, whose key (1, 0, (v,)) no other key beats.
+    root and candidate, found in two passes.  Pass 1 takes the singleton
+    and path candidates of every root, and returns at the first root of
+    degree at most one, whose key (1, 0, (v,)) no other key beats.
     A cycle (rank 2) of length L beats the best key so far only if L is
     below its size, or equal to it when that key is a cycle too, so no
     cycle longer than `bound` can win.  Pass 2 takes every root's shortest

@@ -149,47 +149,6 @@ def girth_by_enumeration(n, edges):
     return min(lengths) if lengths else None
 
 
-def simple_paths(adj, src, dst):
-    """All simple src-dst paths, as vertex tuples starting at src."""
-    out = []
-
-    def walk(u, path, seen):
-        if u == dst:
-            out.append(tuple(path))
-            return
-        for w in adj[u]:
-            if w not in seen:
-                path.append(w)
-                seen.add(w)
-                walk(w, path, seen)
-                seen.discard(w)
-                path.pop()
-
-    walk(src, [src], {src})
-    return out
-
-
-def best_disjoint_pair_total(n, edges, v, targets):
-    """Minimum |path_x union path_y| over internally disjoint path pairs
-    from v to two distinct targets; None when no pair exists."""
-    adj = adjacency(n, edges)
-    targets = [t for t in set(targets) if t != v]
-    best = None
-    for x, y in itertools.combinations(sorted(targets), 2):
-        for px in simple_paths(adj, v, x):
-            sx = set(px)
-            if y in sx:
-                continue
-            for py in simple_paths(adj, v, y):
-                sy = set(py)
-                if sx & sy != {v}:
-                    continue
-                total = len(sx | sy)
-                if best is None or total < best:
-                    best = total
-    return best
-
-
 def majority_protected(adj, subset):
     """The raw alliance condition: every member has at least as many closed
     neighbours inside the set as outside."""

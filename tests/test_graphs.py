@@ -1,4 +1,4 @@
-"""Graph construction, BFS, cycle and disjoint-path primitives."""
+"""Graph construction, BFS and cycle primitives."""
 
 import random
 
@@ -10,7 +10,6 @@ from minalliance import (
     generate,
     girth,
     is_connected,
-    min_disjoint_path_pair,
 )
 from minalliance.graphs import (
     UNREACHABLE,
@@ -22,7 +21,6 @@ from minalliance.graphs import (
 )
 
 from _oracles import (
-    best_disjoint_pair_total,
     floyd_warshall,
     girth_by_enumeration,
     min_cycle_through,
@@ -236,57 +234,6 @@ def test_cycle_tie_break_is_first_closing_edge():
     # two triangles through 0: (1, 2) is the first closing edge
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
     assert shortest_cycle_with_vertices(g, 0) == (3, (0, 1, 2))
-
-
-# ---------------------------------------------------------------- path pairs
-
-
-def test_path_pair_on_star():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    pair = min_disjoint_path_pair(g, 0, [1, 2, 3])
-    assert pair is not None
-    assert pair.total_vertices == 3
-    assert set(pair.path_x) & set(pair.path_y) == {0}
-
-
-def test_path_pair_without_targets():
-    g = cycle_graph(5)
-    assert min_disjoint_path_pair(g, 0, []) is None
-    assert min_disjoint_path_pair(g, 0, [3]) is None
-
-
-def test_path_pair_blocked_by_cut_vertex(square_bridge_clique):
-    # every route from 4 into the square crosses the cut vertex 3
-    assert min_disjoint_path_pair(square_bridge_clique, 4, [0, 1, 2]) is None
-
-
-def test_path_pair_rejects_target_root():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        min_disjoint_path_pair(g, 0, [0, 2])
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_path_pair_matches_exhaustive(seed):
-    n = 5 + seed % 4  # up to n=8
-    g = random_graph(n, 0.4, 900 + seed)
-    rng = random.Random(seed)
-    v = rng.randrange(n)
-    targets = [u for u in range(n) if u != v and rng.random() < 0.5]
-    pair = min_disjoint_path_pair(g, v, targets)
-    want = best_disjoint_pair_total(n, g.edges, v, targets)
-    if want is None:
-        assert pair is None
-    else:
-        assert pair is not None
-        merged = set(pair.path_x) | set(pair.path_y)
-        assert pair.total_vertices == len(merged) == want
-        assert set(pair.path_x) & set(pair.path_y) == {v}
-        assert pair.path_x[0] == pair.path_y[0] == v
-        assert {pair.path_x[-1], pair.path_y[-1]} <= set(targets)
-        for path in (pair.path_x, pair.path_y):
-            for a, b in zip(path, path[1:]):
-                assert g.has_edge(a, b)
 
 
 # ---------------------------------------------------------------- girth

@@ -13,7 +13,7 @@ from minalliance import (
     solve_subproblem,
     verify_alliance,
 )
-from minalliance.graphs import VertexRangeError, min_disjoint_path_pair
+from minalliance.graphs import VertexRangeError
 from minalliance.lowdeg import DegreeBoundError, _nearest_low_path
 
 from _oracles import nearest_low_path_by_full_bfs
@@ -33,7 +33,7 @@ def circulant(n, step, label=None):
     return build_graph(n, sorted(edges))
 
 
-RANK = {"singleton": 0, "path": 1, "cycle": 2, "path-pair": 3}
+RANK = {"singleton": 0, "path": 1, "cycle": 2}
 
 
 def best_of_all_subproblems(g):
@@ -112,7 +112,7 @@ def test_high_degree_roots_never_get_thin_witnesses():
             if g.degree(v) in (4, 5):
                 sub = solve_subproblem(g, v)
                 if sub.best_size is not None:
-                    assert sub.kind in ("cycle", "path-pair")
+                    assert sub.kind == "cycle"
 
 
 def test_witnesses_always_verify():
@@ -174,32 +174,19 @@ def test_relabelled_circulants_take_the_best_cycle(n, seed):
     assert solve_min_alliance_lowdeg(g).members == best_of_all_subproblems(g)[2]
 
 
-def test_global_solve_runs_no_min_cost_flow(monkeypatch):
-    # the circulants above, where a cycle must win, solved with every
-    # min-cost flow failing: cycle witnesses come from the BFS alone
-    expected = {
-        (n, step): best_of_all_subproblems(circulant(n, step))[2]
-        for step in (2, 3) for n in range(7, 21)
-    }
-
-    def no_flow(*args):
-        raise AssertionError("solve_min_alliance_lowdeg ran a min-cost flow")
-
-    monkeypatch.setattr("minalliance.graphs._MinCostFlow.run", no_flow)
-    for (n, step), witness in expected.items():
-        assert solve_min_alliance_lowdeg(circulant(n, step)).members == witness
-
-
-def test_cycle_beats_path_pair_of_equal_size():
-    # root 0 has degree 4: leaves 1 and 2 give the path pair {0, 1, 2},
-    # and the triangle {0, 3, 4} is a cycle of the same size
+def test_degree_four_roots_take_a_cycle_or_no_shape():
+    # root 0 has degree 4, with the leaves 1 and 2 and the triangle
+    # {0, 3, 4}: the alliance {0, 1, 2} sorts first but is no shape
     g = build_graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4),
                         (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
-    pair = min_disjoint_path_pair(g, 0, [1, 2, 5, 6])
-    assert pair.total_vertices == 3 and {*pair.path_x, *pair.path_y} == {0, 1, 2}
     sub = solve_subproblem(g, 0)
-    # (0, 1, 2) < (0, 3, 4): the cycle wins on kind rank, not on witness order
     assert (sub.best_size, sub.kind, sub.witness) == (3, "cycle", (0, 3, 4))
+    # the centre of K_{1,4} lies on no cycle, so it has no shape, while
+    # the global answer is a leaf alone
+    star = build_graph(5, [(0, i) for i in range(1, 5)])
+    sub = solve_subproblem(star, 0)
+    assert (sub.best_size, sub.kind, sub.witness) == (None, None, ())
+    assert solve_min_alliance_lowdeg(star).members == (1,)
 
 
 def random_capped_graph(n, dmax, p, rng):
@@ -263,19 +250,34 @@ SPARSE_LOWDEG_SPECS = (
 
 def test_global_solve_runs_no_full_bfs(monkeypatch):
     # the sparse-lowdeg families: the witnesses with the old two-BFS path
-    # search in pass 1, then the same solves with every full BFS from lowdeg
-    # and every bfs_path failing (lowdeg no longer imports bfs_path)
+    # search in pass 1, then the same solves with every bfs_path failing
+    # (lowdeg no longer imports bfs_path) and every full BFS counted, also
+    # one lowdeg might import: the one full BFS per solve is the
+    # connectivity check of the input
+    import minalliance.graphs as graphs_module
+
     graphs = [generate(spec, seed) for spec in SPARSE_LOWDEG_SPECS for seed in range(8)]
     with monkeypatch.context() as m:
         m.setattr("minalliance.lowdeg._nearest_low_path", nearest_low_path_by_full_bfs)
         expected = [solve_min_alliance_lowdeg(g).members for g in graphs]
 
     def no_bfs(*args):
-        raise AssertionError("solve_min_alliance_lowdeg ran a full BFS")
+        raise AssertionError("solve_min_alliance_lowdeg ran bfs_path")
 
-    monkeypatch.setattr("minalliance.lowdeg.distances_from", no_bfs)
-    monkeypatch.setattr("minalliance.graphs.bfs_path", no_bfs)
-    assert [solve_min_alliance_lowdeg(g).members for g in graphs] == expected
+    full_bfs = []
+    distances_from = graphs_module.distances_from
+
+    def counting(g, v):
+        full_bfs.append(v)
+        return distances_from(g, v)
+
+    monkeypatch.setattr(graphs_module, "bfs_path", no_bfs)
+    monkeypatch.setattr(graphs_module, "distances_from", counting)
+    monkeypatch.setattr("minalliance.lowdeg.distances_from", counting, raising=False)
+    for g, members in zip(graphs, expected):
+        full_bfs.clear()
+        assert solve_min_alliance_lowdeg(g).members == members
+        assert full_bfs == [0]
 
 
 def test_global_solve_verifies_only_its_answer(monkeypatch):
