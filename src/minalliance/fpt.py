@@ -2,10 +2,10 @@
 tiny integer programs for the interchangeable remainder vertices.
 
 Both solvers follow the same shape.  Fix how the solution meets the modulator
-(and, for dtc, a threshold level; for twin cover, how many cliques are full
-or partial), check the guess is internally coherent, then let an ILP choose
-how many interchangeable vertices each group contributes.  Materialised
-witnesses are always re-verified; a failure there is a solver bug, never a
+(and, for dtc, a threshold level), then let an ILP choose how many
+interchangeable vertices each group contributes (for twin cover, also over
+how many of its cliques they spread).  Each solver verifies its answer, and
+a budget exit's incumbent, once; a failure there is a solver bug, never a
 caller error.
 """
 
@@ -26,26 +26,11 @@ from .ilp import IlpProblem, solve_ilp
 from .params import partition_clique_sets, partition_twin_classes
 
 
-@dataclass(frozen=True)
-class DtcGuess:
-    picked_modulator: tuple[int, ...]
-    # the threshold level L (row X >= L), or None where every class is empty
-    level: int | None
-
-
-@dataclass(frozen=True)
-class TcGuess:
-    picked_cover: tuple[int, ...]
-    # (class index, clique size, full count, partial count) per used group
-    counts: tuple[tuple[int, int, int, int], ...]
-
-
 @dataclass
 class SolveStats:
     guesses: int = 0
     ilp_solves: int = 0
     pruned: int = 0
-    best_guess: object = None
 
 
 def demand(g: Graph, u: int, picked: frozenset[int] | set[int]) -> int:
@@ -63,11 +48,26 @@ def _require_plain(g: Graph) -> None:
         raise ValueError("parameterized solvers do not support forbidden vertices")
 
 
+def _verified(solver: str, g: Graph, members: tuple[int, ...]) -> AllianceSolution:
+    checked = verify_alliance(g, members)
+    if not checked.valid:
+        raise InternalVerificationError(
+            f"{solver} witness {members} is not an alliance: {checked.violations}"
+        )
+    return checked
+
+
+def _answer(solver: str, g: Graph, best) -> AllianceSolution:
+    if best is None:
+        raise InternalVerificationError("no feasible guess on a non-empty graph")
+    return _verified(solver, g, best[1])
+
+
 def _over_budget(solver: str, g: Graph, best) -> BudgetExceeded:
     """The budget exit: the verified incumbent (or None), no lower bound."""
     return BudgetExceeded(
         f"time limit exceeded in the {solver} guess loop",
-        alliance=None if best is None else verify_alliance(g, best[1]),
+        alliance=None if best is None else _verified(solver, g, best[1]),
     )
 
 
@@ -116,7 +116,6 @@ def solve_dtc_detailed(
     stats = SolveStats()
     deadline = None if time_limit is None else monotonic() + time_limit
     best: tuple[int, tuple[int, ...]] | None = None
-    best_guess: DtcGuess | None = None
     # all members of a class share one degree, hence one threshold
     thr = [protection_threshold(g.degree(tc.members[0])) for tc in classes]
     ones = tuple([1] * t)
@@ -158,26 +157,13 @@ def solve_dtc_detailed(
             sol = solve_ilp(prob)
             if sol.status != "optimal":
                 continue
-            size = len(picked) + sol.objective_value
-            if best is not None and size > best[0]:
-                continue
             members = list(picked)
             for tc, cnt in zip(classes, sol.assignment):
                 members.extend(tc.members[:cnt])
-            cand = (size, tuple(sorted(members)))
+            cand = (len(members), tuple(sorted(members)))
             if best is None or cand < best:
-                checked = verify_alliance(g, cand[1])
-                if not checked.valid:
-                    raise InternalVerificationError(
-                        f"dtc guess produced invalid witness {cand[1]}: "
-                        f"{checked.violations}"
-                    )
                 best = cand
-                best_guess = DtcGuess(picked_modulator=tuple(picked), level=level)
-    if best is None:
-        raise InternalVerificationError("no feasible guess on a non-empty graph")
-    stats.best_guess = best_guess
-    return verify_alliance(g, best[1]), stats
+    return _answer("dtc", g, best), stats
 
 
 def solve_twincover(
@@ -190,17 +176,37 @@ def solve_twincover(
 def solve_twincover_detailed(
     g: Graph, cover, *, time_limit: float | None = None
 ) -> tuple[AllianceSolution, SolveStats]:
-    """Minimum alliance given a twin cover of `g`.
+    """Minimum alliance given a twin cover C of `g`.
 
-    Case 1: if some clique has at least as many vertices as its set's cover
-    signature, the smallest such clique alone carries an alliance of
-    ceil((|C|+t_i)/2) vertices, and any optimum touching so big a clique is
-    at least that large.  Case 2 therefore forces every such clique empty and
-    enumerates, per (clique set, size): how many cliques are fully picked and
-    how many partially, with an ILP choosing the partial amounts.  The answer
-    is the better of the two cases.  Past `time_limit` seconds (checked once
-    per case-2 guess) the solver raises BudgetExceeded with the verified
-    incumbent (or None) and no lower bound.
+    Outside C, `g` is a disjoint union of cliques; the cliques of clique set
+    i all see the cover signature sig_i, t_i = |sig_i|.  With P = S cap C, a
+    picked vertex of a clique K of size s in set i is defended by S cap K
+    and by sig_i cap P, and needs thr = ceil((s + t_i) / 2) defenders.
+
+    Case 1: a clique with s >= t_i alone carries an alliance of thr
+    vertices, and any alliance touching it has at least thr, so the smallest
+    such clique per set is a candidate.  Case 2 keeps those cliques empty.
+
+    Case 2 solves one ILP per subset P of C.  A clique K then holds 0
+    vertices or between lo = max(1, thr - |sig_i cap P|) and s, and a cover
+    vertex u in P only sees how many vertices the sets with u in their
+    signature hold.  So each live (set, size) group (lo <= s) of m cliques
+    gets j in [0, m] cliques used and T in [0, m*s] vertices taken, with
+    lo*j <= T <= s*j; the ILP minimises the sum of T subject to, per u in
+    P, the T of the groups whose signature holds u summing to at least
+    demand(u, P), and to the sum of T being at least 1 when P is empty.  A
+    case-2 alliance meeting C in P gives a feasible (j, T) of its size, and
+    a feasible (j, T) is realised by the group's first j cliques in (size,
+    lex) order, each taking its first lo vertices and the surplus filling
+    the earliest up to s.  Only the remainder can supply u's demand, so P
+    costs at least |P| plus its largest demand: picks above the best size
+    are skipped, ties are solved.  At most 2^|C| guesses, each an ILP of at
+    most 2 * 2^|C| * |C| variables (only sizes below t_i <= |C| form groups).
+
+    The witness is the least (size, sorted members) over case 1 and one ILP
+    optimum per P.  Past `time_limit` seconds (checked once per pick) the
+    solver raises BudgetExceeded with the verified incumbent (or None) and
+    no lower bound.
     """
     _require_plain(g)
     part = partition_clique_sets(g, cover)
@@ -208,18 +214,6 @@ def solve_twincover_detailed(
     stats = SolveStats()
     deadline = None if time_limit is None else monotonic() + time_limit
     best: tuple[int, tuple[int, ...]] | None = None
-    best_guess: TcGuess | None = None
-
-    def offer(cand: tuple[int, tuple[int, ...]], guess: TcGuess) -> None:
-        nonlocal best, best_guess
-        if best is None or cand < best:
-            checked = verify_alliance(g, cand[1])
-            if not checked.valid:
-                raise InternalVerificationError(
-                    f"twin-cover witness {cand[1]} invalid: {checked.violations}"
-                )
-            best = cand
-            best_guess = guess
 
     # --- case 1: one sufficiently large clique on its own
     for tc in part.classes:
@@ -227,109 +221,62 @@ def solve_twincover_detailed(
         for cl in tc.cliques:  # sorted by (size, lex); first hit is smallest
             if len(cl) >= t_i:
                 need = protection_threshold(len(cl) - 1 + t_i)
-                offer((need, tuple(sorted(cl[:need]))), TcGuess((), ()))
+                cand = (need, tuple(sorted(cl[:need])))
+                if best is None or cand < best:
+                    best = cand
                 break
 
-    # --- case 2: cliques of size >= t_i stay empty
-    groups: list[tuple[int, int, tuple[tuple[int, ...], ...]]] = []
-    for tc in part.classes:
-        t_i = len(tc.signature)
-        for size, cliques in tc.cliques_by_size().items():
-            if size < t_i:
-                groups.append((tc.index, size, cliques))
-    groups.sort(key=lambda grp: (grp[0], grp[1]))
-    sig_of = {tc.index: tc.signature for tc in part.classes}
-    t_of = {tc.index: len(tc.signature) for tc in part.classes}
-
-    def finish(picked: list[int], pset: frozenset[int],
-               demands: list[tuple[int, int]], sig_in_p: dict[int, int],
-               chosen: list[tuple[int, int, int, int]]) -> None:
-        variables: list[tuple[int, int, int]] = []  # (class, size, slot)
-        vbounds: list[tuple[int, int]] = []
-        for ci, size, _f, y in chosen:
-            thr = protection_threshold(size - 1 + t_of[ci])
-            lo = max(1, thr - sig_in_p[ci])
-            if y and lo > size - 1:
-                return  # partials cannot be protected under this guess
-            for slot in range(y):
-                variables.append((ci, size, slot))
-                vbounds.append((lo, size - 1))
-        cons: list[tuple[tuple[int, ...], int]] = []
-        for u, du in demands:
-            rhs = du
-            coeffs = [0] * len(variables)
-            for ci, size, f, _y in chosen:
-                if u in sig_of[ci]:
-                    rhs -= size * f
-            for j, (ci, _size, _slot) in enumerate(variables):
-                if u in sig_of[ci]:
-                    coeffs[j] = 1
-            cons.append((tuple(coeffs), rhs))
-        prob = IlpProblem(
-            objective=tuple([1] * len(variables)),
-            constraints=tuple(cons),
-            bounds=tuple(vbounds),
-        )
-        stats.ilp_solves += 1
-        sol = solve_ilp(prob)
-        if sol.status != "optimal":
-            return
-        total = (
-            len(picked)
-            + sum(sz * f for _ci, sz, f, _y in chosen)
-            + sum(sol.assignment)
-        )
-        members = list(picked)
-        offset = 0
-        for ci, sz, f, y in chosen:
-            cliques = cliques_of[(ci, sz)]
-            for cl in cliques[:f]:
-                members.extend(cl)
-            for slot in range(y):
-                members.extend(cliques[f + slot][: sol.assignment[offset + slot]])
-            offset += y
-        offer(
-            (total, tuple(sorted(members))),
-            TcGuess(picked_cover=tuple(picked), counts=tuple(chosen)),
-        )
-
-    cliques_of = {(ci, size): cls for ci, size, cls in groups}
-
+    # --- case 2: cliques of size >= t_i stay empty; one ILP per pick P
+    groups = [
+        (tc.signature, size, cliques, protection_threshold(size - 1 + len(tc.signature)))
+        for tc in part.classes
+        for size, cliques in tc.cliques_by_size().items()
+        if size < len(tc.signature)
+    ]
     for pmask in range(1 << len(cov)):
+        if deadline is not None and monotonic() > deadline:
+            raise _over_budget("twin-cover", g, best)
         picked = [cov[i] for i in range(len(cov)) if pmask >> i & 1]
         pset = frozenset(picked)
-        demands = [(u, demand(g, u, pset)) for u in picked]
-        sig_in_p = {i: sum(1 for w in sig_of[i] if w in pset) for i in sig_of}
-
-        def walk(idx: int, chosen: list[tuple[int, int, int, int]], base: int):
-            if best is not None and base > best[0]:
-                stats.pruned += 1
-                return
-            if idx == len(groups):
-                if not picked and not chosen:
-                    return  # the empty set is not an alliance
-                if deadline is not None and monotonic() > deadline:
-                    raise _over_budget("twin-cover", g, best)
-                stats.guesses += 1
-                finish(picked, pset, demands, sig_in_p, chosen)
-                return
-            ci, size, cliques = groups[idx]
-            m = len(cliques)
-            thr_full = protection_threshold(size - 1 + t_of[ci])
-            full_ok = sig_in_p[ci] + size >= thr_full
-            for y in range(min(size - 1, m) + 1):
-                for f in range(m - y + 1):
-                    if f and not full_ok:
-                        continue  # fully picked cliques would go unprotected
-                    nxt = chosen + [(ci, size, f, y)] if (f or y) else chosen
-                    walk(idx + 1, nxt, base + size * f + y)
-
-        walk(0, [], len(picked))
-
-    if best is None:
-        raise InternalVerificationError("no feasible guess on a non-empty graph")
-    stats.best_guess = best_guess
-    return verify_alliance(g, best[1]), stats
+        demands = [demand(g, u, pset) for u in picked]
+        if best is not None and len(picked) + max(demands + [0]) > best[0]:
+            stats.pruned += 1
+            continue
+        live = [  # (signature, size, cliques, lo) of the groups that can be used
+            (sig, size, cliques, lo)
+            for sig, size, cliques, thr in groups
+            if (lo := max(1, thr - sum(1 for w in sig if w in pset))) <= size
+        ]
+        # variables 2k and 2k+1: the cliques used and the vertices taken in group k
+        taken = (0, 1) * len(live)  # the objective
+        cons = []
+        for k, (_sig, size, _cliques, lo) in enumerate(live):
+            for link in ((-lo, 1), (size, -1)):  # lo*j <= T <= size*j
+                cons.append(((0, 0) * k + link + (0, 0) * (len(live) - k - 1), 0))
+        for u, du in zip(picked, demands):
+            cons.append((tuple(c * (u in grp[0]) for grp in live for c in (0, 1)), du))
+        if not picked:
+            cons.append((taken, 1))
+        bounds = tuple(
+            b for _sig, size, cl, _lo in live for b in ((0, len(cl)), (0, len(cl) * size))
+        )
+        stats.guesses += 1
+        stats.ilp_solves += 1
+        sol = solve_ilp(IlpProblem(objective=taken, constraints=tuple(cons), bounds=bounds))
+        if sol.status != "optimal":
+            continue
+        members = list(picked)
+        for k, (_sig, size, cliques, lo) in enumerate(live):
+            used, total = sol.assignment[2 * k], sol.assignment[2 * k + 1]
+            surplus = total - lo * used
+            for cl in cliques[:used]:
+                extra = min(size - lo, surplus)
+                members.extend(cl[: lo + extra])
+                surplus -= extra
+        cand = (len(members), tuple(sorted(members)))
+        if best is None or cand < best:
+            best = cand
+    return _answer("twin-cover", g, best), stats
 
 
 def normalize_partial_cliques(g: Graph, partition, members) -> frozenset[int]:
@@ -341,7 +288,8 @@ def normalize_partial_cliques(g: Graph, partition, members) -> frozenset[int]:
     ties).  Receivers are at least as full as the donor, so every moved-to
     clique clears the donor's protection threshold; totals per clique set are
     unchanged, so cover members keep their defenders.  Size and validity are
-    preserved, and the result is a fixed point of the procedure.
+    preserved, and the result is a fixed point of the procedure.  This is
+    the paper's lemma; `solve_twincover_detailed` does not rely on it.
     """
     if partition.mode != "cliques-remainder":
         raise ValueError("normalisation needs a cliques-remainder partition")

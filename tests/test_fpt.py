@@ -108,7 +108,6 @@ def test_dtc_guess_budget():
     t = len(partition_twin_classes(g, mod).classes)
     assert stats.guesses <= 2 ** len(mod) * (t + 1)
     assert stats.ilp_solves <= stats.guesses
-    assert stats.best_guess is not None
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -253,20 +252,95 @@ def test_twincover_matches_both_oracles(seed):
     assert sol.size == solve_ilp(encode_min_alliance_ilp(g)).objective_value
 
 
+@pytest.mark.parametrize(
+    "spec, seed, members",
+    [
+        ("twincover:n=7,t=2,zmax=2", 9008, (0, 5)),
+        ("twincover:n=14,t=4,zmax=5", 9065, (0, 5)),
+        ("twincover:n=6,t=2,zmax=3", 9143, (0, 1, 5)),
+        ("twincover:n=13,t=4,zmax=3", 9173, (1, 4)),
+    ],
+)
+def test_twincover_witness_is_least_over_every_pick(spec, seed, members):
+    # picks whose lower bound only ties the best size are still solved, so
+    # the witness is the least (size, members) over case 1 and every pick
+    g = generate(spec, seed)
+    sol = solve_twincover(g, twin_cover_set(g, 5))
+    assert sol.size == brute_force_min_alliance(g).size
+    assert sol.members == members
+
+
 def test_twincover_guess_budget():
-    g = generate("twincover:n=12,t=2,zmax=3", 17)
-    cover = twin_cover_set(g, 2)
-    part = partition_clique_sets(g, cover)
-    sol, stats = solve_twincover_detailed(g, cover)
+    # one ILP per pick of the cover, at most; the last two graphs took 21
+    # and 75 guesses when each count of full and partial cliques was one
+    for spec, seed in [
+        ("twincover:n=12,t=2,zmax=3", 17),
+        ("twincover:n=30,t=4", 2),
+        ("twincover:n=60,t=5", 1),
+    ]:
+        g = generate(spec, seed)
+        cover = twin_cover_set(g, 5)
+        sol, stats = solve_twincover_detailed(g, cover)
+        assert sol.valid
+        assert stats.guesses <= 2 ** len(cover)
+        assert stats.ilp_solves == stats.guesses
+
+
+def _small_cliques_under_a_big_cover(n, seed):
+    """Cover 0..4 with random edges, then cliques of 1..4 vertices up to n,
+    each joined to a random set of cover vertices larger than the clique."""
+    rng = random.Random(seed)
+    cover = list(range(5))
+    edges = {(a, b) for a in cover for b in cover if a < b and rng.random() < 0.5}
+    v = 5
+    while v < n:
+        s = rng.randint(1, min(4, n - v))
+        clique = range(v, v + s)
+        edges |= {(a, b) for a in clique for b in clique if a < b}
+        sig = rng.sample(cover, rng.randint(min(5, s + 1), 5))
+        edges |= {(u, w) for u in sig for w in clique}
+        v += s
+    return build_graph(n, sorted(edges)), cover
+
+
+def test_twincover_cliques_smaller_than_their_signatures():
+    # no clique alone is an alliance here, so every answer comes from the
+    # ILP of one cover pick; the optimum is large (32 of 80 vertices)
+    pytest.importorskip("scipy")
+    from _oracles import milp_min_alliance_size
+
+    g, cover = _small_cliques_under_a_big_cover(80, 0)
+    assert len(g.edges) == 403
+    sol, stats = solve_twincover_detailed(g, cover, time_limit=10.0)
     assert sol.valid
-    bound = 2 ** len(cover)
-    for tc in part.classes:
-        t_i = len(tc.signature)
-        for size, cliques in tc.cliques_by_size().items():
-            if size < t_i:  # only groups the count enumeration walks
-                m = len(cliques)
-                bound *= (min(size - 1, m) + 1) * (m + 1)
-    assert stats.guesses <= bound
+    assert sol.size == milp_min_alliance_size(g.n, g.edges)
+    assert stats.guesses <= 2 ** len(cover)
+
+
+@pytest.mark.parametrize(
+    "solve, spec, find",
+    [
+        (solve_dtc, "cliqueplus:n=30,k=3", distance_to_clique_set),
+        (solve_dtc, "cliqueplus:n=12,k=3", distance_to_clique_set),
+        (solve_twincover, "twincover:n=20,t=3,zmax=4", twin_cover_set),
+        (solve_twincover, "twincover:n=30,t=4", twin_cover_set),
+    ],
+)
+def test_fpt_solvers_verify_only_their_answer(monkeypatch, solve, spec, find):
+    import minalliance.fpt as fpt
+
+    checked = []
+
+    def counting(g, members):
+        checked.append(tuple(members))
+        return verify_alliance(g, members)
+
+    monkeypatch.setattr(fpt, "verify_alliance", counting)
+    for seed in range(1, 6):
+        g = generate(spec, seed)
+        checked.clear()
+        sol = solve(g, find(g, 5))
+        assert checked == [sol.members]
 
 
 def test_twincover_handles_uncovered_clique_component():

@@ -36,23 +36,30 @@ def _dtc_graphs(draw):
 
 @st.composite
 def _twincover_graphs(draw):
-    """A cover of up to 3 vertices with drawn edges among them, and up to
+    """A cover of up to 4 vertices with drawn edges among them, and up to
     six cliques of 1..4 vertices; each clique is joined to one of up to
-    three drawn cover signatures, so cliques share signatures."""
-    c = draw(st.integers(0, 3))
+    three drawn cover signatures, so cliques share signatures.  In a drawn
+    share of examples every clique has fewer vertices than its signature,
+    so no clique alone carries an alliance and the solver's ILP gives every
+    answer."""
+    c = draw(st.integers(0, 4))
     cover = list(range(c))
     edges = {
         (a, b) for a in cover for b in cover[a + 1:] if draw(st.booleans())
     }
-    signatures = draw(st.lists(st.sets(st.sampled_from(cover)) if cover
-                               else st.just(set()), min_size=1, max_size=3))
+    small = c >= 2 and draw(st.booleans())
+    signatures = draw(st.lists(
+        st.sets(st.sampled_from(cover), min_size=2 if small else 0) if cover
+        else st.just(set()), min_size=1, max_size=3))
     n = c
     for _ in range(draw(st.integers(1, 6))):
-        size = draw(st.integers(1, min(4, 12 - n)))
+        signature = draw(st.sampled_from(signatures))
+        most = len(signature) - 1 if small else 4
+        size = draw(st.integers(1, min(most, 12 - n)))
         clique = list(range(n, n + size))
         n += size
         edges |= {(a, b) for a in clique for b in clique if a < b}
-        edges |= {(s, v) for s in draw(st.sampled_from(signatures)) for v in clique}
+        edges |= {(s, v) for s in signature for v in clique}
         if n == 12:
             break
     return _relabel(draw, n, edges, cover)
