@@ -4,8 +4,8 @@ Every subcommand prints one JSON document on stdout.  Exit codes: 0 success,
 1 invalid input or a budget overrun, 2 a solver returned a witness that failed
 verification.
 
-`solve --algo auto` routes a connected graph without forbidden vertices and
-with maximum degree five to `lowdeg`, else a graph with a distance-to-clique
+`solve --algo auto` routes a graph without forbidden vertices and with
+maximum degree five to `lowdeg`, else a graph with a distance-to-clique
 set or a twin cover of at most `--kmax` vertices to `dtc` or `twincover`,
 and everything else to the branch and bound `search`, which climbs from a
 proven lower bound on the size and descends from an incumbent in turn.
@@ -42,7 +42,7 @@ from .alliances import (
 from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .fpt import solve_dtc, solve_twincover
 from .generators import generate
-from .graphs import Graph, GraphError, is_connected
+from .graphs import Graph, GraphError
 from .ilp import solve_min_alliance_ilp
 from .lowdeg import solve_min_alliance_lowdeg
 from .params import distance_to_clique_set, partition_clique_sets, twin_cover_set
@@ -118,7 +118,7 @@ def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int]
     decided the route (None where no modulator was searched)."""
     if algo != "auto":
         return algo, None
-    if not g.forbidden and g.max_degree() <= 5 and is_connected(g):
+    if not g.forbidden and g.max_degree() <= 5:
         return "lowdeg", None
     if not g.forbidden:
         mod = distance_to_clique_set(g, kmax)

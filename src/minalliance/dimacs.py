@@ -33,12 +33,34 @@ def parse_dimacs(text: str | bytes) -> Graph:
     seen: set[tuple[int, int]] = set()
     forbidden: set[int] = set()
     header_line = 0
+    # one split per line; edge lines, nearly all of a file, come first, and
+    # the stripped line is built only for a message or the header
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        key = fields[0]
+        if key == "e" and n >= 0:
+            if len(fields) != 3:
+                raise DimacsError(f"bad edge line {raw.strip()!r}", lineno)
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise DimacsError(f"non-integer endpoint in {raw.strip()!r}", lineno) from None
+            if not (1 <= u <= n) or not (1 <= v <= n):
+                raise EdgeRangeError(f"endpoint outside 1..{n} in {raw.strip()!r}", lineno)
+            if u == v:
+                raise EdgeRangeError(f"self-loop at {u}", lineno)
+            e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+            if e in seen:
+                raise DuplicateEdgeError(f"edge {u} {v} repeats", lineno)
+            seen.add(e)
+            edges.append(e)
+            continue
+        if key[0] == "c":
+            continue
+        line = raw.strip()
+        if key == "p":
             if n >= 0:
                 raise MalformedHeaderError("second problem line", lineno)
             if len(fields) != 4 or fields[1] != "edge":
@@ -50,26 +72,9 @@ def parse_dimacs(text: str | bytes) -> Graph:
             if n < 0 or m < 0:
                 raise MalformedHeaderError(f"negative sizes in {line!r}", lineno)
             header_line = lineno
-            continue
-        if n < 0:
+        elif n < 0:
             raise MalformedHeaderError("edge data before the problem line", lineno)
-        if fields[0] == "e":
-            if len(fields) != 3:
-                raise DimacsError(f"bad edge line {line!r}", lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise DimacsError(f"non-integer endpoint in {line!r}", lineno) from None
-            if not (1 <= u <= n) or not (1 <= v <= n):
-                raise EdgeRangeError(f"endpoint outside 1..{n} in {line!r}", lineno)
-            if u == v:
-                raise EdgeRangeError(f"self-loop at {u}", lineno)
-            e = (min(u, v) - 1, max(u, v) - 1)
-            if e in seen:
-                raise DuplicateEdgeError(f"edge {u} {v} repeats", lineno)
-            seen.add(e)
-            edges.append(e)
-        elif fields[0] == "f":
+        elif key == "f":
             if len(fields) != 2:
                 raise DimacsError(f"bad forbidden line {line!r}", lineno)
             try:

@@ -153,9 +153,12 @@ def is_connected(g: Graph) -> bool:
     return distances_from(g, 0).count(UNREACHABLE) == 0
 
 
-def shortest_cycle_with_vertices(g: Graph, v: int) -> tuple[int, tuple[int, ...]] | None:
+def shortest_cycle_with_vertices(
+    g: Graph, v: int, bound: int | None = None
+) -> tuple[int, tuple[int, ...]] | None:
     """Shortest simple cycle containing v, as (length, sorted vertex tuple),
-    or None if no cycle passes through v.
+    or None if no cycle passes through v.  With a `bound`, None also when
+    every cycle through v is longer than `bound`.
 
     One BFS from v labels every vertex with the neighbour of v it descends
     from (Itai & Rodeh, "Finding a minimum circuit in a graph", 1978).  An
@@ -165,7 +168,11 @@ def shortest_cycle_with_vertices(g: Graph, v: int) -> tuple[int, tuple[int, ...]
     v.  The length is exact: walking the shortest cycle from one neighbour of
     v to the other, some edge changes label, and the cycle it closes is no
     longer.  Edges towards shallower vertices were scanned from their other
-    end, so once 2 * dist[x] + 1 >= best no later edge closes a shorter cycle.
+    end, so a cycle closed at x has length at least 2 * dist[x] + 1, and the
+    BFS stops once that reaches the best length so far, or exceeds `bound`.
+    A cycle within the bound is closed before the stop, so the bound changes
+    no answer it lets through.  The BFS state is kept in dicts, so a BFS cut
+    short costs only the vertices it reached.
 
     Tie-break: the witness is the cycle closed by the first edge, in BFS scan
     order (vertices by discovery, neighbours ascending), that reaches the
@@ -173,31 +180,35 @@ def shortest_cycle_with_vertices(g: Graph, v: int) -> tuple[int, tuple[int, ...]
     """
     if not (0 <= v < g.n):
         raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
-    dist = [UNREACHABLE] * g.n
-    label = [-1] * g.n
-    parent = [v] * g.n
-    dist[v] = 0
-    q = deque()
-    for u in g.adj[v]:
+    adj = g.adj
+    dist = {v: 0}
+    label: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    for u in adj[v]:
         dist[u] = 1
         label[u] = u
-        q.append(u)
-    best: int | None = None
+        parent[u] = v
+    q = deque(adj[v])
+    # only cycles shorter than `best` can still win; no simple cycle is
+    # longer than n
+    best = g.n + 1 if bound is None else bound + 1
+    closing = None
     while q:
         x = q.popleft()
-        if best is not None and 2 * dist[x] + 1 >= best:
+        dx = dist[x]
+        if 2 * dx + 1 >= best:
             break
-        for y in g.adj[x]:
-            if dist[y] == UNREACHABLE:
-                dist[y] = dist[x] + 1
-                label[y] = label[x]
+        lx = label[x]
+        for y in adj[x]:
+            dy = dist.get(y)
+            if dy is None:
+                dist[y] = dx + 1
+                label[y] = lx
                 parent[y] = x
                 q.append(y)
-            elif y != v and label[y] != label[x]:
-                cand = dist[x] + dist[y] + 1
-                if best is None or cand < best:
-                    best, closing = cand, (x, y)
-    if best is None:
+            elif y != v and label[y] != lx and dx + dy + 1 < best:
+                best, closing = dx + dy + 1, (x, y)
+    if closing is None:
         return None
     members = [v]
     for u in closing:

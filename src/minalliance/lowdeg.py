@@ -7,13 +7,14 @@ nearest other vertex of degree at most three (degree two or three), and a
 shortest cycle through v.  The global answer is the smallest (size, kind
 rank, witness) key over every root and shape.
 
-`solve_min_alliance_lowdeg` finds that key in two passes without solving
-every subproblem in full.  Pass 1 takes the singleton and path candidates
-of every root and stops at the first root of degree at most one; each
-root's BFS stops at the end of the first level that holds a vertex of
-degree at most three.  Pass 2 considers cycles only when one can still win
-and takes each root's shortest cycle, length and witness, from one
-branch-labelled BFS.
+`solve_min_alliance_lowdeg` finds that key without solving every subproblem
+in full.  Keys of size one and two are read off the degrees in O(n + m): the
+least vertex of degree at most one, else the least edge whose two ends both
+have degree at most three.  Only when neither exists does it search: pass 1
+takes the path candidate of every root, each root's BFS stopping at the end
+of the first level that holds a vertex of degree at most three, and pass 2
+takes the shortest cycle through each root from one branch-labelled BFS cut
+off at the length that can still win.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .alliances import (
 from .graphs import (
     Graph,
     VertexRangeError,
-    is_connected,
     shortest_cycle_with_vertices,
 )
 
@@ -54,8 +54,6 @@ def _check_lowdeg_input(g: Graph) -> None:
         raise DegreeBoundError(
             f"maximum degree {g.max_degree()} exceeds the bound of five"
         )
-    if not is_connected(g):
-        raise ValueError("the low-degree solver expects a connected graph")
     if g.forbidden:
         raise ValueError("the low-degree solver does not support forbidden vertices")
 
@@ -159,46 +157,62 @@ def solve_subproblem(g: Graph, v: int) -> SubproblemResult:
 
 
 def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
-    """Minimum defensive alliance of a connected graph with max degree five.
+    """Minimum defensive alliance of a graph with maximum degree five.
 
-    A minimum alliance S induces a connected subgraph.  If it holds a cycle,
-    the shortest-cycle candidate at a vertex of that cycle is no larger than
-    S.  Otherwise it induces a tree.  A one-vertex tree is a vertex of degree
-    at most one, the singleton candidate.  A larger tree has two leaves,
-    each with one defender inside, hence of degree at most three; the path
-    between them in the tree is an alliance no larger than S, so the
-    singleton or path candidate at either leaf is no larger.  The best
+    A minimum alliance S induces a connected subgraph, so it lies in one
+    component, and no search below leaves the component of its root.  If S
+    holds a cycle, the shortest-cycle candidate at a vertex of that cycle is
+    no larger than S.  Otherwise it induces a tree.  A one-vertex tree is a
+    vertex of degree at most one, the singleton candidate.  A larger tree has
+    two leaves, each with one defender inside, hence of degree at most three;
+    the path between them in the tree is an alliance no larger than S, so
+    the singleton or path candidate at either leaf is no larger.  The best
     candidate over all roots is therefore exact.
 
     The answer is the smallest key (size, kind rank, witness) over every
-    root and candidate, found in two passes.  Pass 1 takes the singleton
-    and path candidates of every root, and returns at the first root of
-    degree at most one, whose key (1, 0, (v,)) no other key beats.
-    A cycle (rank 2) of length L beats the best key so far only if L is
-    below its size, or equal to it when that key is a cycle too, so no
-    cycle longer than `bound` can win.  Pass 2 takes every root's shortest
-    cycle from one branch-labelled BFS (`shortest_cycle_with_vertices`,
-    which depends on (g, root) alone) and offers those within the bound, so
-    the answer equals the best of all subproblems.
+    root and candidate.  Two checks on the degrees come first:
 
-    Pass 1 runs no full BFS: each root's BFS stops at the end of the first
-    level that holds a vertex of degree at most three (`_nearest_low_path`).
+    - A vertex of degree at most one gives the key (1, 0, (v,)), and no other
+      key has size one, so the least such vertex is the answer.
+    - Otherwise the keys of size two are path keys (rank 1), since every
+      cycle has at least three vertices: edges whose ends both have degree at
+      most three.  The least such edge (u, w), u < w, is the path candidate at
+      root u: u has no such neighbour below itself, or a smaller edge would
+      exist, so w is the least vertex of degree at most three in the first
+      BFS level from u, where `_nearest_low_path` stops.  That edge is the
+      answer, which settles every cubic graph without a BFS.
+
+    Only when neither check fires does the search run, in two passes.  Pass 1
+    takes the path candidate of every root, from one BFS per root that stops
+    at the end of the first level holding a vertex of degree at most three
+    (`_nearest_low_path`).  A cycle (rank 2) of length L beats the best key
+    so far only if L is below its size, or equal to it when that key is a
+    cycle too, so no cycle longer than `bound` can win.  Pass 2 asks every
+    root for its shortest cycle of length at most `bound`
+    (`shortest_cycle_with_vertices`, whose answer within the bound depends on
+    (g, root) alone), so the answer equals the best of all subproblems.
+
     Candidates are compared by key alone: only the answer is checked by
     `verify_alliance`, and one that fails raises InternalVerificationError.
     """
     _check_lowdeg_input(g)
-    best = None
     for v in range(g.n):
         if g.degree(v) <= 1:
             return _verified(g, (v,), "lowdeg answer")
+    low = [len(nbrs) <= 3 for nbrs in g.adj]
+    for u, w in g.edges:
+        if low[u] and low[w]:
+            return _verified(g, (u, w), "lowdeg answer")
+    best = None
+    for v in range(g.n):
         found = _best(_path_candidates(g, v))
         if found is not None and (best is None or found < best):
             best = found
     bound = g.n if best is None else best[0][0] - 1
     if bound >= 3:  # no cycle is shorter
         for v in range(g.n):
-            cyc = shortest_cycle_with_vertices(g, v)
-            if cyc is not None and cyc[0] <= bound:
+            cyc = shortest_cycle_with_vertices(g, v, bound)
+            if cyc is not None:
                 found = _best([(cyc[0], "cycle", cyc[1])])
                 if best is None or found < best:
                     best = found

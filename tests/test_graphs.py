@@ -236,6 +236,19 @@ def test_cycle_tie_break_is_first_closing_edge():
     assert shortest_cycle_with_vertices(g, 0) == (3, (0, 1, 2))
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_bounded_cycle_is_the_unbounded_one_within_the_bound(seed):
+    # every bound from below the shortest cycle length up to n: the cut-off
+    # BFS keeps the unbounded witness, tie-break included, or returns None
+    n = 5 + seed % 16  # 5..20
+    g = random_graph(n, (2 + seed % 4) / n, 900 + seed)
+    for v in range(n):
+        full = shortest_cycle_with_vertices(g, v)
+        for bound in range(n + 1):
+            want = full if full is not None and full[0] <= bound else None
+            assert shortest_cycle_with_vertices(g, v, bound) == want, (g.edges, v, bound)
+
+
 # ---------------------------------------------------------------- girth
 
 

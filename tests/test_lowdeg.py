@@ -1,5 +1,6 @@
 """Low-degree exact solver: per-vertex subproblems and the global minimum."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from minalliance import (
     brute_force_min_alliance,
     build_graph,
     generate,
+    is_connected,
     solve_min_alliance_lowdeg,
     solve_subproblem,
     verify_alliance,
@@ -94,13 +96,28 @@ def test_rejects_degree_six():
         solve_min_alliance_lowdeg(g)
 
 
-def test_rejects_disconnected_and_empty_and_forbidden():
-    with pytest.raises(ValueError):
-        solve_min_alliance_lowdeg(build_graph(3, [(0, 1)]))
+def test_rejects_empty_and_forbidden_but_solves_disconnected():
     with pytest.raises(ValueError):
         solve_min_alliance_lowdeg(build_graph(0, []))
     with pytest.raises(ValueError):
         solve_min_alliance_lowdeg(build_graph(2, [(0, 1)], forbidden=[0]))
+    # a minimum alliance lies in one component, and each root's search stays
+    # in its own: the answer may sit in any component, behind none
+    c8 = circulant(8, 2)
+    graphs = [
+        build_graph(3, [(0, 1)]),
+        build_graph(12, list(c8.edges) + [(8, 9), (9, 10), (10, 11), (8, 11)]),
+        build_graph(16, list(c8.edges) + [(u + 8, w + 8) for u, w in circulant(8, 3).edges]),
+    ]
+    rng = random.Random(31)
+    while len(graphs) < 40:
+        g = random_capped_graph(rng.randint(2, 12), 5, rng.uniform(0.1, 0.4), rng)
+        if not is_connected(g):
+            graphs.append(g)
+    for g in graphs:
+        sol = solve_min_alliance_lowdeg(g)
+        assert sol.size == brute_force_min_alliance(g).size, (g.n, g.edges)
+        assert sol.members == best_of_all_subproblems(g)[2], (g.n, g.edges)
 
 
 def test_high_degree_roots_never_get_thin_witnesses():
@@ -252,8 +269,8 @@ def test_global_solve_runs_no_full_bfs(monkeypatch):
     # the sparse-lowdeg families: the witnesses with the old two-BFS path
     # search in pass 1, then the same solves with every bfs_path failing
     # (lowdeg no longer imports bfs_path) and every full BFS counted, also
-    # one lowdeg might import: the one full BFS per solve is the
-    # connectivity check of the input
+    # one lowdeg might import: none runs, as the input's connectivity is
+    # not checked
     import minalliance.graphs as graphs_module
 
     graphs = [generate(spec, seed) for spec in SPARSE_LOWDEG_SPECS for seed in range(8)]
@@ -277,7 +294,7 @@ def test_global_solve_runs_no_full_bfs(monkeypatch):
     for g, members in zip(graphs, expected):
         full_bfs.clear()
         assert solve_min_alliance_lowdeg(g).members == members
-        assert full_bfs == [0]
+        assert full_bfs == []
 
 
 def test_global_solve_verifies_only_its_answer(monkeypatch):
@@ -297,9 +314,78 @@ def test_global_solve_verifies_only_its_answer(monkeypatch):
 
 
 def test_global_solve_rejects_an_invalid_answer(monkeypatch):
-    def thin(g, v):  # each root alone, though no vertex of C5 has degree <= 1
+    import minalliance.lowdeg as lowdeg
+
+    def thin(g, v):  # each root alone, though C_8(1, 2) is 4-regular
         yield 1, "singleton", (v,)
 
-    monkeypatch.setattr("minalliance.lowdeg._path_candidates", thin)
-    with pytest.raises(InternalVerificationError, match="not an alliance"):
-        solve_min_alliance_lowdeg(cycle_graph(5))
+    # C_8(1, 2) has no key of size two or less, so pass 1 runs the stub
+    with monkeypatch.context() as m:
+        m.setattr(lowdeg, "_path_candidates", thin)
+        with pytest.raises(InternalVerificationError, match="not an alliance"):
+            solve_min_alliance_lowdeg(circulant(8, 2))
+
+    def rejecting(g, witness):
+        checked = verify_alliance(g, witness)
+        return dataclasses.replace(checked, valid=False)
+
+    # the answers read off the degrees are checked too: a leaf, an edge
+    monkeypatch.setattr(lowdeg, "verify_alliance", rejecting)
+    for g in (build_graph(2, [(0, 1)]), cycle_graph(5)):
+        with pytest.raises(InternalVerificationError, match="not an alliance"):
+            solve_min_alliance_lowdeg(g)
+
+
+def test_answers_of_size_two_or_less_run_no_search(monkeypatch):
+    # every sparse-lowdeg graph whose answer has size one or two: the full
+    # subproblems' answer first, then the same solves with both searches
+    # failing
+    graphs = [generate(spec, seed) for spec in SPARSE_LOWDEG_SPECS for seed in range(8)]
+    expected = [best_of_all_subproblems(g) for g in graphs]
+    picked = [(g, key[2]) for g, key in zip(graphs, expected) if key[0] <= 2]
+    assert len(picked) > 0.9 * len(graphs)
+
+    def no_search(*args):
+        raise AssertionError("solve_min_alliance_lowdeg searched")
+
+    monkeypatch.setattr("minalliance.lowdeg._nearest_low_path", no_search)
+    monkeypatch.setattr("minalliance.lowdeg.shortest_cycle_with_vertices", no_search)
+    for g, members in picked:
+        assert solve_min_alliance_lowdeg(g).members == members
+
+
+def relabelled_by_degree(g, rng):
+    """g renamed so that ids fall as degrees rise (ties shuffled): the
+    vertices of degree at most three, leaves first among them, get the
+    highest ids, and vertex 0 one of the largest degree."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    order.sort(key=lambda v: -g.degree(v))
+    label = {v: i for i, v in enumerate(order)}
+    return build_graph(g.n, [(label[u], label[w]) for u, w in g.edges])
+
+
+def low_edge_far_from_zero(n):
+    """C_n(1, 2) without the edges (k, k + 2) and (k + 1, k + 3), k = n // 2:
+    vertex 0 has degree 4, and the only edges between two vertices of degree
+    three, (k, k + 1), (k + 1, k + 2) and (k + 2, k + 3), lie n // 4 steps
+    from it."""
+    k = n // 2
+    return build_graph(n, [e for e in circulant(n, 2).edges
+                           if e not in ((k, k + 2), (k + 1, k + 3))])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_degree_checks_equal_best_of_all_subproblems(seed):
+    rng = random.Random(6000 + seed)
+    graphs = [
+        relabelled_by_degree(random_capped_graph(rng.randint(2, 30), 5, rng.uniform(0.05, 0.3), rng), rng),
+        relabelled_by_degree(generate(f"degcap:n={rng.randint(6, 30)},dmax=5", 6000 + seed), rng),
+        low_edge_far_from_zero(10 + seed),
+    ]
+    if seed % 3 == 0:
+        # a leaf behind the high-degree vertices, on top of those edges
+        g = low_edge_far_from_zero(10 + seed)
+        graphs.append(build_graph(g.n + 1, list(g.edges) + [(1, g.n)]))
+    for g in graphs:
+        assert solve_min_alliance_lowdeg(g).members == best_of_all_subproblems(g)[2], (g.n, g.edges)
