@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Every subcommand prints one JSON document on stdout.  Exit codes: 0 success,
+Every subcommand prints one JSON document on stdout, as one compact line
+(the files it writes stay indented).  Exit codes: 0 success,
 1 invalid input or a budget overrun, 2 a solver returned a witness that failed
 verification.
 
@@ -97,7 +98,7 @@ class ResultRecord:
 
 
 def _read_graph(path: str) -> Graph:
-    return parse_dimacs(Path(path).read_text())
+    return parse_dimacs(Path(path).read_bytes())
 
 
 def _read_vertex_set(path: str) -> list[int]:
@@ -455,7 +456,7 @@ def run_command(argv: list[str]) -> int:
     ) as exc:
         print(json.dumps({"error": str(exc), "kind": "invalid-input"}))
         return EXIT_INVALID
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))
     return status
 
 

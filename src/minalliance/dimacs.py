@@ -25,9 +25,16 @@ class EdgeRangeError(DimacsError):
 
 
 def parse_dimacs(text: str | bytes) -> Graph:
-    """Parse "p edge n m" followed by m "e u v" lines and optional "f u" lines."""
+    """Parse "p edge n m" followed by m "e u v" lines and optional "f u" lines.
+
+    Bytes are read as UTF-8; a bad byte is a DimacsError on its line."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the bad byte starts or continues the last line of the valid prefix
+            line = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+            raise DimacsError(f"byte {text[exc.start]:#04x} is not UTF-8", line) from None
     n = m = -1
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

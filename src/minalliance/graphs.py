@@ -37,6 +37,7 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
     adj_sets: tuple[frozenset[int], ...]
     forbidden: frozenset[int]
+    top_degree: int  # counted once, in `_freeze`
 
     @property
     def m(self) -> int:
@@ -52,7 +53,7 @@ class Graph:
         return v in self.adj_sets[u]
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return self.top_degree
 
 
 def build_graph(
@@ -104,6 +105,7 @@ def _freeze(n: int, edges: list[tuple[int, int]], forbidden: Iterable[int]) -> G
         adj=tuple(map(tuple, neigh)),
         adj_sets=tuple(map(frozenset, neigh)),
         forbidden=frozenset(forbidden),
+        top_degree=max(map(len, neigh), default=0),
     )
 
 

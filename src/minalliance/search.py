@@ -8,6 +8,7 @@ on the member that lacks the most defenders.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import chain, cycle
 from time import monotonic
 
@@ -26,8 +27,8 @@ def solve_min_alliance_search(
 ) -> AllianceSolution | None:
     """Minimum defensive alliance avoiding forbidden vertices, or None.
 
-    Level k asks `_alliance_within` for the first alliance of at most k
-    vertices in the search order.  Levels run on one fixed schedule between
+    Level k asks for the first alliance of at most k vertices in the search
+    order.  Levels run on one fixed schedule between
     lo, a size every smaller one is proven not to reach (first the least
     threshold ceil((d(v)+1)/2) of an allowed vertex), and hi, the size of
     the incumbent (first n' + 1, for the n' allowed vertices).  A climb runs
@@ -64,6 +65,12 @@ def solve_min_alliance_search(
     failed climb proves lo + 1 a lower bound, a failed descent proves hi
     optimal, and both directions are exact.
 
+    Each climb is one fresh level.  The descents are one walk,
+    `_alliances`, started once at level n': after each find A it resumes at
+    level |A| - 1 where that level, run afresh from the first root, would
+    stand, so no descent walks again the nodes an earlier one passed, and
+    each finds what a restart at level hi - 1 would (see `_alliances`).
+
     The witness is the first alliance at the optimum level, the one a climb
     alone returns, so it depends on the graph alone, and no level is run
     twice for it.  The nodes a level visits, and their order, depend on k
@@ -89,10 +96,16 @@ def solve_min_alliance_search(
     best = None
     # climb, the incumbent's descent, then descent and climb in turn
     climbs = chain((True, False), cycle((False, True)))
+    # one walk for every descent: each turn resumes it at level hi - 1
+    descent = _alliances(g, len(roots), roots, need, deadline)
     try:
         while lo < hi:
-            k = lo if next(climbs) else hi - 1
-            members = _alliance_within(g, k, roots, need, deadline)
+            if next(climbs):
+                k = lo
+                members = _alliance_within(g, k, roots, need, deadline)
+            else:
+                k = hi - 1
+                members = next(descent, None)
             if members is None:
                 lo = k + 1
             else:
@@ -122,6 +135,28 @@ def _alliance_within(
     g: Graph, k: int, roots: list[int], need: list[int], deadline: float | None
 ) -> list[int] | None:
     """The first alliance of at most k vertices in the search order, or None."""
+    return next(_alliances(g, k, roots, need, deadline), None)
+
+
+def _alliances(
+    g: Graph, k: int, roots: list[int], need: list[int], deadline: float | None
+) -> Iterator[list[int]]:
+    """The first alliance A of at most k vertices in the search order, then
+    the first of at most |A| - 1 vertices, and so on, in one walk.
+
+    After a find A of s vertices at level k, the walk goes on at level
+    s - 1.  The budget prune alone depends on the level, so level s - 1
+    visits a subsequence of level k's nodes, in the same order.  It follows
+    the same path towards A, with the same bans and branches, up to the
+    outermost frame it would not push (deficit > (s - 1) - |S| at its
+    node), and visits nothing before that which level k did not visit
+    before A: no alliance, since A was level k's first.  Unwinding that
+    frame and every frame above it, with no further branch taken, leaves
+    the stack where level s - 1, run afresh, stands after refusing that
+    frame, and the walk goes on through the rest of level s - 1 in its own
+    order.  By induction, each find is what a fresh run of its level finds
+    first, and no node before it is walked twice.
+    """
     adj = g.adj  # each neighbour list ascending
     inside = [0] * g.n  # |N(v) cap S|
     # a vertex is blocked while it is a member, banned or forbidden
@@ -139,8 +174,11 @@ def _alliance_within(
             inside[u] -= 1
 
     for root in roots:
+        if k < 1:  # not even a root fits
+            return
         add(root)
-        # one frame per branching node: [candidates, branches taken, width]
+        # one frame per branching node:
+        # [candidates, branches taken, width, |S|, deficit]
         frames: list[list] = []
         while True:
             if deadline is not None and monotonic() > deadline:
@@ -153,15 +191,25 @@ def _alliance_within(
                 if d > deficit or (d == deficit and d > 0 and u < worst):
                     worst, deficit = u, d
             if deficit == 0:
-                return sorted(members)
-            cands = [c for c in adj[worst] if not blocked[c]]
-            if deficit <= k - len(members) and deficit <= len(cands):
-                frames.append([cands, 0, len(cands) - deficit + 1])
+                yield sorted(members)
+                k = len(members) - 1
+                # from the outermost frame level k would not push, every
+                # frame takes no further branch
+                for i, (_, _, _, size, deficit) in enumerate(frames):
+                    if deficit > k - size:
+                        for stale in frames[i:]:
+                            stale[2] = stale[1]
+                        break
+            else:
+                cands = [c for c in adj[worst] if not blocked[c]]
+                size = len(members)
+                if deficit <= k - size and deficit <= len(cands):
+                    frames.append([cands, 0, len(cands) - deficit + 1, size, deficit])
             # next branch: undo the last one (its vertex stays banned), or
             # lift the frame's bans and backtrack once every branch is taken
             while frames:
                 frame = frames[-1]
-                cands, taken, width = frame
+                cands, taken, width, _, _ = frame
                 if taken:
                     drop_last()
                 if taken < width:
@@ -174,4 +222,3 @@ def _alliance_within(
             else:
                 drop_last()  # the root, banned for the later roots
                 break
-    return None

@@ -30,6 +30,26 @@ def triangular_prism():
     return build_graph(6, TRIANGULAR_PRISM_EDGES)
 
 
+@pytest.fixture
+def search_turns(monkeypatch):
+    """What each turn of `solve_min_alliance_search` finds, in order, None
+    for nothing: a climb runs one fresh walk of `search._alliances`, a
+    descent turn resumes the one walk of every descent."""
+    import minalliance.search as search
+
+    walk = search._alliances
+    turns = []
+
+    def counted(*args):
+        for found in walk(*args):
+            turns.append(found)
+            yield found
+        turns.append(None)
+
+    monkeypatch.setattr(search, "_alliances", counted)
+    return turns
+
+
 def _relabelled(nx_graph, rng):
     n = nx_graph.number_of_nodes()
     perm = list(range(n))

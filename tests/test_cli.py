@@ -202,7 +202,9 @@ def test_search_budget_overrun_reports_lower_bound(capsys, bridge_file, monkeypa
     }
 
 
-def test_search_budget_overrun_carries_the_incumbent(capsys, tmp_path, monkeypatch):
+def test_search_budget_overrun_carries_the_incumbent(
+    capsys, tmp_path, monkeypatch, search_turns
+):
     import minalliance.search as search
 
     rng = random.Random(4005)
@@ -210,20 +212,12 @@ def test_search_budget_overrun_carries_the_incumbent(capsys, tmp_path, monkeypat
     g = build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5])
     path = tmp_path / "gnp.dimacs"
     path.write_text(emit_dimacs(g))
-    level = search._alliance_within
-    passes = []
-
-    def counted(*args):
-        passes.append(level(*args))
-        return passes[-1]
-
-    monkeypatch.setattr(search, "_alliance_within", counted)
     # the clock stands still through the lower bound's level and the
     # incumbent's pass, then jumps past any deadline
-    monkeypatch.setattr(search, "monotonic", lambda: 0.0 if len(passes) < 2 else 1e9)
+    monkeypatch.setattr(search, "monotonic", lambda: 0.0 if len(search_turns) < 2 else 1e9)
     code, out = run(capsys, "solve", str(path), "--algo", "search", "--time-limit", "1")
     assert code == EXIT_INVALID
-    assert passes[0] is None and passes[1] is not None
+    assert search_turns[0] is None and search_turns[1] is not None
     assert out["kind"] == "budget"
     assert out["incumbent"] is not None
     assert out["incumbent_size"] == len(out["incumbent"]) >= out["lower_bound"]
@@ -278,6 +272,20 @@ def test_bench_rejects_a_negative_time_limit(capsys, tmp_path):
     code, out = run(capsys, "bench", str(corpus), "--time-limit=-1")
     assert code == EXIT_INVALID
     assert out["kind"] == "invalid-input"
+
+
+def test_solve_prints_one_compact_json_line(capsys, bridge_file):
+    assert run_command(["solve", bridge_file]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_solve_reports_the_line_of_a_bad_byte(capsys, tmp_path):
+    path = tmp_path / "bad.dimacs"
+    path.write_bytes(b"p edge 2 1\ne 1 2\n\xff\n")
+    code, out = run(capsys, "solve", str(path))
+    assert code == EXIT_INVALID
+    assert out == {"error": "line 3: byte 0xff is not UTF-8", "kind": "invalid-input"}
 
 
 def test_solve_kmax_too_small_is_invalid_input(capsys, tmp_path):

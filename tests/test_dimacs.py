@@ -52,6 +52,8 @@ def test_parse_cubic_file_feeds_reduction(tmp_path):
         ("p edge 2 1\ne 1 3\n", EdgeRangeError, 2),
         ("p edge 2 1\ne 0 1\n", EdgeRangeError, 2),
         ("p edge 2 1\nf 9\n", EdgeRangeError, 2),
+        (b"p edge 2 1\ne 1 2\n\xff\n", DimacsError, 3),
+        (b"p edge 2 1\r\ne 1 \xe92\n", DimacsError, 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, err, line):

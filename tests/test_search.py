@@ -96,22 +96,12 @@ def test_reduction_targets_reach_k_prime(source):
 
 
 @pytest.mark.parametrize("source, most", [("cubic:n=6", 26), ("cubic:n=8", 32)])
-def test_descent_bounds_the_levels_run(source, most, monkeypatch):
+def test_descent_bounds_the_levels_run(source, most, search_turns):
     # a climb alone runs 38 and 54 levels: every size from the threshold 3
-    # up to the optimum 40 or 56
-    import minalliance.search as search
-
-    level = search._alliance_within
-    levels = []
-
-    def counted(g, k, *rest):
-        levels.append(k)
-        return level(g, k, *rest)
-
-    monkeypatch.setattr(search, "_alliance_within", counted)
+    # up to the optimum 40 or 56; climbs and descent turns count alike
     inst = _reduction(source, 1)
     assert solve_min_alliance_search(inst.target).size == inst.k_prime
-    assert len(levels) <= most
+    assert len(search_turns) <= most
 
 
 def _union(a, b):

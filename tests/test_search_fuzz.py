@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from minalliance import (
     brute_force_min_alliance,
     build_graph,
+    build_reduction,
+    generate,
+    minimum_dominating_set,
     protection_threshold,
     solve_min_alliance_search,
 )
-from minalliance.search import _alliance_within
+from minalliance.search import _alliance_within, _alliances
 
 from _oracles import climb_only_search
 
@@ -54,13 +57,41 @@ def test_search_agrees_with_brute_force(g):
     assert solve_min_alliance_search(g) == sol
 
 
+def _roots_and_need(g):
+    roots = [v for v in range(g.n) if v not in g.forbidden]
+    return roots, [protection_threshold(g.degree(v)) - 1 for v in range(g.n)]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_graphs())
 def test_a_level_finds_its_first_alliance_at_its_size(g):
     # why the schedule never runs the optimum level again for the witness
-    roots = [v for v in range(g.n) if v not in g.forbidden]
-    need = [protection_threshold(g.degree(v)) - 1 for v in range(g.n)]
+    roots, need = _roots_and_need(g)
     for k in range(1, len(roots) + 1):
         found = _alliance_within(g, k, roots, need, None)
         if found is not None:
             assert _alliance_within(g, len(found), roots, need, None) == found
+
+
+def _assert_resumed_walk_restarts_each_level(g):
+    # the descent's one walk finds what a fresh level hi - 1 would, turn by turn
+    roots, need = _roots_and_need(g)
+    restarts, k = [], len(roots)
+    while (found := _alliance_within(g, k, roots, need, None)) is not None:
+        restarts.append(found)
+        k = len(found) - 1
+    assert list(_alliances(g, len(roots), roots, need, None)) == restarts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_graphs())
+def test_resumed_descent_equals_restarted_levels(g):
+    _assert_resumed_walk_restarts_each_level(g)
+
+
+@pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
+def test_resumed_descent_equals_restarted_levels_on_reduction_targets(source):
+    src = generate(source, 1)
+    _assert_resumed_walk_restarts_each_level(
+        build_reduction(src, len(minimum_dominating_set(src))).target
+    )
