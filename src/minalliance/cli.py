@@ -97,7 +97,7 @@ class ResultRecord:
         return out
 
 
-def _read_graph(path: str) -> Graph:
+def _read_graph(path: str | Path) -> Graph:
     return parse_dimacs(Path(path).read_bytes())
 
 
@@ -334,7 +334,7 @@ def _cmd_bench(args) -> tuple[int, list[dict]]:
     records = []
     status = EXIT_OK
     for path in corpus:
-        g = parse_dimacs(path.read_text())
+        g = _read_graph(path)
         per_algo: dict[str, ResultRecord] = {}
         for algo in algos:
             real, mod = _pick_algorithm(g, algo, args.kmax)

@@ -1,10 +1,12 @@
 """Exact integer linear programs: rational simplex relaxation + branch and bound.
 
 Problems are minimization over integer variables with >= constraints and
-finite integer box bounds.  All arithmetic is exact: the simplex works on
-integer-scaled rows (every comparison it makes -- reduced-cost signs and
-ratio tests -- is invariant under positive row scaling), and solutions are
-extracted as `fractions.Fraction` values.  No floating point anywhere.
+finite integer box bounds.  Each node's relaxation is solved by a dual
+simplex from the slack basis, negative-cost columns flipped, so one phase
+suffices.  All arithmetic is exact: the simplex works on integer-scaled rows
+(every comparison it makes -- signs and cross-multiplied ratios -- is
+invariant under positive row scaling), and solutions are extracted as
+`fractions.Fraction` values.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .alliances import BudgetExceeded, protection_threshold
+from .alliances import BudgetExceeded, InternalVerificationError, verify_alliance
 from .graphs import Graph
 
 
@@ -87,186 +89,86 @@ def _row_reduce(row: list[int]) -> None:
             row[j] //= g
 
 
-class _Simplex:
-    """Primal simplex with Bland's rule on integer-scaled tableau rows.
-
-    Each stored row is the true canonical row multiplied by some positive
-    integer; signs and cross-multiplied ratios are all the algorithm needs,
-    so no rationals appear during pivoting.
-    """
-
-    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
-        self.rows = rows  # each row has ncols coefficients then the rhs
-        self.basis = basis
-        self.ncols = ncols
-
-    def pivot(self, r: int, c: int) -> None:
-        rows = self.rows
-        prow = rows[r]
-        piv = prow[c]
-        if piv < 0:  # row scale must stay positive
-            for j in range(len(prow)):
-                prow[j] = -prow[j]
-            piv = -piv
-        _row_reduce(prow)
-        piv = prow[c]
-        for i, row in enumerate(rows):
-            if i == r or row[c] == 0:
-                continue
-            f = row[c]
-            rows[i] = [piv * x - f * y for x, y in zip(row, prow)]
-            _row_reduce(rows[i])
-        self.basis[r] = c
-
-    def run(self, z: list[int], banned: frozenset[int] = frozenset()) -> str:
-        """Minimize; z is an integer-scaled reduced-cost row (updated in place)."""
-        rows = self.rows
-        while True:
-            enter = -1
-            for j in range(self.ncols):
-                if j not in banned and z[j] < 0:
-                    enter = j
-                    break
-            if enter == -1:
-                return "optimal"
-            leave = -1
-            for i, row in enumerate(rows):
-                a = row[enter]
-                if a <= 0:
-                    continue
-                if leave == -1:
-                    leave = i
-                    continue
-                lr = rows[leave]
-                # compare row_i rhs/a against current best, exactly
-                d = row[-1] * lr[enter] - lr[-1] * a
-                if d < 0 or (d == 0 and self.basis[i] < self.basis[leave]):
-                    leave = i
-            if leave == -1:
-                return "unbounded"
-            self.pivot(leave, enter)
-            # refresh the z row against the new pivot row
-            prow = rows[leave]
-            f = z[enter]
-            if f != 0:
-                piv = prow[enter]
-                for j in range(len(z)):
-                    z[j] = piv * z[j] - f * prow[j]
-                _row_reduce(z)
-
-    def value_of(self, col: int) -> Fraction:
-        for r, b in enumerate(self.basis):
-            if b == col:
-                return Fraction(self.rows[r][-1], self.rows[r][col])
-        return Fraction(0)
-
-
 def _lp_min(
     c: Sequence[int],
     rows_in: Sequence[Sequence[int]],
     rhs_in: Sequence[int],
     ub: Sequence[int],
 ) -> tuple[str, list[Fraction] | None]:
-    """Exact LP:  min c.y  s.t.  rows.y >= rhs,  0 <= y <= ub."""
-    p = len(c)
-    mc = len(rows_in)
-    # columns: y (p) | surplus (mc) | ub slack (p) | artificials
-    base_cols = p + mc + p
+    """Exact LP:  min c.y  s.t.  rows.y >= rhs,  0 <= y <= ub.
+
+    Dual simplex from the slack basis, negative-cost columns flipped.  Each
+    column with c_j < 0 is rewritten as ub_j - y_j, so every reduced cost
+    starts non-negative and the basis of the row slacks s_i = a_i.y - b_i
+    and the bound slacks u_j = ub_j - y_j is dual feasible at once.  Bland's
+    rule in dual form keeps it from cycling: the infeasible row whose basic
+    variable has the least index leaves, and the column with the least
+    ratio z_j / -a_rj enters, ties going to the least index.  Columns are
+    ordered y | s | u.  Stored rows, the reduced-cost row z included, are
+    positive integer multiples of the true tableau rows; signs and
+    cross-multiplied ratios are all the method reads.  Returns
+    ("optimal", y) or ("infeasible", None): with finite bounds the LP is
+    never unbounded.
+    """
+    p, m = len(c), len(rows_in)
+    ncols = p + m + p
+    flip = [cj < 0 for cj in c]
     rows: list[list[int]] = []
-    basis: list[int] = []
-    art_cols: list[int] = []
-    pending_art: list[int] = []  # row indices needing an artificial
-    for i in range(mc):
-        a = list(rows_in[i])
-        b = rhs_in[i]
-        row = [0] * base_cols + [0]
-        if b <= 0:
-            # negate: -a.y + s = -b >= 0, surplus column enters the basis
-            for j in range(p):
-                row[j] = -a[j]
-            row[p + i] = 1
-            row[-1] = -b
-            rows.append(row)
-            basis.append(p + i)
-        else:
-            for j in range(p):
-                row[j] = a[j]
-            row[p + i] = -1
-            row[-1] = b
-            rows.append(row)
-            basis.append(-1)  # placeholder, artificial assigned below
-            pending_art.append(len(rows) - 1)
+    for i, (a, b) in enumerate(zip(rows_in, rhs_in)):
+        # -a.y + s_i = -b, with each flipped y_j replaced by ub_j - y_j
+        row = [0] * (ncols + 1)
+        for j, aj in enumerate(a):
+            if flip[j]:
+                row[j] = aj
+                b -= aj * ub[j]
+            else:
+                row[j] = -aj
+        row[p + i] = 1
+        row[-1] = -b
+        rows.append(row)
     for j in range(p):
-        row = [0] * base_cols + [0]
-        row[j] = 1
-        row[p + mc + j] = 1
+        row = [0] * (ncols + 1)
+        row[j] = row[p + m + j] = 1
         row[-1] = ub[j]
         rows.append(row)
-        basis.append(p + mc + j)
-    ncols = base_cols + len(pending_art)
-    for row in rows:
-        row[-1:-1] = [0] * len(pending_art)
-    for k, ri in enumerate(pending_art):
-        col = base_cols + k
-        rows[ri][col] = 1
-        basis[ri] = col
-        art_cols.append(col)
-    sx = _Simplex(rows, basis, ncols)
-
-    if art_cols:
-        # phase 1: drive sum of artificials to zero
-        z = [0] * ncols
-        for col in art_cols:
-            z[col] = 1
-        for ri in pending_art:
-            row = rows[ri]
-            for j in range(ncols):
-                z[j] -= row[j]
-        _row_reduce(z)
-        status = sx.run(z)
-        if status != "optimal":
-            raise RuntimeError("phase-1 simplex cannot be unbounded")
-        for col in art_cols:
-            if sx.value_of(col) != 0:
-                return "infeasible", None
-        banned = frozenset(art_cols)
-        for r in range(len(sx.rows)):
-            if sx.basis[r] in banned:
-                # degenerate artificial: pivot it out, or drop a redundant row
-                row = sx.rows[r]
-                done = False
-                for j in range(base_cols):
-                    if row[j] != 0:
-                        sx.pivot(r, j)
-                        done = True
-                        break
-                if not done:
-                    sx.rows[r] = [0] * len(row)  # redundant constraint
-    else:
-        banned = frozenset()
-
-    # phase 2: price the real objective against the current basis, exactly
-    zf = [Fraction(c[j]) if j < p else Fraction(0) for j in range(ncols)]
-    for r, b in enumerate(sx.basis):
-        if b < 0 or b >= ncols or b in banned:
-            continue
-        cb = Fraction(c[b]) if b < p else Fraction(0)
-        if cb == 0:
-            continue
-        prow = sx.rows[r]
-        piv = prow[b]
-        if piv == 0:
-            continue
+    basis = list(range(p, ncols))
+    z = [abs(cj) for cj in c] + [0] * (m + p)
+    while True:
+        leave = -1
+        for i, row in enumerate(rows):
+            if row[-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                leave = i
+        if leave < 0:
+            break
+        prow = rows[leave]
+        enter = -1
         for j in range(ncols):
-            if prow[j]:
-                zf[j] -= cb * Fraction(prow[j], piv)
-    denom = math.lcm(*[f.denominator for f in zf]) if zf else 1
-    z2 = [int(f * denom) for f in zf]
-    status = sx.run(z2, banned)
-    if status != "optimal":
-        raise RuntimeError("bounded LP reported unbounded")
-    y = [sx.value_of(j) for j in range(p)]
-    return "optimal", y
+            a = prow[j]
+            if a < 0 and (enter < 0 or z[j] * -prow[enter] < z[enter] * -a):
+                enter = j
+        if enter < 0:
+            return "infeasible", None
+        # the pivot entry is negative: negate the row to keep its scale positive
+        prow = [-x for x in prow]
+        _row_reduce(prow)
+        rows[leave] = prow
+        piv = prow[enter]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if f and i != leave:
+                row = [piv * x - f * y for x, y in zip(row, prow)]
+                _row_reduce(row)
+                rows[i] = row
+        f = z[enter]
+        if f:
+            z = [piv * x - f * y for x, y in zip(z, prow)]
+            _row_reduce(z)
+        basis[leave] = enter
+    y = [Fraction(0)] * p
+    for row, col in zip(rows, basis):
+        if col < p:
+            y[col] = Fraction(row[-1], row[col])
+    return "optimal", [ub[j] - yj if flip[j] else yj for j, yj in enumerate(y)]
 
 
 def _tighten_bounds(
@@ -407,8 +309,6 @@ def solve_min_alliance_ilp(g: Graph, *, time_limit: float | None = None):
     Raises IlpBudgetExceeded past `time_limit`, with the incumbent (if any)
     verified in its `alliance` attribute.
     """
-    from .alliances import InternalVerificationError, verify_alliance
-
     try:
         sol = solve_ilp(encode_min_alliance_ilp(g), time_limit=time_limit)
     except IlpBudgetExceeded as exc:

@@ -288,6 +288,15 @@ def test_solve_reports_the_line_of_a_bad_byte(capsys, tmp_path):
     assert out == {"error": "line 3: byte 0xff is not UTF-8", "kind": "invalid-input"}
 
 
+def test_bench_reports_the_line_of_a_bad_byte(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.dimacs").write_bytes(b"p edge 2 1\ne 1 2\n\xff\n")
+    code, out = run(capsys, "bench", str(corpus))
+    assert code == EXIT_INVALID
+    assert out == {"error": "line 3: byte 0xff is not UTF-8", "kind": "invalid-input"}
+
+
 def test_solve_kmax_too_small_is_invalid_input(capsys, tmp_path):
     g = generate("cliqueplus:n=12,k=3", 1)
     path = tmp_path / "cp.dimacs"

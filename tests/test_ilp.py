@@ -13,6 +13,7 @@ from minalliance import (
     solve_ilp,
     solve_min_alliance_ilp,
 )
+from minalliance.ilp import _lp_min
 
 from _oracles import grid_min
 
@@ -121,6 +122,53 @@ def test_random_problems_match_grid(seed):
         assert (
             sum(c * x for c, x in zip(objective, sol.assignment)) == want[0]
         )
+
+
+def _random_lp(seed):
+    """A small LP for _lp_min; the seed's residues force the edge cases."""
+    rng = random.Random(5000 + seed)
+    p = rng.randint(1, 5)
+    c = [rng.randint(-4, 4) for _ in range(p)]
+    if seed % 3 == 0:
+        c[rng.randrange(p)] = -rng.randint(1, 4)
+    ub = [rng.randint(0, 5) for _ in range(p)]
+    if seed % 4 == 0:
+        ub[rng.randrange(p)] = 0
+    rows, rhs = [], []
+    for _ in range(rng.randint(0, 5)):
+        rows.append([rng.randint(-3, 3) for _ in range(p)])
+        rhs.append(rng.randint(-6, 3))
+    if seed % 5 == 0:
+        rows.append([rng.randint(-3, 3) for _ in range(p)])
+        rhs.append(-rng.randint(0, 6))
+    if seed % 7 == 0:
+        i = rng.randint(0, len(rows))
+        rows.insert(i, [0] * p)
+        rhs.insert(i, rng.randint(1, 3))
+    return c, rows, rhs, ub
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_lp_relaxation_matches_highs(seed):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    c, rows, rhs, ub = _random_lp(seed)
+    status, y = _lp_min(c, rows, rhs, ub)
+    ref = linprog(
+        c,
+        A_ub=[[-a for a in row] for row in rows] or None,
+        b_ub=[-b for b in rhs] or None,
+        bounds=[(0, u) for u in ub],
+        method="highs",
+    )
+    assert ref.status in (0, 2), ref.message
+    if ref.status == 2:
+        assert (status, y) == ("infeasible", None)
+        return
+    assert status == "optimal"
+    assert all(0 <= yj <= u for yj, u in zip(y, ub))
+    for row, b in zip(rows, rhs):
+        assert sum(a * yj for a, yj in zip(row, y)) >= b
+    assert abs(float(sum(cj * yj for cj, yj in zip(c, y))) - ref.fun) <= 1e-9
 
 
 def test_encode_k1():
