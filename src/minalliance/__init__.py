@@ -35,7 +35,7 @@ from .ilp import (
     solve_ilp,
     solve_min_alliance_ilp,
 )
-from .lowdeg import SubproblemResult, solve_min_alliance_lowdeg, solve_subproblem
+from .lowdeg import solve_min_alliance_lowdeg
 from .params import (
     TwinClass,
     TwinPartition,

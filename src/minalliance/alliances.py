@@ -85,6 +85,17 @@ def verify_alliance(g: Graph, members: Iterable[int]) -> AllianceSolution:
     )
 
 
+def checked_alliance(g: Graph, members: Iterable[int], what: str) -> AllianceSolution:
+    """`verify_alliance(g, members)`, which a solver's own answer must pass:
+    a set that fails raises InternalVerificationError naming `what`."""
+    checked = verify_alliance(g, members)
+    if not checked.valid:
+        raise InternalVerificationError(
+            f"{what} {checked.members} is not an alliance: {checked.violations}"
+        )
+    return checked
+
+
 def _connected_subsets(g: Graph, size: int, allowed: list[bool]):
     """Yield every `size`-vertex subset inducing a connected subgraph, once each.
 

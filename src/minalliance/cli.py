@@ -101,16 +101,28 @@ def _read_graph(path: str | Path) -> Graph:
     return parse_dimacs(Path(path).read_bytes())
 
 
-def _read_vertex_set(path: str) -> list[int]:
-    """1-indexed vertex ids separated by whitespace or commas; 'c'/'#' lines
-    are comments."""
+def _read_vertex_set(path: str, n: int) -> list[int]:
+    """1-indexed vertex ids in 1..n separated by whitespace or commas; 'c'/'#'
+    lines are comments.  A bad byte, token or id is a ValueError that names
+    its line and the id as written."""
     out = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"line {lineno}: byte {raw[exc.start]:#04x} is not UTF-8"
+            ) from None
         if not line or line.startswith(("c", "#")):
             continue
         for tok in line.replace(",", " ").split():
-            out.append(int(tok) - 1)
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {tok!r} is not a vertex id") from None
+            if not 1 <= v <= n:
+                raise ValueError(f"line {lineno}: vertex {v} outside 1..{n}")
+            out.append(v - 1)
     return out
 
 
@@ -213,7 +225,7 @@ def write_counterexample(
 
 def _cmd_verify(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
-    members = _read_vertex_set(args.set)
+    members = _read_vertex_set(args.set, g.n)
     sol = verify_alliance(g, members)
     rec = _record_for(g, args.graph, "verify")
     rec.size = sol.size
@@ -295,7 +307,7 @@ def _cmd_extract(args) -> tuple[int, dict]:
             f"{args.instance} lacks a DIMACS string 'source_dimacs' or an integer 'k'"
         )
     inst = build_reduction(parse_dimacs(source), k)
-    members = _read_vertex_set(args.set)
+    members = _read_vertex_set(args.set, inst.target.n)
     ds = extract_dominating_set(inst, members)
     return EXIT_OK, {
         "instance": args.instance,

@@ -18,6 +18,7 @@ from .alliances import (
     AllianceSolution,
     BudgetExceeded,
     InternalVerificationError,
+    checked_alliance,
     protection_threshold,
     verify_alliance,
 )
@@ -48,26 +49,17 @@ def _require_plain(g: Graph) -> None:
         raise ValueError("parameterized solvers do not support forbidden vertices")
 
 
-def _verified(solver: str, g: Graph, members: tuple[int, ...]) -> AllianceSolution:
-    checked = verify_alliance(g, members)
-    if not checked.valid:
-        raise InternalVerificationError(
-            f"{solver} witness {members} is not an alliance: {checked.violations}"
-        )
-    return checked
-
-
 def _answer(solver: str, g: Graph, best) -> AllianceSolution:
     if best is None:
         raise InternalVerificationError("no feasible guess on a non-empty graph")
-    return _verified(solver, g, best[1])
+    return checked_alliance(g, best[1], f"{solver} witness")
 
 
 def _over_budget(solver: str, g: Graph, best) -> BudgetExceeded:
     """The budget exit: the verified incumbent (or None), no lower bound."""
     return BudgetExceeded(
         f"time limit exceeded in the {solver} guess loop",
-        alliance=None if best is None else _verified(solver, g, best[1]),
+        alliance=None if best is None else checked_alliance(g, best[1], f"{solver} witness"),
     )
 
 

@@ -1,4 +1,4 @@
-"""Immutable undirected graphs plus the exact path/cycle primitives the solvers need.
+"""Immutable undirected graphs plus the exact BFS and cycle primitives the solvers need.
 
 Vertices are 0..n-1.  A graph may mark some vertices as *forbidden*: they keep
 their edges (and therefore count toward degrees) but solvers must never place
@@ -123,30 +123,6 @@ def distances_from(g: Graph, v: int) -> list[int]:
                 dist[y] = dist[x] + 1
                 q.append(y)
     return dist
-
-
-def bfs_path(g: Graph, v: int, target: int) -> list[int] | None:
-    """One shortest v->target path (smallest-parent tie-break), or None."""
-    if v == target:
-        return [v]
-    dist = [UNREACHABLE] * g.n
-    parent = [-1] * g.n
-    dist[v] = 0
-    q = deque([v])
-    while q:
-        x = q.popleft()
-        for y in g.adj[x]:
-            if dist[y] == UNREACHABLE:
-                dist[y] = dist[x] + 1
-                parent[y] = x
-                if y == target:
-                    path = [y]
-                    while path[-1] != v:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                q.append(y)
-    return None
 
 
 def is_connected(g: Graph) -> bool:

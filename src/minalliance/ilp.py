@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .alliances import BudgetExceeded, InternalVerificationError, verify_alliance
+from .alliances import BudgetExceeded, checked_alliance, verify_alliance
 from .graphs import Graph
 
 
@@ -320,12 +320,7 @@ def solve_min_alliance_ilp(g: Graph, *, time_limit: float | None = None):
     if sol.status == "infeasible":
         return None
     members = [v for v, xv in enumerate(sol.assignment) if xv]
-    checked = verify_alliance(g, members)
-    if not checked.valid:
-        raise InternalVerificationError(
-            f"ILP witness {members} fails alliance verification"
-        )
-    return checked
+    return checked_alliance(g, members, "ILP witness")
 
 
 def dump_lp(prob: IlpProblem) -> str:

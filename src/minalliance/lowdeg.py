@@ -4,11 +4,12 @@ With maximum degree five every cycle is an alliance, and so is every path
 between two vertices of degree at most three.  Each root v offers up to
 three shapes: v alone (degree at most one), a shortest path from v to the
 nearest other vertex of degree at most three (degree two or three), and a
-shortest cycle through v.  The global answer is the smallest (size, kind
-rank, witness) key over every root and shape.
+shortest cycle through v.  The global answer is the smallest key (size,
+rank, witness) over every root and shape, where the rank is 0 for a
+singleton, 1 for a path and 2 for a cycle.
 
-`solve_min_alliance_lowdeg` finds that key without solving every subproblem
-in full.  Keys of size one and two are read off the degrees in O(n + m): the
+`solve_min_alliance_lowdeg` finds that key without computing every shape at
+every root.  Keys of size one and two are read off the degrees in O(n + m): the
 least vertex of degree at most one, else the least edge whose two ends both
 have degree at most three.  Only when neither exists does it search: pass 1
 takes the path candidate of every root, each root's BFS stopping at the end
@@ -19,32 +20,12 @@ off at the length that can still win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .alliances import (
-    AllianceSolution,
-    InternalVerificationError,
-    verify_alliance,
-)
-from .graphs import (
-    Graph,
-    VertexRangeError,
-    shortest_cycle_with_vertices,
-)
-
-_KIND_RANK = {"singleton": 0, "path": 1, "cycle": 2}
+from .alliances import AllianceSolution, InternalVerificationError, checked_alliance
+from .graphs import Graph, shortest_cycle_with_vertices
 
 
 class DegreeBoundError(ValueError):
     """The graph has a vertex of degree more than five."""
-
-
-@dataclass(frozen=True)
-class SubproblemResult:
-    root: int
-    best_size: int | None
-    witness: tuple[int, ...]
-    kind: str | None
 
 
 def _check_lowdeg_input(g: Graph) -> None:
@@ -67,9 +48,10 @@ def _nearest_low_path(g: Graph, v: int) -> list[int] | None:
     degree at most three; x is the least such vertex of that level.  Levels
     are distance classes, so x is min((dist[x], x)) over every such vertex
     v reaches, the vertex a full BFS from v would pick.  The scan order
-    (vertices by discovery, neighbours ascending) is that of `bfs_path`, and
-    a parent is set once, at discovery, so walking the parents back from x
-    gives the path `bfs_path(g, v, x)` returns.
+    (vertices by discovery, neighbours ascending) is that of a full BFS with
+    the smallest-parent tie-break, and a parent is set once, at discovery,
+    so walking the parents back from x gives the path such a BFS from v to x
+    returns (`nearest_low_path_by_full_bfs` in `tests/_oracles.py`).
     """
     parent = {v: v}
     level = [v]
@@ -93,69 +75,6 @@ def _nearest_low_path(g: Graph, v: int) -> list[int] | None:
     return None
 
 
-def _path_candidates(g: Graph, v: int):
-    """Yield v's singleton or path candidate (size, kind, witness tuple);
-    none at a root of degree 4 or 5."""
-    d = g.degree(v)
-    if d <= 1:
-        yield 1, "singleton", (v,)
-    elif d <= 3:
-        path = _nearest_low_path(g, v)
-        if path is not None:
-            yield len(path), "path", tuple(sorted(path))
-
-
-def _candidates(g: Graph, v: int):
-    """Yield (size, kind, witness tuple) candidates for the subproblem at v."""
-    yield from _path_candidates(g, v)
-    cyc = shortest_cycle_with_vertices(g, v)
-    if cyc is not None:
-        yield cyc[0], "cycle", cyc[1]
-
-
-def _best(candidates):
-    """The smallest (key, kind) among `candidates`, or None.
-
-    Keys are (size, kind rank, witness), so ties between equal-size
-    candidates break by kind, then by witness order.
-    """
-    return min(
-        (((size, _KIND_RANK[kind], witness), kind) for size, kind, witness in candidates),
-        default=None,
-    )
-
-
-def _verified(g: Graph, witness: tuple[int, ...], what: str) -> AllianceSolution:
-    checked = verify_alliance(g, witness)
-    if not checked.valid:
-        raise InternalVerificationError(
-            f"{what} {witness} is not an alliance: {checked.violations}"
-        )
-    return checked
-
-
-def solve_subproblem(g: Graph, v: int) -> SubproblemResult:
-    """The best of v's shapes: v alone, the path to v's nearest other
-    vertex of degree at most three, or the shortest cycle through v.
-
-    Ties between equal-size candidates break by kind
-    (singleton < path < cycle), then by witness order.  This is not the
-    smallest alliance containing v in general: the centre of K_{1,4} needs
-    two leaves beside it, which no shape gives.  `best_size` is None when v
-    has no shape, that is when v lies on no cycle and either has degree 4
-    or 5 or reaches no other vertex of degree at most three.
-    """
-    _check_lowdeg_input(g)
-    if not (0 <= v < g.n):
-        raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
-    best = _best(_candidates(g, v))
-    if best is None:
-        return SubproblemResult(root=v, best_size=None, witness=(), kind=None)
-    (size, _rank, witness), kind = best
-    _verified(g, witness, f"subproblem witness at root {v}")
-    return SubproblemResult(root=v, best_size=size, witness=witness, kind=kind)
-
-
 def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
     """Minimum defensive alliance of a graph with maximum degree five.
 
@@ -169,8 +88,8 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
     the singleton or path candidate at either leaf is no larger.  The best
     candidate over all roots is therefore exact.
 
-    The answer is the smallest key (size, kind rank, witness) over every
-    root and candidate.  Two checks on the degrees come first:
+    The answer is the smallest key (size, rank, witness) over every root
+    and candidate.  Two checks on the degrees come first:
 
     - A vertex of degree at most one gives the key (1, 0, (v,)), and no other
       key has size one, so the least such vertex is the answer.
@@ -190,33 +109,36 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
     cycle too, so no cycle longer than `bound` can win.  Pass 2 asks every
     root for its shortest cycle of length at most `bound`
     (`shortest_cycle_with_vertices`, whose answer within the bound depends on
-    (g, root) alone), so the answer equals the best of all subproblems.
+    (g, root) alone), so the answer is the best key over every root.
 
-    Candidates are compared by key alone: only the answer is checked by
-    `verify_alliance`, and one that fails raises InternalVerificationError.
+    Candidates are compared by key alone: only the answer is checked, by
+    `checked_alliance`, and one that fails raises InternalVerificationError.
     """
     _check_lowdeg_input(g)
     for v in range(g.n):
         if g.degree(v) <= 1:
-            return _verified(g, (v,), "lowdeg answer")
+            return checked_alliance(g, (v,), "lowdeg answer")
     low = [len(nbrs) <= 3 for nbrs in g.adj]
     for u, w in g.edges:
         if low[u] and low[w]:
-            return _verified(g, (u, w), "lowdeg answer")
-    best = None
-    for v in range(g.n):
-        found = _best(_path_candidates(g, v))
-        if found is not None and (best is None or found < best):
-            best = found
-    bound = g.n if best is None else best[0][0] - 1
+            return checked_alliance(g, (u, w), "lowdeg answer")
+    # no vertex of degree <= 1 is left, so every low root is a path root
+    best = min(
+        (
+            (len(path), 1, tuple(sorted(path)))
+            for v in range(g.n)
+            if low[v] and (path := _nearest_low_path(g, v)) is not None
+        ),
+        default=None,
+    )
+    bound = g.n if best is None else best[0] - 1
     if bound >= 3:  # no cycle is shorter
         for v in range(g.n):
             cyc = shortest_cycle_with_vertices(g, v, bound)
             if cyc is not None:
-                found = _best([(cyc[0], "cycle", cyc[1])])
-                if best is None or found < best:
-                    best = found
-                bound = best[0][0]
+                key = (cyc[0], 2, cyc[1])
+                best = key if best is None else min(best, key)
+                bound = best[0]
     if best is None:
-        raise InternalVerificationError("no subproblem produced a candidate")
-    return _verified(g, best[0][2], "lowdeg answer")
+        raise InternalVerificationError("no root produced a candidate")
+    return checked_alliance(g, best[2], "lowdeg answer")

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 from .alliances import (
     AllianceSolution,
     InternalVerificationError,
+    checked_alliance,
     verify_alliance,
 )
 from .graphs import Graph, build_graph
@@ -133,12 +134,7 @@ def alliance_from_dominating_set(
                 members += [c.v[j], c.u[j], c.w[j]]
         else:
             members.append(c.s)
-    checked = verify_alliance(inst.target, members)
-    if not checked.valid:
-        raise InternalVerificationError(
-            f"constructed alliance invalid: {checked.violations}"
-        )
-    return checked
+    return checked_alliance(inst.target, members, "constructed alliance")
 
 
 def extract_dominating_set(
@@ -188,11 +184,12 @@ def dominating_sets_upto(g: Graph, k: int) -> Iterator[frozenset[int]]:
 
 
 def minimum_dominating_set(g: Graph) -> frozenset[int]:
-    for size in range(1, g.n + 1):
-        for cand in combinations(range(g.n), size):
-            if is_dominating_set(g, cand):
-                return frozenset(cand)
-    raise ValueError("graphs with vertices always have dominating sets")
+    """The first of `dominating_sets_upto(g, g.n)`: a smallest dominating
+    set, lexicographically first among them."""
+    found = next(dominating_sets_upto(g, g.n), None)
+    if found is None:
+        raise ValueError("the empty graph has no dominating set")
+    return found
 
 
 # --- gadget-size arithmetic (exact rational throughout) ---

@@ -15,9 +15,8 @@ from time import monotonic
 from .alliances import (
     AllianceSolution,
     BudgetExceeded,
-    InternalVerificationError,
+    checked_alliance,
     protection_threshold,
-    verify_alliance,
 )
 from .graphs import Graph
 
@@ -82,7 +81,7 @@ def solve_min_alliance_search(
 
     Past `time_limit` seconds the search raises BudgetExceeded with
     `lower_bound` = lo, which every smaller size is proven not to reach,
-    and the incumbent as checked by `verify_alliance`, or None before the
+    and the incumbent as checked by `checked_alliance`, or None before the
     first descent has found one.
     """
     roots = [v for v in range(g.n) if v not in g.forbidden]
@@ -116,19 +115,10 @@ def solve_min_alliance_search(
             message += f"; incumbent of size {hi}"
         raise BudgetExceeded(
             message,
-            alliance=None if best is None else _checked(g, best),
+            alliance=None if best is None else checked_alliance(g, best, "search witness"),
             lower_bound=lo,
         ) from None
-    return None if best is None else _checked(g, best)
-
-
-def _checked(g: Graph, members: list[int]) -> AllianceSolution:
-    checked = verify_alliance(g, members)
-    if not checked.valid:
-        raise InternalVerificationError(
-            f"search witness {members} fails alliance verification"
-        )
-    return checked
+    return None if best is None else checked_alliance(g, best, "search witness")
 
 
 def _alliance_within(

@@ -6,16 +6,18 @@ the library uses the threshold form ceil((d+1)/2), the alliance oracle here
 uses the raw majority comparison |N[v] cap S| >= |N[v] setminus S| so the two
 formulations are compared, not one implementation against itself.
 
-The two exceptions are the library's former ways of computing a witness,
-kept so that their replacements are checked against them byte for byte:
-`nearest_low_path_by_full_bfs`, the two-BFS computation of a low-degree
-root's path, and `climb_only_search`, the size schedule of the general
-branch and bound before it descended from an incumbent.
+The exceptions are the library's former ways of computing a witness, kept
+so that their replacements are checked against them byte for byte:
+`bfs_path` and `nearest_low_path_by_full_bfs`, the two-BFS computation of a
+low-degree root's path; `best_shape_at`, the per-root definition of the
+low-degree solver's answer; and `climb_only_search`, the size schedule of
+the general branch and bound before it descended from an incumbent.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 INF = float("inf")
 
@@ -109,12 +111,38 @@ def min_cycle_through_by_edge_deletion(n, edges, v):
     return best
 
 
+def bfs_path(g, v, target):
+    """One shortest v->target path (smallest-parent tie-break), or None."""
+    from minalliance.graphs import UNREACHABLE
+
+    if v == target:
+        return [v]
+    dist = [UNREACHABLE] * g.n
+    parent = [-1] * g.n
+    dist[v] = 0
+    q = deque([v])
+    while q:
+        x = q.popleft()
+        for y in g.adj[x]:
+            if dist[y] == UNREACHABLE:
+                dist[y] = dist[x] + 1
+                parent[y] = x
+                if y == target:
+                    path = [y]
+                    while path[-1] != v:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                q.append(y)
+    return None
+
+
 def nearest_low_path_by_full_bfs(g, v):
     """The path candidate's path as `lowdeg` used to find it: a full BFS
     from v, the least (dist, x) over the other vertices of degree <= 3 that
     v reaches, then a second BFS (`bfs_path`) from v to x.  None if v
     reaches no such vertex."""
-    from minalliance.graphs import UNREACHABLE, bfs_path, distances_from
+    from minalliance.graphs import UNREACHABLE, distances_from
 
     dist = distances_from(g, v)
     low = [
@@ -125,6 +153,29 @@ def nearest_low_path_by_full_bfs(g, v):
         return None
     _dx, x = min((dist[x], x) for x in low)
     return bfs_path(g, v, x)
+
+
+def best_shape_at(g, v):
+    """The smallest key (size, rank, witness) among v's shapes in a graph of
+    maximum degree five, or None when v has none: v alone (rank 0, degree
+    at most one), the path to v's nearest other vertex of degree at most
+    three (rank 1, degree two or three), and the shortest cycle through v
+    (rank 2).  The cycle is asked for first, so a root out of range raises
+    the library's VertexRangeError.
+
+    This is not the smallest alliance containing v in general: the centre
+    of K_{1,4} needs two leaves beside it, which no shape gives."""
+    from minalliance.graphs import shortest_cycle_with_vertices
+
+    cyc = shortest_cycle_with_vertices(g, v)
+    keys = [] if cyc is None else [(cyc[0], 2, cyc[1])]
+    if g.degree(v) <= 1:
+        keys.append((1, 0, (v,)))
+    elif g.degree(v) <= 3:
+        path = nearest_low_path_by_full_bfs(g, v)
+        if path is not None:
+            keys.append((len(path), 1, tuple(sorted(path))))
+    return min(keys, default=None)
 
 
 def climb_only_search(g):

@@ -71,6 +71,27 @@ def test_verify_reports_violations(capsys, tmp_path, bridge_file):
     assert out["violations"] == [{"vertex": 5, "defenders": 1, "needed": 3}]
 
 
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (b"1\n\xff\n", ["line 2:", "0xff"]),
+        (b"1 x", ["line 1:", "'x'"]),
+        (b"0", ["line 1:", "vertex 0 "]),
+        (b"4", ["line 1:", "vertex 4 "]),
+    ],
+)
+def test_verify_names_the_line_and_id_of_a_bad_set_file(capsys, tmp_path, content, expected):
+    graph = tmp_path / "path.dimacs"
+    graph.write_text(emit_dimacs(build_graph(3, [(0, 1), (1, 2)])))
+    sfile = tmp_path / "set.txt"
+    sfile.write_bytes(content)
+    code, out = run(capsys, "verify", str(graph), str(sfile))
+    assert code == EXIT_INVALID
+    assert out["kind"] == "invalid-input"
+    for part in expected:
+        assert part in out["error"]
+
+
 def test_solve_lowdeg(capsys, bridge_file):
     code, out = run(capsys, "solve", bridge_file, "--algo", "lowdeg")
     assert code == EXIT_OK

@@ -327,7 +327,7 @@ def test_twincover_cliques_smaller_than_their_signatures():
     ],
 )
 def test_fpt_solvers_verify_only_their_answer(monkeypatch, solve, spec, find):
-    import minalliance.fpt as fpt
+    import minalliance.alliances as alliances
 
     checked = []
 
@@ -335,7 +335,7 @@ def test_fpt_solvers_verify_only_their_answer(monkeypatch, solve, spec, find):
         checked.append(tuple(members))
         return verify_alliance(g, members)
 
-    monkeypatch.setattr(fpt, "verify_alliance", counting)
+    monkeypatch.setattr(alliances, "verify_alliance", counting)
     for seed in range(1, 6):
         g = generate(spec, seed)
         checked.clear()

@@ -16,11 +16,11 @@ from minalliance.graphs import (
     DuplicateEdgeError,
     SelfLoopError,
     VertexRangeError,
-    bfs_path,
     shortest_cycle_with_vertices,
 )
 
 from _oracles import (
+    bfs_path,
     floyd_warshall,
     girth_by_enumeration,
     min_cycle_through,
@@ -131,6 +131,7 @@ def test_distances_match_floyd_warshall(seed):
 
 
 def test_bfs_path_endpoints(square_bridge_clique):
+    # the oracle the low-degree solver's path search is checked against
     path = bfs_path(square_bridge_clique, 0, 8)
     assert path[0] == 0 and path[-1] == 8
     assert len(path) == distances_from(square_bridge_clique, 0)[8] + 1

@@ -1,4 +1,4 @@
-"""Low-degree exact solver: per-vertex subproblems and the global minimum."""
+"""Low-degree exact solver: the global minimum against its per-root definition."""
 
 import dataclasses
 import random
@@ -12,13 +12,12 @@ from minalliance import (
     generate,
     is_connected,
     solve_min_alliance_lowdeg,
-    solve_subproblem,
     verify_alliance,
 )
 from minalliance.graphs import VertexRangeError
 from minalliance.lowdeg import DegreeBoundError, _nearest_low_path
 
-from _oracles import nearest_low_path_by_full_bfs
+from _oracles import best_shape_at, nearest_low_path_by_full_bfs
 
 
 def cycle_graph(n):
@@ -35,41 +34,35 @@ def circulant(n, step, label=None):
     return build_graph(n, sorted(edges))
 
 
-RANK = {"singleton": 0, "path": 1, "cycle": 2}
+SINGLETON, PATH, CYCLE = 0, 1, 2  # the ranks in a key (size, rank, witness)
 
 
 def best_of_all_subproblems(g):
     """The definition the two-pass solver must equal: the smallest
-    (size, kind rank, witness) over every root's full subproblem."""
-    subs = [solve_subproblem(g, v) for v in range(g.n)]
-    return min(
-        (s.best_size, RANK[s.kind], s.witness) for s in subs if s.best_size is not None
-    )
+    (size, rank, witness) over every root's shapes."""
+    return min(key for v in range(g.n) if (key := best_shape_at(g, v)) is not None)
 
 
 def test_subproblem_at_the_hub(square_bridge_clique):
-    sub = solve_subproblem(square_bridge_clique, 4)
-    assert sub.best_size == 3
-    assert sub.kind == "cycle"
-    assert 4 in sub.witness
-    assert verify_alliance(square_bridge_clique, sub.witness).valid
+    size, rank, witness = best_shape_at(square_bridge_clique, 4)
+    assert (size, rank) == (3, CYCLE)
+    assert 4 in witness
+    assert verify_alliance(square_bridge_clique, witness).valid
 
 
 def test_subproblem_star_leaf():
     g = build_graph(6, [(0, i) for i in range(1, 6)])
-    sub = solve_subproblem(g, 3)
-    assert (sub.best_size, sub.kind, sub.witness) == (1, "singleton", (3,))
+    assert best_shape_at(g, 3) == (1, SINGLETON, (3,))
 
 
 def test_subproblem_at_cut_vertex(square_bridge_clique):
-    sub = solve_subproblem(square_bridge_clique, 3)
-    assert sub.best_size == 2
-    assert sub.kind == "path"
+    size, rank, _witness = best_shape_at(square_bridge_clique, 3)
+    assert (size, rank) == (2, PATH)
 
 
 def test_subproblem_checks_vertex_range(square_bridge_clique):
     with pytest.raises(VertexRangeError):
-        solve_subproblem(square_bridge_clique, 9)
+        best_shape_at(square_bridge_clique, 9)
 
 
 @pytest.mark.parametrize(
@@ -127,20 +120,21 @@ def test_high_degree_roots_never_get_thin_witnesses():
         g = generate("degcap:n=10,dmax=5", 60 + seed)
         for v in range(g.n):
             if g.degree(v) in (4, 5):
-                sub = solve_subproblem(g, v)
-                if sub.best_size is not None:
-                    assert sub.kind == "cycle"
+                key = best_shape_at(g, v)
+                if key is not None:
+                    assert key[1] == CYCLE
 
 
 def test_witnesses_always_verify():
     for seed in range(30):
         g = generate("degcap:n=11,dmax=5", 90 + seed)
         for v in range(g.n):
-            sub = solve_subproblem(g, v)
-            if sub.best_size is not None:
-                assert v in sub.witness
-                assert len(sub.witness) == sub.best_size
-                assert verify_alliance(g, sub.witness).valid
+            key = best_shape_at(g, v)
+            if key is not None:
+                size, _rank, witness = key
+                assert v in witness
+                assert len(witness) == size
+                assert verify_alliance(g, witness).valid
 
 
 def test_deterministic_output():
@@ -176,7 +170,7 @@ def test_circulants_take_the_best_cycle(n, step):
     # 4-regular: no vertex of degree <= 3, so only a cycle can win
     g = circulant(n, step)
     size, rank, witness = best_of_all_subproblems(g)
-    assert rank == RANK["cycle"]
+    assert rank == CYCLE
     assert solve_min_alliance_lowdeg(g).members == witness
 
 
@@ -196,13 +190,11 @@ def test_degree_four_roots_take_a_cycle_or_no_shape():
     # {0, 3, 4}: the alliance {0, 1, 2} sorts first but is no shape
     g = build_graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4),
                         (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
-    sub = solve_subproblem(g, 0)
-    assert (sub.best_size, sub.kind, sub.witness) == (3, "cycle", (0, 3, 4))
+    assert best_shape_at(g, 0) == (3, CYCLE, (0, 3, 4))
     # the centre of K_{1,4} lies on no cycle, so it has no shape, while
     # the global answer is a leaf alone
     star = build_graph(5, [(0, i) for i in range(1, 5)])
-    sub = solve_subproblem(star, 0)
-    assert (sub.best_size, sub.kind, sub.witness) == (None, None, ())
+    assert best_shape_at(star, 0) is None
     assert solve_min_alliance_lowdeg(star).members == (1,)
 
 
@@ -267,19 +259,15 @@ SPARSE_LOWDEG_SPECS = (
 
 def test_global_solve_runs_no_full_bfs(monkeypatch):
     # the sparse-lowdeg families: the witnesses with the old two-BFS path
-    # search in pass 1, then the same solves with every bfs_path failing
-    # (lowdeg no longer imports bfs_path) and every full BFS counted, also
-    # one lowdeg might import: none runs, as the input's connectivity is
-    # not checked
+    # search in pass 1, then the same solves with every full BFS counted,
+    # also one lowdeg might import: none runs, as pass 1 stops each BFS at
+    # its first low level and the input's connectivity is not checked
     import minalliance.graphs as graphs_module
 
     graphs = [generate(spec, seed) for spec in SPARSE_LOWDEG_SPECS for seed in range(8)]
     with monkeypatch.context() as m:
         m.setattr("minalliance.lowdeg._nearest_low_path", nearest_low_path_by_full_bfs)
         expected = [solve_min_alliance_lowdeg(g).members for g in graphs]
-
-    def no_bfs(*args):
-        raise AssertionError("solve_min_alliance_lowdeg ran bfs_path")
 
     full_bfs = []
     distances_from = graphs_module.distances_from
@@ -288,7 +276,6 @@ def test_global_solve_runs_no_full_bfs(monkeypatch):
         full_bfs.append(v)
         return distances_from(g, v)
 
-    monkeypatch.setattr(graphs_module, "bfs_path", no_bfs)
     monkeypatch.setattr(graphs_module, "distances_from", counting)
     monkeypatch.setattr("minalliance.lowdeg.distances_from", counting, raising=False)
     for g, members in zip(graphs, expected):
@@ -298,7 +285,7 @@ def test_global_solve_runs_no_full_bfs(monkeypatch):
 
 
 def test_global_solve_verifies_only_its_answer(monkeypatch):
-    import minalliance.lowdeg as lowdeg
+    import minalliance.alliances as alliances
 
     checked = []
 
@@ -306,7 +293,7 @@ def test_global_solve_verifies_only_its_answer(monkeypatch):
         checked.append(tuple(witness))
         return verify_alliance(g, witness)
 
-    monkeypatch.setattr(lowdeg, "verify_alliance", counting)
+    monkeypatch.setattr(alliances, "verify_alliance", counting)
     for g in [generate(spec, 1) for spec in SPARSE_LOWDEG_SPECS] + [cycle_graph(6)]:
         checked.clear()
         sol = solve_min_alliance_lowdeg(g)
@@ -314,23 +301,27 @@ def test_global_solve_verifies_only_its_answer(monkeypatch):
 
 
 def test_global_solve_rejects_an_invalid_answer(monkeypatch):
+    import minalliance.alliances as alliances
     import minalliance.lowdeg as lowdeg
 
-    def thin(g, v):  # each root alone, though C_8(1, 2) is 4-regular
-        yield 1, "singleton", (v,)
+    def thin(g, v):  # a path of one vertex, which has degree three
+        return [v]
 
-    # C_8(1, 2) has no key of size two or less, so pass 1 runs the stub
+    # C_8(1, 2) without the edge (4, 5): 4 and 5 are its only vertices of
+    # degree three, and they are not adjacent, so no key has size two or
+    # less and pass 1 runs the stub at both
+    g = build_graph(8, [e for e in circulant(8, 2).edges if e != (4, 5)])
     with monkeypatch.context() as m:
-        m.setattr(lowdeg, "_path_candidates", thin)
+        m.setattr(lowdeg, "_nearest_low_path", thin)
         with pytest.raises(InternalVerificationError, match="not an alliance"):
-            solve_min_alliance_lowdeg(circulant(8, 2))
+            solve_min_alliance_lowdeg(g)
 
     def rejecting(g, witness):
         checked = verify_alliance(g, witness)
         return dataclasses.replace(checked, valid=False)
 
     # the answers read off the degrees are checked too: a leaf, an edge
-    monkeypatch.setattr(lowdeg, "verify_alliance", rejecting)
+    monkeypatch.setattr(alliances, "verify_alliance", rejecting)
     for g in (build_graph(2, [(0, 1)]), cycle_graph(5)):
         with pytest.raises(InternalVerificationError, match="not an alliance"):
             solve_min_alliance_lowdeg(g)

@@ -1,5 +1,5 @@
 """Differential fuzzing of the low-degree solver against brute force and
-against the best of its own per-root subproblems."""
+against the best of every root's shapes."""
 
 import pytest
 
