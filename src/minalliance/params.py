@@ -76,6 +76,12 @@ def _min_cover(edges: list[tuple[int, int]], k_max: int) -> frozenset[int] | Non
     node is an endpoint of a later edge, so it is >= c; a minimum cover with c
     thus precedes every cover of its size without c, and the first minimum
     cover found is the lexicographically smallest.
+
+    A node is pruned when |partial| plus a greedy maximal matching of the
+    uncovered edges exceeds the cap: k_max, or |best| - 1 once a cover is
+    known.  A cover holds a distinct vertex of every matched edge, so a
+    pruned subtree holds no cover within the cap, and the search finds the
+    same covers in the same order as without the bound.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
@@ -84,15 +90,24 @@ def _min_cover(edges: list[tuple[int, int]], k_max: int) -> frozenset[int] | Non
     def dfs(partial: set[int], i: int) -> None:
         # edges before index i are covered by `partial`
         nonlocal best
-        if best is not None and len(partial) >= len(best):
+        cap = k_max if best is None else len(best) - 1
+        if len(partial) > cap:
             return
         while i < len(edges) and (edges[i][0] in partial or edges[i][1] in partial):
             i += 1
         if i == len(edges):
             best = frozenset(partial)
             return
-        if len(partial) >= k_max:
-            return
+        bound = len(partial)
+        used = set(partial)  # the cover so far and the matched ends
+        for u, v in edges[i:]:
+            if u in used or v in used:
+                continue
+            bound += 1
+            if bound > cap:
+                return
+            used.add(u)
+            used.add(v)
         for v in edges[i]:
             partial.add(v)
             dfs(partial, i + 1)

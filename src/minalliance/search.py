@@ -4,6 +4,13 @@ The general solver for graphs no specialised algorithm covers, in the style
 of Fernau & Raible, "Alliances in graphs: a complexity-theoretic study"
 (SOFSEM 2007): grow one connected vertex set from a root, always branching
 on the member that lacks the most defenders.
+
+Sizes are searched by iterative deepening, with the "least cost over the
+bound" of Korf, "Depth-first iterative-deepening" (Artificial Intelligence
+27, 1985), kept per root: a root walk that finds nothing records the least
+level at which the budget prune would let it walk further, and lower
+levels skip that root, which is exact because a walk depends on its level
+only through that prune (see `_alliances`).
 """
 
 from __future__ import annotations
@@ -69,6 +76,9 @@ def solve_min_alliance_search(
     level |A| - 1 where that level, run afresh from the first root, would
     stand, so no descent walks again the nodes an earlier one passed, and
     each finds what a restart at level hi - 1 would (see `_alliances`).
+    Every walk shares one `reach` map: a root whose walk found nothing is
+    skipped by each later walk at a level below the least one that could
+    change it, with the same finds (see `_alliances`).
 
     The witness is the first alliance at the optimum level, the one a climb
     alone returns, so it depends on the graph alone, and no level is run
@@ -95,13 +105,15 @@ def solve_min_alliance_search(
     best = None
     # climb, the incumbent's descent, then descent and climb in turn
     climbs = chain((True, False), cycle((False, True)))
+    # every walk records, per root, the least level that could change it
+    reach: dict[int, int] = {}
     # one walk for every descent: each turn resumes it at level hi - 1
-    descent = _alliances(g, len(roots), roots, need, deadline)
+    descent = _alliances(g, len(roots), roots, need, deadline, reach)
     try:
         while lo < hi:
             if next(climbs):
                 k = lo
-                members = _alliance_within(g, k, roots, need, deadline)
+                members = _alliance_within(g, k, roots, need, deadline, reach)
             else:
                 k = hi - 1
                 members = next(descent, None)
@@ -122,14 +134,24 @@ def solve_min_alliance_search(
 
 
 def _alliance_within(
-    g: Graph, k: int, roots: list[int], need: list[int], deadline: float | None
+    g: Graph,
+    k: int,
+    roots: list[int],
+    need: list[int],
+    deadline: float | None,
+    reach: dict[int, int] | None = None,
 ) -> list[int] | None:
     """The first alliance of at most k vertices in the search order, or None."""
-    return next(_alliances(g, k, roots, need, deadline), None)
+    return next(_alliances(g, k, roots, need, deadline, reach), None)
 
 
 def _alliances(
-    g: Graph, k: int, roots: list[int], need: list[int], deadline: float | None
+    g: Graph,
+    k: int,
+    roots: list[int],
+    need: list[int],
+    deadline: float | None,
+    reach: dict[int, int] | None = None,
 ) -> Iterator[list[int]]:
     """The first alliance A of at most k vertices in the search order, then
     the first of at most |A| - 1 vertices, and so on, in one walk.
@@ -146,7 +168,23 @@ def _alliances(
     frame, and the walk goes on through the rest of level s - 1 in its own
     order.  By induction, each find is what a fresh run of its level finds
     first, and no node before it is walked twice.
+
+    `reach` maps a root to the least level that could change its walk; the
+    walks of one solve share it, and each call without it starts afresh.
+    A root walk that finds nothing records the least |S| + deficit over
+    the nodes the budget prune cut with deficit <= candidates (the others
+    are cut at every level), or n' + 1 if it cut none.  A later walk at a
+    level k below that value bans the root without walking it.  Every root
+    walk starts with the same bans, the forbidden vertices and the earlier
+    roots, so its nodes depend on k only through the budget prune: a node
+    the recorded walk pushed is pushed at every level above it, a node it
+    cut stays cut below the recorded value, and each level below that
+    value walks the recorded nodes or a subsequence of them and finds
+    nothing there either.  So the bans, the finds, the resume points and
+    the witness stay what a walk without `reach` gives.
     """
+    if reach is None:
+        reach = {}
     adj = g.adj  # each neighbour list ascending
     inside = [0] * g.n  # |N(v) cap S|
     # a vertex is blocked while it is a member, banned or forbidden
@@ -166,10 +204,15 @@ def _alliances(
     for root in roots:
         if k < 1:  # not even a root fits
             return
+        if reach.get(root, 0) > k:  # its walk at level k would find nothing
+            blocked[root] = True
+            continue
         add(root)
         # one frame per branching node:
         # [candidates, branches taken, width, |S|, deficit]
         frames: list[list] = []
+        found = False
+        least = len(roots) + 1  # least |S| + deficit the budget prune cut
         while True:
             if deadline is not None and monotonic() > deadline:
                 raise BudgetExceeded(
@@ -181,6 +224,7 @@ def _alliances(
                 if d > deficit or (d == deficit and d > 0 and u < worst):
                     worst, deficit = u, d
             if deficit == 0:
+                found = True
                 yield sorted(members)
                 k = len(members) - 1
                 # from the outermost frame level k would not push, every
@@ -193,8 +237,11 @@ def _alliances(
             else:
                 cands = [c for c in adj[worst] if not blocked[c]]
                 size = len(members)
-                if deficit <= k - size and deficit <= len(cands):
-                    frames.append([cands, 0, len(cands) - deficit + 1, size, deficit])
+                if deficit <= len(cands):
+                    if deficit <= k - size:
+                        frames.append([cands, 0, len(cands) - deficit + 1, size, deficit])
+                    elif size + deficit < least:
+                        least = size + deficit
             # next branch: undo the last one (its vertex stays banned), or
             # lift the frame's bans and backtrack once every branch is taken
             while frames:
@@ -211,4 +258,6 @@ def _alliances(
                 frames.pop()
             else:
                 drop_last()  # the root, banned for the later roots
+                if not found:
+                    reach[root] = least
                 break

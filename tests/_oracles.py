@@ -311,6 +311,18 @@ def smallest_twin_covers(n, edges):
     raise AssertionError("unreachable: the whole vertex set is a twin cover")
 
 
+def lex_first_min_cover(edges, k_max):
+    """The first vertex cover of `edges` in (size, sorted tuple) order, as a
+    frozenset, or None when every cover has more than k_max vertices."""
+    ends = sorted({v for edge in edges for v in edge})
+    for k in range(min(k_max, len(ends)) + 1):
+        for sub in itertools.combinations(ends, k):
+            chosen = set(sub)
+            if all(a in chosen or b in chosen for a, b in edges):
+                return frozenset(sub)
+    return None
+
+
 def gadget_estimate_oracle(budget):
     """Least integer e with e >= ((budget+1) * 10000 / 2871) ** (871/250),
     settled purely in integer arithmetic."""

@@ -18,11 +18,13 @@ from minalliance import (
 from minalliance.params import (
     InvalidTwinCoverError,
     RemainderNotCliqueError,
+    _min_cover,
     remainder_is_clique,
 )
 
 from _oracles import (
     is_twin_cover_oracle,
+    lex_first_min_cover,
     smallest_clique_modulators,
     smallest_twin_covers,
 )
@@ -50,6 +52,21 @@ def test_remainder_is_clique_accepts_one_shot_iterable():
     assert remainder_is_clique(g, {2})
     assert remainder_is_clique(g, iter([2]))
     assert not remainder_is_clique(g, iter([1]))
+
+
+# ------------------------------------------------------------ minimum cover
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_min_cover_matches_exhaustive_scan(seed):
+    # the matching bound prunes only subtrees with no cover within the cap,
+    # so the size, the lexicographic choice and None above the cap all hold
+    rng = random.Random(f"min-cover/{seed}")
+    n = rng.randint(2, 12)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = sorted(rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n))))
+    for k_max in range(9):
+        assert _min_cover(edges, k_max) == lex_first_min_cover(edges, k_max)
 
 
 # ------------------------------------------------------------ distance to clique
