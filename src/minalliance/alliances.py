@@ -24,7 +24,7 @@ class InternalVerificationError(RuntimeError):
 class BudgetExceeded(RuntimeError):
     """A solver ran past its time budget.
 
-    `alliance` is the incumbent as checked by `verify_alliance` (or None) and
+    `alliance` is the incumbent as checked by `checked_alliance` (or None) and
     `lower_bound` a size no alliance falls below (or None when the solver
     has not proven one).
     """

@@ -3,7 +3,8 @@
 Every subcommand prints one JSON document on stdout, as one compact line
 (the files it writes stay indented).  Exit codes: 0 success,
 1 invalid input or a budget overrun, 2 a solver returned a witness that failed
-verification.
+verification.  A usage error (an unknown subcommand or option, a malformed
+option value) is invalid input too; `--help` prints argparse's text instead.
 
 `solve --algo auto` routes a graph without forbidden vertices and with
 maximum degree five to `lowdeg`, else a graph with a distance-to-clique
@@ -123,6 +124,26 @@ def _read_vertex_set(path: str, n: int) -> list[int]:
             if not 1 <= v <= n:
                 raise ValueError(f"line {lineno}: vertex {v} outside 1..{n}")
             out.append(v - 1)
+    return out
+
+
+def _parse_witness_ds(text: str, n: int) -> list[int]:
+    """The 0-indexed vertices of `--witness-ds`, comma-separated ids in 1..n;
+    the ValueError names every token that is not such an id, as written."""
+    out, bad = [], []
+    for tok in text.split(","):
+        try:
+            v = int(tok)
+        except ValueError:
+            v = 0
+        if 1 <= v <= n:
+            out.append(v - 1)
+        else:
+            bad.append(tok)
+    if bad:
+        raise ValueError(
+            f"--witness-ds: not vertex ids in 1..{n}: {', '.join(map(repr, bad))}"
+        )
     return out
 
 
@@ -290,8 +311,7 @@ def _cmd_reduce(args) -> tuple[int, dict]:
         Path(args.instance_out).write_text(json.dumps(payload, indent=2) + "\n")
         out["instance_path"] = args.instance_out
     if args.witness_ds:
-        ds = [int(tok) - 1 for tok in args.witness_ds.split(",")]
-        sol = alliance_from_dominating_set(inst, ds)
+        sol = alliance_from_dominating_set(inst, _parse_witness_ds(args.witness_ds, g.n))
         out["witness_size"] = sol.size
         out["witness"] = [v + 1 for v in sol.members]
     return EXIT_OK, out
@@ -368,8 +388,16 @@ def _cmd_bench(args) -> tuple[int, list[dict]]:
     return status, records
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, which `run_command` prints as one
+    invalid-input document; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="minalliance",
         description="Exact minimum defensive alliance toolkit",
     )
@@ -440,16 +468,15 @@ def _shared_parser() -> argparse.ArgumentParser:
 def run_command(argv: list[str]) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code else EXIT_OK
-    try:
         status, payload = args.func(args)
+    except SystemExit as exc:  # --help
+        return EXIT_INVALID if exc.code else EXIT_OK
     except InternalVerificationError as exc:
         print(json.dumps({"error": str(exc), "kind": "internal"}))
         return EXIT_INTERNAL
     except BudgetExceeded as exc:
         inc = exc.alliance
-        members = [v + 1 for v in inc.members] if inc is not None and inc.valid else None
+        members = None if inc is None else [v + 1 for v in inc.members]
         print(json.dumps({
             "error": str(exc),
             "kind": "budget",

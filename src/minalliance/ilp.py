@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .alliances import BudgetExceeded, checked_alliance, verify_alliance
+from .alliances import BudgetExceeded, checked_alliance
 from .graphs import Graph
 
 
@@ -307,14 +307,15 @@ def solve_min_alliance_ilp(g: Graph, *, time_limit: float | None = None):
     """Minimum alliance via the 0-1 encoding; returns a verified AllianceSolution.
 
     Raises IlpBudgetExceeded past `time_limit`, with the incumbent (if any)
-    verified in its `alliance` attribute.
+    as checked by `checked_alliance` in its `alliance` attribute; an
+    incumbent that fails the check raises InternalVerificationError.
     """
     try:
         sol = solve_ilp(encode_min_alliance_ilp(g), time_limit=time_limit)
     except IlpBudgetExceeded as exc:
         if exc.incumbent is not None:
-            exc.alliance = verify_alliance(
-                g, [v for v, xv in enumerate(exc.incumbent) if xv]
+            exc.alliance = checked_alliance(
+                g, [v for v, xv in enumerate(exc.incumbent) if xv], "ILP incumbent"
             )
         raise
     if sol.status == "infeasible":

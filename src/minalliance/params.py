@@ -51,20 +51,34 @@ class TwinPartition:
 
 
 def remainder_is_clique(g: Graph, modulator: Iterable[int]) -> bool:
+    """True when `g` minus `modulator` is a clique: every remainder vertex
+    has the other |R| - 1 remainder vertices as neighbours."""
     mod = set(modulator)
     rest = [v for v in range(g.n) if v not in mod]
-    return all(g.has_edge(u, v) for u, v in combinations(rest, 2))
+    return all(len(g.adj_sets[v] - mod) == len(rest) - 1 for v in rest)
+
+
+def _closed_twin_groups(g: Graph, cover: set[int]) -> list[list[int]] | None:
+    """The vertices outside `cover` grouped by closed neighbourhood N[v], or
+    None when `cover` is not a twin cover.
+
+    A group lies inside its N[v] minus the cover, and that set holds more
+    than the group exactly when an outside edge leaves the group: an edge
+    joining non-twins.  So the cover is a twin cover iff no group's N[v]
+    minus the cover is larger than the group.
+    """
+    groups: dict[frozenset[int], list[int]] = {}
+    for v in range(g.n):
+        if v not in cover:
+            groups.setdefault(g.adj_sets[v] | {v}, []).append(v)
+    if any(len(closed - cover) > len(vs) for closed, vs in groups.items()):
+        return None
+    return list(groups.values())
 
 
 def is_twin_cover(g: Graph, cover: Iterable[int]) -> bool:
     """True when every edge outside `cover` joins closed twins."""
-    cset = set(cover)
-    for u, v in g.edges:
-        if u in cset or v in cset:
-            continue
-        if g.adj_sets[u] | {u} != g.adj_sets[v] | {v}:
-            return False
-    return True
+    return _closed_twin_groups(g, set(cover)) is not None
 
 
 def _min_cover(edges: list[tuple[int, int]], k_max: int) -> frozenset[int] | None:
@@ -170,42 +184,22 @@ def partition_twin_classes(g: Graph, modulator: Iterable[int]) -> TwinPartition:
 def partition_clique_sets(g: Graph, cover: Iterable[int]) -> TwinPartition:
     """Group the remainder components of a twin cover into clique sets.
 
-    Every component outside a twin cover is a clique whose vertices share one
-    cover signature; components with equal signatures form one clique set.
+    Outside a twin cover every edge joins closed twins, so the components
+    are the closed-twin groups: twins are adjacent, so a group is a clique;
+    no outside edge leaves a group, so a group is a component; and N[v]
+    minus the cover is the group itself, so a group has one cover
+    signature.  Components with equal signatures form one clique set.
     """
     cov = set(cover)
     for v in cov:
         if not (0 <= v < g.n):
             raise VertexRangeError(f"cover vertex {v} out of range")
-    if not is_twin_cover(g, cov):
+    comps = _closed_twin_groups(g, cov)
+    if comps is None:
         raise InvalidTwinCoverError("not a twin cover: some outside edge joins non-twins")
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for root in range(g.n):
-        if root in cov or root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for y in g.adj[x]:
-                if y not in cov and y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(tuple(sorted(comp)))
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for comp in comps:
-        sig = _signature(g, comp[0], cov)
-        for v in comp[1:]:
-            if _signature(g, v, cov) != sig:
-                raise InvalidTwinCoverError(
-                    f"component {comp} has mixed cover signatures"
-                )
-            if not all(g.has_edge(v, u) for u in comp if u != v):
-                raise InvalidTwinCoverError(f"component {comp} is not a clique")
-        groups.setdefault(sig, []).append(comp)
+        groups.setdefault(_signature(g, comp[0], cov), []).append(tuple(comp))
     classes = []
     for i, (sig, cliques) in enumerate(sorted(groups.items())):
         ordered = tuple(sorted(cliques, key=lambda cl: (len(cl), cl)))

@@ -25,7 +25,7 @@ from .alliances import (
     checked_alliance,
     verify_alliance,
 )
-from .graphs import Graph, build_graph
+from .graphs import Graph, VertexRangeError, build_graph
 
 
 class NotCubicError(ValueError):
@@ -119,9 +119,15 @@ def alliance_from_dominating_set(
     """The size-(4n + 8|D|) alliance a dominating set D induces in the target.
 
     Takes all zeroth copies, the full triangle block of every copy of a
-    dominated-from vertex, and the selectors of vertices outside D.
+    dominated-from vertex, and the selectors of vertices outside D.  An id
+    outside 0..n-1 raises VertexRangeError.
     """
     ds = set(dominating)
+    outside = sorted(v for v in ds if not 0 <= v < inst.source.n)
+    if outside:
+        raise VertexRangeError(
+            f"dominating set vertices {outside} out of range for n={inst.source.n}"
+        )
     if not is_dominating_set(inst.source, ds):
         raise ValueError(f"{sorted(ds)} does not dominate the source graph")
     if len(ds) > inst.k:

@@ -10,8 +10,12 @@ The exceptions are the library's former ways of computing a witness, kept
 so that their replacements are checked against them byte for byte:
 `bfs_path` and `nearest_low_path_by_full_bfs`, the two-BFS computation of a
 low-degree root's path; `best_shape_at`, the per-root definition of the
-low-degree solver's answer; and `climb_only_search`, the size schedule of
-the general branch and bound before it descended from an incumbent.
+low-degree solver's answer; `climb_only_search`, the size schedule of
+the general branch and bound before it descended from an incumbent; and
+`remainder_is_clique_by_pairs`, `partition_twin_classes_by_pairs` and
+`partition_clique_sets_by_dfs`, the structural partitions as they were
+computed before a twin cover's remainder was read off its closed-twin
+classes.
 """
 
 from __future__ import annotations
@@ -297,6 +301,82 @@ def is_twin_cover_oracle(n, edges, cover):
         if adj[a] | {a} != adj[b] | {b}:
             return False
     return True
+
+
+def remainder_is_clique_by_pairs(g, modulator):
+    """Every pair of vertices outside `modulator` is adjacent."""
+    mod = set(modulator)
+    rest = [v for v in range(g.n) if v not in mod]
+    return all(g.has_edge(u, v) for u, v in itertools.combinations(rest, 2))
+
+
+def _cover_signature(g, v, cover):
+    return tuple(sorted(g.adj_sets[v] & cover))
+
+
+def partition_twin_classes_by_pairs(g, modulator):
+    """(modulator, [(signature, members)]) of a clique remainder grouped by
+    modulator signature, checked pair by pair; raises as the library does."""
+    from minalliance.graphs import VertexRangeError
+    from minalliance.params import RemainderNotCliqueError
+
+    mod = set(modulator)
+    for v in mod:
+        if not (0 <= v < g.n):
+            raise VertexRangeError(f"modulator vertex {v} out of range")
+    if not remainder_is_clique_by_pairs(g, mod):
+        raise RemainderNotCliqueError("removing the modulator must leave a clique")
+    groups = {}
+    for v in range(g.n):
+        if v not in mod:
+            groups.setdefault(_cover_signature(g, v, mod), []).append(v)
+    return tuple(sorted(mod)), sorted((sig, tuple(vs)) for sig, vs in groups.items())
+
+
+def partition_clique_sets_by_dfs(g, cover):
+    """(cover, [(signature, members, cliques)]) of a twin cover: the
+    remainder components found by depth-first search, each checked to be a
+    clique of one cover signature, grouped by signature with the cliques in
+    (size, lex) order; raises as the library does."""
+    from minalliance.graphs import VertexRangeError
+    from minalliance.params import InvalidTwinCoverError
+
+    cov = set(cover)
+    for v in cov:
+        if not (0 <= v < g.n):
+            raise VertexRangeError(f"cover vertex {v} out of range")
+    if not is_twin_cover_oracle(g.n, g.edges, cov):
+        raise InvalidTwinCoverError("not a twin cover")
+    seen = set()
+    groups = {}
+    for root in range(g.n):
+        if root in cov or root in seen:
+            continue
+        comp = [root]
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for y in g.adj[stack.pop()]:
+                if y not in cov and y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        comp = tuple(sorted(comp))
+        sig = _cover_signature(g, comp[0], cov)
+        for v in comp:
+            if _cover_signature(g, v, cov) != sig:
+                raise InvalidTwinCoverError(f"component {comp} has mixed cover signatures")
+            if not all(g.has_edge(v, u) for u in comp if u != v):
+                raise InvalidTwinCoverError(f"component {comp} is not a clique")
+        groups.setdefault(sig, []).append(comp)
+    return tuple(sorted(cov)), [
+        (
+            sig,
+            tuple(sorted(v for cl in cliques for v in cl)),
+            tuple(sorted(cliques, key=lambda cl: (len(cl), cl))),
+        )
+        for sig, cliques in sorted(groups.items())
+    ]
 
 
 def smallest_twin_covers(n, edges):

@@ -186,6 +186,23 @@ def test_ilp_budget_overrun_reports_verified_incumbent(capsys, bridge_file, monk
     }
 
 
+def test_ilp_budget_overrun_with_invalid_incumbent_is_internal(
+    capsys, bridge_file, monkeypatch
+):
+    import minalliance.ilp as ilp
+
+    def out_of_time(prob, **_kw):
+        # vertex 1 alone has one defender against two attackers
+        x = tuple(1 if v == 0 else 0 for v in range(prob.var_count))
+        raise ilp.IlpBudgetExceeded("time limit exceeded after 3 nodes", x, 1)
+
+    monkeypatch.setattr(ilp, "solve_ilp", out_of_time)
+    code, out = run(capsys, "solve", bridge_file, "--algo", "ilp", "--time-limit", "1")
+    assert code == EXIT_INTERNAL
+    assert out["kind"] == "internal"
+    assert "ILP incumbent" in out["error"]
+
+
 def test_solve_auto_falls_back_to_search(capsys, tmp_path):
     # max degree 8, no small modulator: once 20 s and more in the ILP
     g = generate("degcap:n=40,dmax=8", 3)
@@ -377,6 +394,19 @@ def test_reduce_rejects_non_dominating_witness(capsys, prism_file):
     assert out["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize(
+    "ids, named",
+    [("1,99", "'99'"), ("0", "'0'"), ("2,x,-1,5", "'x', '-1', '5'")],
+)
+def test_reduce_names_witness_ids_outside_the_source(capsys, tmp_path, ids, named):
+    k4 = tmp_path / "k4.dimacs"
+    k4.write_text(emit_dimacs(build_graph(4, [(a, b) for b in range(4) for a in range(b)])))
+    code, out = run(capsys, "reduce", str(k4), "--k", "1", "--witness-ds", ids)
+    assert code == EXIT_INVALID
+    assert out["kind"] == "invalid-input"
+    assert out["error"].endswith(f"1..4: {named}")
+
+
 def test_extract_rejects_foreign_json(capsys, tmp_path):
     bogus = tmp_path / "bogus.json"
     bogus.write_text(json.dumps({"kind": "something-else"}))
@@ -510,6 +540,27 @@ def test_bad_dimacs_is_invalid_input(capsys, tmp_path):
 def test_unknown_flag_is_invalid_input(capsys):
     assert run_command(["solve", "--nonsense"]) == EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["solve", "GRAPH", "--kmax", "abc"], "'abc'"),
+        (["frob"], "'frob'"),
+        ([], "command"),
+        (["verify", "GRAPH"], "set"),
+    ],
+)
+def test_usage_error_is_one_invalid_input_document(capsys, bridge_file, argv, named):
+    code = run_command([bridge_file if a == "GRAPH" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.err == ""
+    (line,) = captured.out.splitlines()
+    out = json.loads(line)
+    assert out["kind"] == "invalid-input"
+    assert out["error"].startswith("minalliance")
+    assert named in out["error"]
 
 
 def test_json_output_is_deterministic(capsys, bridge_file):

@@ -18,6 +18,7 @@ from minalliance import (
     moore_bound,
     verify_alliance,
 )
+from minalliance.graphs import VertexRangeError
 from minalliance.reduction import NotCubicError, dominating_sets_upto
 
 from _oracles import all_dominating_sets, dominates, gadget_estimate_oracle
@@ -150,6 +151,14 @@ def test_forward_rejects_bad_sets(triangular_prism):
         alliance_from_dominating_set(inst, {0})  # does not dominate
     with pytest.raises(ValueError):
         alliance_from_dominating_set(inst, {1, 4})  # dominates but exceeds k
+
+
+@pytest.mark.parametrize("ids", [{0, 98}, {-1}, {4}])
+def test_forward_rejects_ids_outside_the_source(ids):
+    # 0 dominates K4 on its own, so only the range check rejects {0, 98}
+    inst = build_reduction(k4(), 1)
+    with pytest.raises(VertexRangeError, match=r"out of range for n=4"):
+        alliance_from_dominating_set(inst, ids)
 
 
 def test_extract_rejects_invalid_or_oversized(triangular_prism):
