@@ -4,7 +4,9 @@ Every subcommand prints one JSON document on stdout, as one compact line
 (the files it writes stay indented).  Exit codes: 0 success,
 1 invalid input or a budget overrun, 2 a solver returned a witness that failed
 verification.  A usage error (an unknown subcommand or option, a malformed
-option value) is invalid input too; `--help` prints argparse's text instead.
+option value) is invalid input too.  `--help`, on its own or after a
+subcommand, prints one `{"kind": "help", "help": ...}` document carrying
+argparse's usage text, and exits 0.
 
 `solve --algo auto` routes a graph without forbidden vertices and with
 maximum degree five to `lowdeg`, else a graph with a distance-to-clique
@@ -17,7 +19,10 @@ raise `BudgetExceeded`, printed as one `"kind": "budget"` document with the
 verified incumbent and the proven lower bound (each null when unknown;
 `search` always has a lower bound, and an incumbent once its first descent
 has found one); `lowdeg` and brute force ignore the limit.  A negative
-limit is invalid input.
+limit is invalid input.  The distance-to-clique test first counts the
+vertices of degree >= n - kmax - 1: a clique left by removing at most
+`--kmax` vertices needs n - kmax of them, so with fewer it answers no in
+O(n), before building the O(n^2) list of non-edges.
 
 `run_command` builds the argparse tree once per process and reuses it; each
 call parses into a fresh namespace, so no option carries over to the next.
@@ -52,6 +57,7 @@ from .reduction import (
     alliance_from_dominating_set,
     build_reduction,
     extract_dominating_set,
+    is_dominating_set,
 )
 from .search import solve_min_alliance_search
 
@@ -311,7 +317,12 @@ def _cmd_reduce(args) -> tuple[int, dict]:
         Path(args.instance_out).write_text(json.dumps(payload, indent=2) + "\n")
         out["instance_path"] = args.instance_out
     if args.witness_ds:
-        sol = alliance_from_dominating_set(inst, _parse_witness_ds(args.witness_ds, g.n))
+        ds = _parse_witness_ds(args.witness_ds, g.n)
+        if not is_dominating_set(g, ds):  # named here, in the ids as written
+            raise ValueError(
+                f"--witness-ds {sorted({v + 1 for v in ds})} does not dominate the source graph"
+            )
+        sol = alliance_from_dominating_set(inst, ds)
         out["witness_size"] = sol.size
         out["witness"] = [v + 1 for v in sol.members]
     return EXIT_OK, out
@@ -388,12 +399,20 @@ def _cmd_bench(args) -> tuple[int, list[dict]]:
     return status, records
 
 
+class _HelpRequested(Exception):
+    """`--help`: carries the parser's help text to `run_command`."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as ValueError, which `run_command` prints as one
-    invalid-input document; subparsers inherit the class."""
+    invalid-input document, and `--help` as _HelpRequested, which it prints
+    as one help document; subparsers inherit the class."""
 
     def error(self, message: str):
         raise ValueError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,8 +488,9 @@ def run_command(argv: list[str]) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         status, payload = args.func(args)
-    except SystemExit as exc:  # --help
-        return EXIT_INVALID if exc.code else EXIT_OK
+    except _HelpRequested as exc:
+        print(json.dumps({"help": str(exc), "kind": "help"}))
+        return EXIT_OK
     except InternalVerificationError as exc:
         print(json.dumps({"error": str(exc), "kind": "internal"}))
         return EXIT_INTERNAL

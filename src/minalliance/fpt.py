@@ -35,11 +35,38 @@ class SolveStats:
 
 
 def demand(g: Graph, u: int, picked: frozenset[int] | set[int]) -> int:
-    """Defenders vertex u still needs beyond `picked` members (u must be picked)."""
+    """Defenders vertex u still needs beyond `picked` members (u must be picked).
+
+    The definition; the guess loops compute it from bitmasks (`_priced_picks`).
+    """
     if u not in picked:
         raise ValueError(f"demand is defined for picked vertices only, got {u}")
     have = 1 + sum(1 for w in g.adj[u] if w in picked)
     return protection_threshold(g.degree(u)) - have
+
+
+def _mask(mod: tuple[int, ...], vertices) -> int:
+    """The pick bits of the modulator vertices among `vertices`: bit i
+    stands for mod[i]."""
+    return sum(1 << i for i, v in enumerate(mod) if v in vertices)
+
+
+def _priced_picks(g: Graph, mod: tuple[int, ...]):
+    """Every pick P of the modulator `mod`, pmask 0 to 2^|mod| - 1, as
+    (pmask, bits, demands): `bits` lists the set bits of pmask (bit i stands
+    for mod[i]) and `demands` the demand(g, mod[i], P) of each, in order.
+
+    A picked u has itself and its picked neighbours as defenders, so its
+    demand is its threshold - 1 - |N(u) cap P|.  The threshold and the mask
+    of N(u) cap mod are built once per solve, which makes a demand one
+    popcount instead of a walk of N(u) per pick.
+    """
+    spare = [protection_threshold(g.degree(u)) - 1 for u in mod]
+    nbrs = [_mask(mod, g.adj_sets[u]) for u in mod]
+    k = len(mod)
+    for pmask in range(1 << k):
+        bits = [i for i in range(k) if pmask >> i & 1]
+        yield pmask, bits, [spare[i] - (nbrs[i] & pmask).bit_count() for i in bits]
 
 
 def _require_plain(g: Graph) -> None:
@@ -110,29 +137,25 @@ def solve_dtc_detailed(
     best: tuple[int, tuple[int, ...]] | None = None
     # all members of a class share one degree, hence one threshold
     thr = [protection_threshold(g.degree(tc.members[0])) for tc in classes]
+    sigs = [_mask(mod, tc.signature) for tc in classes]
+    # the coefficients of mod[i]'s demand row: the classes it defends
+    coefs = [tuple(sig >> i & 1 for sig in sigs) for i in range(len(mod))]
     ones = tuple([1] * t)
-    for pmask in range(1 << len(mod)):
-        picked = [mod[i] for i in range(len(mod)) if pmask >> i & 1]
-        pset = frozenset(picked)
-        demand_rows = [
-            (tuple(1 if u in tc.signature else 0 for tc in classes), demand(g, u, pset))
-            for u in picked
-        ]
-        req = [
-            thr[i] - sum(1 for w in tc.signature if w in pset)
-            for i, tc in enumerate(classes)
-        ]
+    for pmask, bits, demands in _priced_picks(g, mod):
+        req = [thr_i - (sig & pmask).bit_count() for thr_i, sig in zip(thr, sigs)]
         levels: list[int | None] = sorted(set(req))
-        if picked:
+        if bits:
             levels.insert(0, None)  # every class empty: P alone
         for idx, level in enumerate(levels):
             floor = 0 if level is None else max(level, 0)
-            if best is not None and len(picked) + floor > best[0]:
+            if best is not None and len(bits) + floor > best[0]:
                 stats.pruned += len(levels) - idx
                 break
             if deadline is not None and monotonic() > deadline:
                 raise _over_budget("dtc", g, best)
             stats.guesses += 1
+            if idx == 0:  # the pick's first guess: no level of it was pruned
+                demand_rows = [(coefs[i], d) for i, d in zip(bits, demands)]
             if level is None:
                 bounds = ((0, 0),) * t
                 cons = demand_rows
@@ -149,7 +172,7 @@ def solve_dtc_detailed(
             sol = solve_ilp(prob)
             if sol.status != "optimal":
                 continue
-            members = list(picked)
+            members = [mod[i] for i in bits]
             for tc, cnt in zip(classes, sol.assignment):
                 members.extend(tc.members[:cnt])
             cand = (len(members), tuple(sorted(members)))
@@ -219,25 +242,23 @@ def solve_twincover_detailed(
                 break
 
     # --- case 2: cliques of size >= t_i stay empty; one ILP per pick P
-    groups = [
-        (tc.signature, size, cliques, protection_threshold(size - 1 + len(tc.signature)))
+    groups = [  # (signature mask, size, cliques, thr)
+        (_mask(cov, tc.signature), size, cliques,
+         protection_threshold(size - 1 + len(tc.signature)))
         for tc in part.classes
         for size, cliques in tc.cliques_by_size().items()
         if size < len(tc.signature)
     ]
-    for pmask in range(1 << len(cov)):
+    for pmask, bits, demands in _priced_picks(g, cov):
         if deadline is not None and monotonic() > deadline:
             raise _over_budget("twin-cover", g, best)
-        picked = [cov[i] for i in range(len(cov)) if pmask >> i & 1]
-        pset = frozenset(picked)
-        demands = [demand(g, u, pset) for u in picked]
-        if best is not None and len(picked) + max(demands + [0]) > best[0]:
+        if best is not None and len(bits) + max(demands + [0]) > best[0]:
             stats.pruned += 1
             continue
-        live = [  # (signature, size, cliques, lo) of the groups that can be used
+        live = [  # (signature mask, size, cliques, lo) of the groups that can be used
             (sig, size, cliques, lo)
             for sig, size, cliques, thr in groups
-            if (lo := max(1, thr - sum(1 for w in sig if w in pset))) <= size
+            if (lo := max(1, thr - (sig & pmask).bit_count())) <= size
         ]
         # variables 2k and 2k+1: the cliques used and the vertices taken in group k
         taken = (0, 1) * len(live)  # the objective
@@ -245,9 +266,9 @@ def solve_twincover_detailed(
         for k, (_sig, size, _cliques, lo) in enumerate(live):
             for link in ((-lo, 1), (size, -1)):  # lo*j <= T <= size*j
                 cons.append(((0, 0) * k + link + (0, 0) * (len(live) - k - 1), 0))
-        for u, du in zip(picked, demands):
-            cons.append((tuple(c * (u in grp[0]) for grp in live for c in (0, 1)), du))
-        if not picked:
+        for i, du in zip(bits, demands):
+            cons.append((tuple(c * (grp[0] >> i & 1) for grp in live for c in (0, 1)), du))
+        if not bits:
             cons.append((taken, 1))
         bounds = tuple(
             b for _sig, size, cl, _lo in live for b in ((0, len(cl)), (0, len(cl) * size))
@@ -257,7 +278,7 @@ def solve_twincover_detailed(
         sol = solve_ilp(IlpProblem(objective=taken, constraints=tuple(cons), bounds=bounds))
         if sol.status != "optimal":
             continue
-        members = list(picked)
+        members = [cov[i] for i in bits]
         for k, (_sig, size, cliques, lo) in enumerate(live):
             used, total = sol.assignment[2 * k], sol.assignment[2 * k + 1]
             surplus = total - lo * used

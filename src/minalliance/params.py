@@ -137,8 +137,17 @@ def distance_to_clique_set(g: Graph, k_max: int) -> frozenset[int] | None:
     Returns the lexicographically smallest witness of minimum size, or None
     when no such set within the budget exists.  The set is a vertex cover of
     the non-edges.
+
+    Degree reject: removing at most k_max vertices leaves a clique of
+    q >= n - k_max vertices, each adjacent to the other q - 1, so at least
+    n - k_max vertices have degree >= n - k_max - 1.  When fewer do, no set
+    exists, and the count, O(n), answers before the O(n^2) non-edge list
+    is built.  It rejects only inputs with no answer, so no answer changes.
     """
     adj = g.adj_sets
+    keep = g.n - k_max  # the fewest vertices the clique remainder can have
+    if k_max >= 0 and sum(1 for nb in adj if len(nb) >= keep - 1) < keep:
+        return None
     non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if v not in adj[u]]
     return _min_cover(non_edges, k_max)
 

@@ -394,6 +394,15 @@ def test_reduce_rejects_non_dominating_witness(capsys, prism_file):
     assert out["kind"] == "invalid-input"
 
 
+def test_reduce_names_non_dominating_ids_as_written(capsys, tmp_path):
+    c6 = tmp_path / "c6.dimacs"
+    c6.write_text(emit_dimacs(generate("cubic:n=6", 1)))
+    code, out = run(capsys, "reduce", str(c6), "--k", "2", "--witness-ds", "1,3")
+    assert (code, out["kind"]) == (EXIT_INVALID, "invalid-input")
+    assert "[1, 3] does not dominate" in out["error"]
+    assert "[0, 2]" not in out["error"]
+
+
 @pytest.mark.parametrize(
     "ids, named",
     [("1,99", "'99'"), ("0", "'0'"), ("2,x,-1,5", "'x', '-1', '5'")],
@@ -608,6 +617,18 @@ def test_errors_and_help_leave_the_next_call_intact(capsys, bridge_file):
     assert {k: v for k, v in out.items() if k != "wall_time_s"} == {
         k: v for k, v in want.items() if k != "wall_time_s"
     }
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_is_one_json_document(capsys, argv):
+    assert run_command(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (line,) = captured.out.splitlines()
+    doc = json.loads(line)
+    assert doc["kind"] == "help"
+    assert doc["help"].startswith(" ".join(["usage: minalliance", *argv[:-1]]))
+    assert ("--kmax" in doc["help"]) == (argv[0] == "solve")
 
 
 def test_parser_is_built_at_most_once(capsys, monkeypatch, bridge_file):

@@ -24,6 +24,7 @@ from minalliance import (
     twin_cover_set,
     verify_alliance,
 )
+from minalliance.fpt import _priced_picks
 from minalliance.params import InvalidTwinCoverError, RemainderNotCliqueError
 
 
@@ -62,6 +63,59 @@ def test_demand_requires_picked_vertex():
 def test_demand_can_go_negative():
     g = build_graph(3, [(0, 1), (0, 2)])
     assert demand(g, 0, {0, 1, 2}) == -1
+
+
+def priced_pick_graphs():
+    """About 100 generated graphs, with their dtc and twin-cover modulators."""
+    specs = [f"cliqueplus:n={n},k={k}" for n in (8, 14, 26) for k in (1, 2, 3, 5)]
+    specs += [f"twincover:n={n},t={t},zmax={z}" for n, t, z in
+              ((10, 2, 3), (16, 3, 4), (24, 4, 5), (30, 5, 6), (40, 5, 12))]
+    for spec in specs:
+        for seed in range(4 if spec.startswith("cliqueplus") else 10):
+            g = generate(spec, seed)
+            for find in (distance_to_clique_set, twin_cover_set):
+                mod = find(g, 5)
+                if mod is not None:
+                    yield spec, seed, g, tuple(sorted(mod))
+
+
+def test_priced_picks_equal_demand():
+    # the bitmask demands against the definition, for every pick of every modulator
+    checked = 0
+    for spec, seed, g, mod in priced_pick_graphs():
+        picks = list(_priced_picks(g, mod))
+        assert [pmask for pmask, _, _ in picks] == list(range(1 << len(mod)))
+        for pmask, bits, demands in picks:
+            assert bits == [i for i in range(len(mod)) if pmask >> i & 1]
+            pset = frozenset(mod[i] for i in bits)
+            assert demands == [demand(g, mod[i], pset) for i in bits], (spec, seed, pmask)
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize(
+    "spec, seed, counts, members",
+    [  # (guesses, ilp_solves, pruned) and the witness of the per-pick demand() loops
+        ("cliqueplus:n=26,k=2", 3, (3, 3, 1), (0, 1, 2, 3, 4, 5, 7, 12, 14, 15, 17, 19, 20)),
+        ("cliqueplus:n=40,k=2", 5, (4, 4, 6),
+         (2, 3, 4, 5, 6, 8, 11, 12, 14, 15, 17, 18, 19, 20, 21, 22, 23, 24, 25)),
+        ("cliqueplus:n=30,k=3", 2, (11, 11, 15),
+         (0, 2, 3, 4, 6, 10, 13, 14, 15, 16, 17, 19, 21, 22)),
+        ("cliqueplus:n=20,k=5", 1, (25, 25, 28), (0, 1, 3, 4, 5, 6, 9, 12, 13)),
+        ("twincover:n=30,t=4", 3, (1, 1, 15), (28,)),
+        ("twincover:n=60,t=5", 5, (1, 1, 31), (17,)),
+        ("twincover:n=26,t=5", 2, (1, 1, 31), (5, 8, 9)),
+        ("twincover:n=36,t=3", 4, (1, 1, 7), (1, 9)),
+    ],
+)
+def test_guess_loop_counts_and_witness_are_pinned(spec, seed, counts, members):
+    g = generate(spec, seed)
+    if spec.startswith("cliqueplus"):
+        sol, stats = solve_dtc_detailed(g, distance_to_clique_set(g, 5))
+    else:
+        sol, stats = solve_twincover_detailed(g, twin_cover_set(g, 5))
+    assert (stats.guesses, stats.ilp_solves, stats.pruned) == counts
+    assert sol.members == members
 
 
 # ---------------------------------------------------------------- solve_dtc

@@ -130,6 +130,55 @@ def test_dtc_lexicographic_choice_on_many_candidates():
     assert tuple(sorted(distance_to_clique_set(build_graph(n, edges), core))) == want
 
 
+def clique_plus(rng, n, k):
+    """A clique on n - k random vertices, and k outside vertices joined only
+    to fewer than n - k - 1 clique vertices each.  So exactly n - k vertices
+    have degree >= n - k - 1, the fewest that the degree reject lets pass at
+    k_max = k, and the outside vertices are the one smallest modulator."""
+    order = rng.sample(range(n), n)
+    clique, outside = order[: n - k], order[n - k:]
+    edges = set(itertools.combinations(sorted(clique), 2))
+    for v in outside:
+        for u in rng.sample(clique, rng.randint(0, max(0, n - k - 2))):
+            edges.add((min(u, v), max(u, v)))
+    return sorted(edges), frozenset(outside)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_dtc_matches_oracle_at_every_kmax(seed):
+    # the degree reject may only answer None where no set within k_max exists
+    rng = random.Random(f"dtc-kmax/{seed}")
+    n = rng.randint(1, 12)
+    if seed % 2:
+        edges, planted = clique_plus(rng, n, rng.randint(0, n))
+    else:
+        p = rng.choice((0.3, 0.6, 0.85, 0.95))
+        edges, planted = [e for e in itertools.combinations(range(n), 2) if rng.random() < p], None
+    want = lex_min(smallest_clique_modulators(n, edges))
+    if planted is not None and n - len(planted) >= 2:
+        assert want == tuple(sorted(planted))
+    g = build_graph(n, edges)
+    for k_max in range(n + 1):
+        got = distance_to_clique_set(g, k_max)
+        assert got == (frozenset(want) if len(want) <= k_max else None), k_max
+
+
+def test_dtc_degree_reject_builds_no_non_edges(monkeypatch):
+    import minalliance.params as params_mod
+
+    def no_cover(edges, k_max):
+        raise AssertionError("the degree count should have rejected the graph")
+
+    monkeypatch.setattr(params_mod, "_min_cover", no_cover)
+    # 200 vertices of degree 3 against the 194 of degree >= 194 that k_max = 5 needs
+    assert distance_to_clique_set(generate("cubic:n=200", 1), 5) is None
+
+
+def test_dtc_rejects_negative_kmax():
+    with pytest.raises(ValueError):
+        distance_to_clique_set(complete_graph(4), -1)
+
+
 # ------------------------------------------------------------ twin cover
 
 
