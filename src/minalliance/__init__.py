@@ -6,6 +6,7 @@ from .alliances import (
     InternalVerificationError,
     SearchGuardError,
     brute_force_min_alliance,
+    degree_alliance,
     protection_threshold,
     verify_alliance,
 )

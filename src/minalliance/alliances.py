@@ -96,6 +96,46 @@ def checked_alliance(g: Graph, members: Iterable[int], what: str) -> AllianceSol
     return checked
 
 
+def degree_alliance(g: Graph) -> tuple[int, ...] | None:
+    """The minimum alliance avoiding forbidden vertices when it has at most
+    two vertices, read off the degrees; None when the optimum is larger.
+
+    The answer is the least allowed vertex of degree at most one, else the
+    least edge (u, w), u < w, whose two ends are allowed and have degree at
+    most three, found by scanning only the adjacency lists of the allowed
+    vertices of degree at most three.
+
+    Exactness: a single vertex is an alliance exactly when its degree is at
+    most one.  Two vertices that are no alliance as singletons need a
+    defender each inside, so an alliance of two, when no singleton exists,
+    is an edge; each end then has two defenders, enough exactly for degree
+    at most three.  So the helper answers exactly when the optimum is at
+    most two.
+
+    Its answer is the witness `solve_min_alliance_search` returns.  The
+    search's first climb runs level 1 when an allowed vertex of degree at
+    most one exists and level 2 when none does but such an edge does (its
+    lower bound is one plus the least number of neighbours an allowed
+    vertex needs inside), and that climb's find is the search's witness.
+    Roots and their candidates both ascend: at level 1 the first root that
+    needs no neighbour is the least vertex of degree at most one; at
+    level 2 a root u of degree at most three branches on its allowed
+    neighbours w in ascending order, the earlier roots banned, and the first
+    w of degree at most three closes the alliance, so the first find is the
+    least such edge.
+    """
+    adj, forbidden = g.adj, g.forbidden
+    low = [v for v, nbrs in enumerate(adj) if len(nbrs) <= 3 and v not in forbidden]
+    for v in low:
+        if len(adj[v]) <= 1:
+            return (v,)
+    for u in low:
+        for w in adj[u]:
+            if w > u and len(adj[w]) <= 3 and w not in forbidden:
+                return (u, w)
+    return None
+
+
 def _connected_subsets(g: Graph, size: int, allowed: list[bool]):
     """Yield every `size`-vertex subset inducing a connected subgraph, once each.
 

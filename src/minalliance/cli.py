@@ -9,17 +9,22 @@ subcommand, prints one `{"kind": "help", "help": ...}` document carrying
 argparse's usage text, and exits 0.
 
 `solve --algo auto` routes a graph without forbidden vertices and with
-maximum degree five to `lowdeg`, else a graph with a distance-to-clique
-set or a twin cover of at most `--kmax` vertices to `dtc` or `twincover`,
-and everything else to the branch and bound `search`, which climbs from a
-proven lower bound on the size and descends from an incumbent in turn.
-Brute force and the ILP encoding stay selectable and are `--oracle`'s two
-oracles.  Past `--time-limit`, `search`, the ILP, `dtc` and `twincover`
-raise `BudgetExceeded`, printed as one `"kind": "budget"` document with the
-verified incumbent and the proven lower bound (each null when unknown;
-`search` always has a lower bound, and an incumbent once its first descent
-has found one); `lowdeg` and brute force ignore the limit.  A negative
-limit is invalid input.  The distance-to-clique test first counts the
+maximum degree five to `lowdeg`.  On a graph without forbidden vertices and
+of larger maximum degree it reads the degrees first (`degree_alliance`): a
+vertex of degree at most one, or an edge whose two ends have degree at most
+three, is an optimum of one or two, and such a graph goes to `search`, whose
+first climb returns that witness, with no modulator searched.  Otherwise a
+graph with a distance-to-clique set or a twin cover of at most `--kmax`
+vertices goes to `dtc` or `twincover`, and everything else to the branch and
+bound `search`, which climbs from a proven lower bound on the size and
+descends from an incumbent in turn.  Brute force and the ILP encoding stay
+selectable and are `--oracle`'s two oracles.  Past `--time-limit`, every
+solver but brute force raises `BudgetExceeded`, printed as one
+`"kind": "budget"` document with the verified incumbent and the proven lower
+bound (each null when unknown; `search` always has a lower bound, and an
+incumbent once its first descent has found one; `lowdeg` has the lower
+bound 3).  A negative limit or `--kmax` is invalid input, rejected before
+the graph is read.  The distance-to-clique test first counts the
 vertices of degree >= n - kmax - 1: a clique left by removing at most
 `--kmax` vertices needs n - kmax of them, so with fewer it answers no in
 O(n), before building the O(n^2) list of non-edges.
@@ -44,6 +49,7 @@ from .alliances import (
     InternalVerificationError,
     SearchGuardError,
     brute_force_min_alliance,
+    degree_alliance,
     verify_alliance,
 )
 from .dimacs import DimacsError, emit_dimacs, parse_dimacs
@@ -160,13 +166,15 @@ def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int]
         return algo, None
     if not g.forbidden and g.max_degree() <= 5:
         return "lowdeg", None
-    if not g.forbidden:
-        mod = distance_to_clique_set(g, kmax)
-        if mod is not None:
-            return "dtc", mod
-        cover = twin_cover_set(g, kmax)
-        if cover is not None:
-            return "twincover", cover
+    # an optimum of one or two vertices is the first find of search's climb
+    if g.forbidden or degree_alliance(g) is not None:
+        return "search", None
+    mod = distance_to_clique_set(g, kmax)
+    if mod is not None:
+        return "dtc", mod
+    cover = twin_cover_set(g, kmax)
+    if cover is not None:
+        return "twincover", cover
     return "search", None
 
 
@@ -174,7 +182,7 @@ def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None,
                modulator: frozenset[int] | None = None):
     """Run `algo`; dtc and twincover search a modulator unless given one."""
     if algo == "lowdeg":
-        return solve_min_alliance_lowdeg(g)
+        return solve_min_alliance_lowdeg(g, time_limit=time_limit)
     if algo == "search":
         return solve_min_alliance_search(g, time_limit=time_limit)
     if algo == "brute":
@@ -207,6 +215,11 @@ def _record_for(g: Graph, instance: str, algo: str) -> ResultRecord:
 def _check_time_limit(time_limit: float | None) -> None:
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"--time-limit must be a nonnegative number, got {time_limit}")
+
+
+def _check_kmax(kmax: int) -> None:
+    if kmax < 0:
+        raise ValueError(f"--kmax must be nonnegative, got {kmax}")
 
 
 def _solve_record(g: Graph, instance: str, algo: str, kmax: int,
@@ -268,6 +281,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 def _cmd_solve(args) -> tuple[int, dict]:
     _check_time_limit(args.time_limit)
+    _check_kmax(args.kmax)
     g = _read_graph(args.graph)
     algo, mod = _pick_algorithm(g, args.algo, args.kmax)
     rec = _solve_record(
@@ -277,6 +291,7 @@ def _cmd_solve(args) -> tuple[int, dict]:
 
 
 def _cmd_params(args) -> tuple[int, dict]:
+    _check_kmax(args.kmax)
     g = _read_graph(args.graph)
     dtc = distance_to_clique_set(g, args.kmax)
     cover = twin_cover_set(g, args.kmax)
@@ -370,6 +385,7 @@ def _cmd_gen(args) -> tuple[int, dict]:
 
 def _cmd_bench(args) -> tuple[int, list[dict]]:
     _check_time_limit(args.time_limit)
+    _check_kmax(args.kmax)
     corpus = sorted(Path(args.corpus).glob("*.dimacs"))
     if not corpus:
         raise ValueError(f"no .dimacs files under {args.corpus}")

@@ -9,18 +9,28 @@ rank, witness) over every root and shape, where the rank is 0 for a
 singleton, 1 for a path and 2 for a cycle.
 
 `solve_min_alliance_lowdeg` finds that key without computing every shape at
-every root.  Keys of size one and two are read off the degrees in O(n + m): the
-least vertex of degree at most one, else the least edge whose two ends both
-have degree at most three.  Only when neither exists does it search: pass 1
-takes the path candidate of every root, each root's BFS stopping at the end
-of the first level that holds a vertex of degree at most three, and pass 2
-takes the shortest cycle through each root from one branch-labelled BFS cut
-off at the length that can still win.
+every root.  Keys of size one and two are read off the degrees by
+`alliances.degree_alliance`, the step `solve --algo auto` also takes on
+graphs of larger maximum degree: the least vertex of degree at most one,
+else the least edge whose two ends both have degree at most three.  Only
+when neither exists does it search: pass 1 takes the path candidate of
+every root, each root's BFS stopping at the end of the first level that
+holds a vertex of degree at most three, and pass 2 takes the shortest cycle
+through each root from one branch-labelled BFS cut off at the length that
+can still win.  Past its time limit the search raises BudgetExceeded.
 """
 
 from __future__ import annotations
 
-from .alliances import AllianceSolution, InternalVerificationError, checked_alliance
+from time import monotonic
+
+from .alliances import (
+    AllianceSolution,
+    BudgetExceeded,
+    InternalVerificationError,
+    checked_alliance,
+    degree_alliance,
+)
 from .graphs import Graph, shortest_cycle_with_vertices
 
 
@@ -75,7 +85,9 @@ def _nearest_low_path(g: Graph, v: int) -> list[int] | None:
     return None
 
 
-def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
+def solve_min_alliance_lowdeg(
+    g: Graph, *, time_limit: float | None = None
+) -> AllianceSolution:
     """Minimum defensive alliance of a graph with maximum degree five.
 
     A minimum alliance S induces a connected subgraph, so it lies in one
@@ -89,7 +101,7 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
     candidate over all roots is therefore exact.
 
     The answer is the smallest key (size, rank, witness) over every root
-    and candidate.  Two checks on the degrees come first:
+    and candidate.  The check on the degrees, `degree_alliance`, comes first:
 
     - A vertex of degree at most one gives the key (1, 0, (v,)), and no other
       key has size one, so the least such vertex is the answer.
@@ -113,27 +125,39 @@ def solve_min_alliance_lowdeg(g: Graph) -> AllianceSolution:
 
     Candidates are compared by key alone: only the answer is checked, by
     `checked_alliance`, and one that fails raises InternalVerificationError.
+
+    With a `time_limit`, the clock is read once per root of either pass;
+    past the limit the search raises BudgetExceeded with `lower_bound` 3 (the
+    check on the degrees found no smaller alliance) and the best key so far
+    as the incumbent, checked by `checked_alliance`, or None.
     """
     _check_lowdeg_input(g)
-    for v in range(g.n):
-        if g.degree(v) <= 1:
-            return checked_alliance(g, (v,), "lowdeg answer")
-    low = [len(nbrs) <= 3 for nbrs in g.adj]
-    for u, w in g.edges:
-        if low[u] and low[w]:
-            return checked_alliance(g, (u, w), "lowdeg answer")
+    found = degree_alliance(g)
+    if found is not None:
+        return checked_alliance(g, found, "lowdeg answer")
+    deadline = None if time_limit is None else monotonic() + time_limit
+    best = None
+
+    def check_clock(stage: str) -> None:
+        if deadline is not None and monotonic() > deadline:
+            raise BudgetExceeded(
+                f"time limit exceeded in lowdeg {stage}",
+                alliance=None if best is None else checked_alliance(g, best[2], "lowdeg incumbent"),
+                lower_bound=3,
+            )
+
     # no vertex of degree <= 1 is left, so every low root is a path root
-    best = min(
-        (
-            (len(path), 1, tuple(sorted(path)))
-            for v in range(g.n)
-            if low[v] and (path := _nearest_low_path(g, v)) is not None
-        ),
-        default=None,
-    )
+    for v in range(g.n):
+        if g.degree(v) <= 3:
+            check_clock("pass 1")
+            path = _nearest_low_path(g, v)
+            if path is not None:
+                key = (len(path), 1, tuple(sorted(path)))
+                best = key if best is None else min(best, key)
     bound = g.n if best is None else best[0] - 1
     if bound >= 3:  # no cycle is shorter
         for v in range(g.n):
+            check_clock("pass 2")
             cyc = shortest_cycle_with_vertices(g, v, bound)
             if cyc is not None:
                 key = (cyc[0], 2, cyc[1])

@@ -8,8 +8,10 @@ from minalliance import (
     SearchGuardError,
     brute_force_min_alliance,
     build_graph,
+    degree_alliance,
     generate,
     protection_threshold,
+    solve_min_alliance_search,
     verify_alliance,
 )
 from minalliance.graphs import VertexRangeError
@@ -171,3 +173,27 @@ def test_forbidden_counts_toward_degree():
     # d(0)=5 needs 3 defenders; the four blocked leaves push 0 under.
     assert not sol2.valid
     assert sol2.violations == ((0, 2, 3),)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_degree_alliance_answers_exactly_the_optima_of_at_most_two(seed):
+    """The answer read off the degrees exists exactly when brute force finds
+    an alliance of at most two vertices, and then it is brute force's and
+    the search's witness: the least leaf, else the least low edge."""
+    rng = random.Random(f"degree-alliance/{seed}")
+    small = 0
+    for _ in range(100):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.1, 0.25, 0.5, 0.8))
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        forbidden = [v for v in range(n) if rng.random() < 0.2] if rng.random() < 0.5 else []
+        g = build_graph(n, edges, forbidden)
+        got = degree_alliance(g)
+        ref = brute_force_min_alliance(g, size_cap=2)
+        if ref is None:
+            assert got is None
+            continue
+        small += 1
+        assert got == ref.members
+        assert solve_min_alliance_search(g).members == got
+    assert small > 0

@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from minalliance import build_graph, emit_dimacs, generate, parse_dimacs, verify_alliance
+from minalliance import (
+    build_graph,
+    degree_alliance,
+    emit_dimacs,
+    generate,
+    parse_dimacs,
+    verify_alliance,
+)
 from minalliance.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -110,6 +117,7 @@ def test_solve_auto_picks_lowdeg(capsys, bridge_file):
 def test_solve_auto_on_high_degree_clique_attachments(capsys, tmp_path):
     g = generate("cliqueplus:n=12,k=2", 3)
     assert g.max_degree() > 5  # otherwise the dispatcher rightly picks lowdeg
+    assert degree_alliance(g) is None  # optimum > 2, else search answers
     path = tmp_path / "cp.dimacs"
     path.write_text(emit_dimacs(g))
     code, out = run(capsys, "solve", str(path), "--oracle")
@@ -271,7 +279,8 @@ def test_dtc_budget_overrun_is_one_json_document(capsys, tmp_path, monkeypatch):
     path.write_text(emit_dimacs(g))
     reads = iter([0.0])  # the deadline is set at 0 + 1 s; every later read is past it
     monkeypatch.setattr(fpt, "monotonic", lambda: next(reads, 1e9))
-    code, out = run(capsys, "solve", str(path), "--time-limit", "1")
+    # optimum <= 2, so auto routes this graph to search: name dtc
+    code, out = run(capsys, "solve", str(path), "--algo", "dtc", "--time-limit", "1")
     assert code == EXIT_INVALID
     assert out == {
         "error": "time limit exceeded in the dtc guess loop",
@@ -280,6 +289,74 @@ def test_dtc_budget_overrun_is_one_json_document(capsys, tmp_path, monkeypatch):
         "incumbent_size": None,
         "lower_bound": None,
     }
+
+
+def test_lowdeg_budget_overrun_is_one_json_document(capsys, tmp_path, monkeypatch):
+    import minalliance.lowdeg as lowdeg
+
+    # C_8(1, 2) without the edge (4, 5): no alliance of two, so lowdeg searches
+    edges = [(i, (i + d) % 8) for i in range(8) for d in (1, 2)]
+    g = build_graph(8, sorted({tuple(sorted(e)) for e in edges} - {(4, 5)}))
+    path = tmp_path / "c8.dimacs"
+    path.write_text(emit_dimacs(g))
+    reads = iter([0.0])  # the deadline is set at 0 + 1 s; every later read is past it
+    monkeypatch.setattr(lowdeg, "monotonic", lambda: next(reads, 1e9))
+    code, out = run(capsys, "solve", str(path), "--time-limit", "1")
+    assert code == EXIT_INVALID
+    assert out == {
+        "error": "time limit exceeded in lowdeg pass 1",
+        "kind": "budget",
+        "incumbent": None,
+        "incumbent_size": None,
+        "lower_bound": 3,
+    }
+
+
+def test_auto_sends_an_optimum_of_two_past_the_modulator_search(capsys, tmp_path):
+    g = generate("twincover:n=30,t=4", 2)
+    assert g.max_degree() > 5 and not g.forbidden
+    path = tmp_path / "tc.dimacs"
+    path.write_text(emit_dimacs(g))
+    _, auto = run(capsys, "solve", str(path))
+    _, search = run(capsys, "solve", str(path), "--algo", "search")
+    _, cover = run(capsys, "solve", str(path), "--algo", "twincover")
+    assert auto["algorithm"] == "search"
+    assert auto["witness"] == search["witness"] == [v + 1 for v in degree_alliance(g)]
+    assert auto["size"] == cover["size"] == 2
+
+
+def test_auto_keeps_an_optimum_of_three_on_twincover(capsys, tmp_path):
+    g = generate("twincover:n=16,t=3", 10)
+    assert g.max_degree() > 5 and degree_alliance(g) is None
+    path = tmp_path / "tc.dimacs"
+    path.write_text(emit_dimacs(g))
+    code, out = run(capsys, "solve", str(path), "--oracle")
+    assert (code, out["algorithm"], out["size"], out["match"]) == (EXIT_OK, "twincover", 3, True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "cubic:n=8"],  # auto: lowdeg
+        ["solve", "twincover:n=30,t=4"],  # auto: search, optimum 1
+        ["solve", "cliqueplus:n=12,k=3"],  # auto: dtc
+        ["solve", "cliqueplus:n=12,k=3", "--algo", "search"],
+        ["params", "cliqueplus:n=12,k=3"],
+        ["bench", "cubic:n=8"],
+    ],
+)
+def test_a_negative_kmax_is_invalid_input_before_the_graph_is_read(capsys, tmp_path, argv):
+    command, spec, *extra = argv
+    path = tmp_path / "g.dimacs"
+    path.write_text(emit_dimacs(generate(spec, 1)))
+    target = tmp_path if command == "bench" else path
+    code, out = run(capsys, command, str(target), *extra, "--kmax", "-1")
+    assert (code, out) == (
+        EXIT_INVALID, {"error": "--kmax must be nonnegative, got -1", "kind": "invalid-input"}
+    )
+    # the same answer where no graph could be read
+    code, out = run(capsys, command, str(tmp_path / "missing"), *extra, "--kmax", "-1")
+    assert (code, out["error"]) == (EXIT_INVALID, "--kmax must be nonnegative, got -1")
 
 
 @pytest.mark.parametrize("limit", ["-1", "-0.5", "nan"])
@@ -504,7 +581,7 @@ def test_bench_mismatch_writes_artifact(capsys, tmp_path, monkeypatch):
 
     import minalliance.cli as cli_mod
 
-    def oversized_solver(graph):
+    def oversized_solver(graph, *, time_limit=None):
         # valid alliance, wrong size: the whole graph is always an alliance
         return verify_alliance(graph, range(graph.n))
 
@@ -524,7 +601,7 @@ def test_invalid_witness_is_internal_error(capsys, bridge_file, monkeypatch):
     import minalliance.cli as cli_mod
     from minalliance import AllianceSolution
 
-    def broken_solver(graph):
+    def broken_solver(graph, *, time_limit=None):
         return AllianceSolution(members=(0,), size=1, valid=False, violations=())
 
     monkeypatch.setattr(cli_mod, "solve_min_alliance_lowdeg", broken_solver)
@@ -592,6 +669,7 @@ def test_write_counterexample_helper(tmp_path):
 def test_options_do_not_carry_over_between_calls(capsys, tmp_path):
     # a dtc set of 3 vertices and no twin cover of 2: --kmax decides the route
     g = generate("cliqueplus:n=12,k=3", 1)
+    assert degree_alliance(g) is None  # optimum > 2, else search answers
     path = tmp_path / "cp.dimacs"
     path.write_text(emit_dimacs(g))
     code, out = run(capsys, "solve", str(path), "--algo", "search", "--kmax", "2", "--oracle")

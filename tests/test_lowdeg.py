@@ -6,6 +6,7 @@ import random
 import pytest
 
 from minalliance import (
+    BudgetExceeded,
     InternalVerificationError,
     brute_force_min_alliance,
     build_graph,
@@ -14,7 +15,7 @@ from minalliance import (
     solve_min_alliance_lowdeg,
     verify_alliance,
 )
-from minalliance.graphs import VertexRangeError
+from minalliance.graphs import VertexRangeError, shortest_cycle_with_vertices
 from minalliance.lowdeg import DegreeBoundError, _nearest_low_path
 
 from _oracles import best_shape_at, nearest_low_path_by_full_bfs
@@ -380,3 +381,44 @@ def test_degree_checks_equal_best_of_all_subproblems(seed):
         graphs.append(build_graph(g.n + 1, list(g.edges) + [(1, g.n)]))
     for g in graphs:
         assert solve_min_alliance_lowdeg(g).members == best_of_all_subproblems(g)[2], (g.n, g.edges)
+
+
+def test_time_limit_overrun_in_pass_1_has_no_incumbent(monkeypatch):
+    import minalliance.lowdeg as lowdeg
+
+    # no key of size two or less (see above): pass 1 starts at root 4
+    g = build_graph(8, [e for e in circulant(8, 2).edges if e != (4, 5)])
+    reads = iter([0.0])  # the deadline is set at 0 + 1 s; every later read is past it
+    monkeypatch.setattr(lowdeg, "monotonic", lambda: next(reads, 1e9))
+    with pytest.raises(BudgetExceeded, match="lowdeg pass 1") as exc:
+        solve_min_alliance_lowdeg(g, time_limit=1.0)
+    assert exc.value.alliance is None
+    assert exc.value.lower_bound == 3
+
+
+def test_time_limit_overrun_in_pass_2_carries_the_best_cycle(monkeypatch):
+    import minalliance.lowdeg as lowdeg
+
+    # 4-regular, so pass 1 has no root; the clock passes the deadline at the
+    # check before root 1, after root 0's shortest cycle
+    g = circulant(12, 3)
+    reads = iter([0.0, 0.0])
+    monkeypatch.setattr(lowdeg, "monotonic", lambda: next(reads, 1e9))
+    with pytest.raises(BudgetExceeded, match="lowdeg pass 2") as exc:
+        solve_min_alliance_lowdeg(g, time_limit=1.0)
+    assert exc.value.alliance.valid
+    assert exc.value.alliance.members == shortest_cycle_with_vertices(g, 0)[1]
+    assert exc.value.lower_bound == 3
+
+
+def test_no_clock_read_without_a_time_limit(monkeypatch):
+    import minalliance.lowdeg as lowdeg
+
+    graphs = [circulant(12, 3), build_graph(8, [e for e in circulant(8, 2).edges if e != (4, 5)])]
+    expected = [solve_min_alliance_lowdeg(g, time_limit=60.0) for g in graphs]
+
+    def no_clock():
+        raise AssertionError("the clock was read")
+
+    monkeypatch.setattr(lowdeg, "monotonic", no_clock)
+    assert [solve_min_alliance_lowdeg(g) for g in graphs] == expected
