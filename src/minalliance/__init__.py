@@ -1,6 +1,7 @@
 """Exact solvers for the minimum defensive alliance problem on undirected graphs."""
 
 from .alliances import (
+    BRUTE_MAX_N,
     AllianceSolution,
     BudgetExceeded,
     InternalVerificationError,

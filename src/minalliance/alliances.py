@@ -12,6 +12,9 @@ from typing import Iterable
 
 from .graphs import Graph, VertexRangeError
 
+# the largest n `brute_force_min_alliance` searches unless given another guard
+BRUTE_MAX_N = 24
+
 
 class SearchGuardError(ValueError):
     """Raised when the exhaustive search is asked to handle too large a graph."""
@@ -175,7 +178,7 @@ def brute_force_min_alliance(
     g: Graph,
     size_cap: int | None = None,
     *,
-    max_n: int = 24,
+    max_n: int = BRUTE_MAX_N,
 ) -> AllianceSolution | None:
     """Smallest defensive alliance avoiding forbidden vertices, by exhaustion.
 

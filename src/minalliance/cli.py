@@ -1,33 +1,32 @@
 """Command-line front end.
 
 Every subcommand prints one JSON document on stdout, as one compact line
-(the files it writes stay indented).  Exit codes: 0 success,
-1 invalid input or a budget overrun, 2 a solver returned a witness that failed
-verification.  A usage error (an unknown subcommand or option, a malformed
-option value) is invalid input too.  `--help`, on its own or after a
-subcommand, prints one `{"kind": "help", "help": ...}` document carrying
-argparse's usage text, and exits 0.
+(the files it writes stay indented).  Exit codes: 0 success, 1 invalid input
+(a usage error too) or a budget overrun, 2 a solver returned a witness that
+failed verification.  `--help`, on its own or after a subcommand, prints one
+`{"kind": "help", "help": ...}` document and exits 0.
 
-`solve --algo auto` routes a graph without forbidden vertices and with
-maximum degree five to `lowdeg`.  On a graph without forbidden vertices and
-of larger maximum degree it reads the degrees first (`degree_alliance`): a
-vertex of degree at most one, or an edge whose two ends have degree at most
-three, is an optimum of one or two, and such a graph goes to `search`, whose
-first climb returns that witness, with no modulator searched.  Otherwise a
-graph with a distance-to-clique set or a twin cover of at most `--kmax`
-vertices goes to `dtc` or `twincover`, and everything else to the branch and
-bound `search`, which climbs from a proven lower bound on the size and
-descends from an incumbent in turn.  Brute force and the ILP encoding stay
-selectable and are `--oracle`'s two oracles.  Past `--time-limit`, every
-solver but brute force raises `BudgetExceeded`, printed as one
-`"kind": "budget"` document with the verified incumbent and the proven lower
-bound (each null when unknown; `search` always has a lower bound, and an
-incumbent once its first descent has found one; `lowdeg` has the lower
-bound 3).  A negative limit or `--kmax` is invalid input, rejected before
-the graph is read.  The distance-to-clique test first counts the
-vertices of degree >= n - kmax - 1: a clique left by removing at most
-`--kmax` vertices needs n - kmax of them, so with fewer it answers no in
-O(n), before building the O(n^2) list of non-edges.
+`_pick_algorithm` alone resolves `--algo` to a solver and searches its
+modulator.  `auto` sends a graph with forbidden vertices or none at all to
+`search`, one of maximum degree at most five to `lowdeg`, and one whose
+degrees show an optimum of one or two (`degree_alliance`) to `search`, whose
+first climb returns that witness.  Otherwise a distance-to-clique set or a
+twin cover of at most `--kmax` vertices routes to `dtc` or `twincover`, and
+everything else goes to the branch and bound `search`.  Brute force and the
+ILP encoding stay selectable and are `--oracle`'s oracles: brute force up to
+`BRUTE_MAX_N` vertices, the ILP above.  Past `--time-limit`, every solver but
+brute force raises `BudgetExceeded`, printed as one `"kind": "budget"`
+document with the verified incumbent and the proven lower bound, each null
+when unknown.  A negative limit or `--kmax` is invalid input, rejected
+before the graph is read.
+
+A `solve` document, and each record of `bench`'s list, holds `algorithm`
+(the solver that ran), `instance`, `n`, `m`, `params`, `size`, `witness`
+(1-indexed), `valid` and `wall_time_s`, which times the solver alone on
+every route, neither the modulator search nor the oracle.  With no alliance,
+`size` and `valid` are null and `witness` is empty.  `--oracle` adds `match`
+and, unless the oracle finds no alliance, `oracle_size`; an ILP oracle past
+`--time-limit` leaves `match` null.  `bench` runs the oracle once per graph.
 
 `run_command` builds the argparse tree once per process and reuses it; each
 call parses into a fresh namespace, so no option carries over to the next.
@@ -41,10 +40,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .alliances import (
+    BRUTE_MAX_N,
     BudgetExceeded,
     InternalVerificationError,
     SearchGuardError,
@@ -72,42 +71,6 @@ EXIT_INVALID = 1
 EXIT_INTERNAL = 2
 
 SEED_ENV = "MINALLIANCE_SEED"
-
-# brute force's own guard; above it `--oracle` uses the ILP encoding
-BRUTE_MAX_N = 24
-
-
-@dataclass
-class ResultRecord:
-    algorithm: str
-    instance: str
-    n: int
-    m: int
-    params: dict = field(default_factory=dict)
-    size: int | None = None
-    witness: list[int] = field(default_factory=list)
-    valid: bool | None = None
-    wall_time_s: float | None = None
-    oracle_size: int | None = None
-    match: bool | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "algorithm": self.algorithm,
-            "instance": self.instance,
-            "n": self.n,
-            "m": self.m,
-            "params": self.params,
-            "size": self.size,
-            "witness": self.witness,
-            "valid": self.valid,
-            "wall_time_s": self.wall_time_s,
-        }
-        if self.oracle_size is not None:
-            out["oracle_size"] = self.oracle_size
-        if self.match is not None:
-            out["match"] = self.match
-        return out
 
 
 def _read_graph(path: str | Path) -> Graph:
@@ -160,27 +123,36 @@ def _parse_witness_ds(text: str, n: int) -> list[int]:
 
 
 def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int] | None]:
-    """Resolve `auto` to the algorithm it routes to, with the modulator that
-    decided the route (None where no modulator was searched)."""
-    if algo != "auto":
-        return algo, None
-    if not g.forbidden and g.max_degree() <= 5:
-        return "lowdeg", None
-    # an optimum of one or two vertices is the first find of search's climb
-    if g.forbidden or degree_alliance(g) is not None:
-        return "search", None
-    mod = distance_to_clique_set(g, kmax)
-    if mod is not None:
-        return "dtc", mod
-    cover = twin_cover_set(g, kmax)
-    if cover is not None:
-        return "twincover", cover
-    return "search", None
+    """Resolve `algo` to the solver that runs, with the modulator it runs
+    with: `dtc` and `twincover` search theirs (a ValueError when none is
+    within `kmax`), and `auto` routes as the module docstring says."""
+    if algo == "auto":
+        # lowdeg, dtc and twincover take no forbidden vertex and no empty graph
+        if g.forbidden or not g.n:
+            return "search", None
+        if g.max_degree() <= 5:
+            return "lowdeg", None
+        # an optimum of one or two vertices is the first find of search's climb
+        if degree_alliance(g) is not None:
+            return "search", None
+    if algo in ("auto", "dtc"):
+        mod = distance_to_clique_set(g, kmax)
+        if mod is not None:
+            return "dtc", mod
+        if algo == "dtc":
+            raise ValueError(f"no distance-to-clique set within k_max={kmax}")
+    if algo in ("auto", "twincover"):
+        cover = twin_cover_set(g, kmax)
+        if cover is not None:
+            return "twincover", cover
+        if algo == "twincover":
+            raise ValueError(f"no twin cover within k_max={kmax}")
+    return ("search" if algo == "auto" else algo), None
 
 
-def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None,
-               modulator: frozenset[int] | None = None):
-    """Run `algo`; dtc and twincover search a modulator unless given one."""
+def _solve_one(g: Graph, algo: str, mod: frozenset[int] | None,
+               time_limit: float | None):
+    """Run `algo`; dtc and twincover with the modulator `_pick_algorithm` found."""
     if algo == "lowdeg":
         return solve_min_alliance_lowdeg(g, time_limit=time_limit)
     if algo == "search":
@@ -190,26 +162,25 @@ def _solve_one(g: Graph, algo: str, kmax: int, time_limit: float | None,
     if algo == "ilp":
         return solve_min_alliance_ilp(g, time_limit=time_limit)
     if algo == "dtc":
-        mod = distance_to_clique_set(g, kmax) if modulator is None else modulator
-        if mod is None:
-            raise ValueError(f"no distance-to-clique set within k_max={kmax}")
         return solve_dtc(g, mod, time_limit=time_limit)
     if algo == "twincover":
-        cover = twin_cover_set(g, kmax) if modulator is None else modulator
-        if cover is None:
-            raise ValueError(f"no twin cover within k_max={kmax}")
-        return solve_twincover(g, cover, time_limit=time_limit)
+        return solve_twincover(g, mod, time_limit=time_limit)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _record_for(g: Graph, instance: str, algo: str) -> ResultRecord:
-    return ResultRecord(
-        algorithm=algo,
-        instance=instance,
-        n=g.n,
-        m=g.m,
-        params={"max_degree": g.max_degree(), "forbidden": len(g.forbidden)},
-    )
+def _document(g: Graph, instance: str, algo: str, sol, wall_time_s) -> dict:
+    """The fields `solve`, `bench` and `verify` share; `sol` None is no alliance."""
+    return {
+        "algorithm": algo,
+        "instance": instance,
+        "n": g.n,
+        "m": g.m,
+        "params": {"max_degree": g.max_degree(), "forbidden": len(g.forbidden)},
+        "size": None if sol is None else sol.size,
+        "witness": [] if sol is None else [v + 1 for v in sol.members],
+        "valid": None if sol is None else sol.valid,
+        "wall_time_s": wall_time_s,
+    }
 
 
 def _check_time_limit(time_limit: float | None) -> None:
@@ -222,29 +193,36 @@ def _check_kmax(kmax: int) -> None:
         raise ValueError(f"--kmax must be nonnegative, got {kmax}")
 
 
-def _solve_record(g: Graph, instance: str, algo: str, kmax: int,
-                  oracle: bool, time_limit: float | None,
-                  modulator: frozenset[int] | None = None) -> ResultRecord:
-    rec = _record_for(g, instance, algo)
+def _solve_record(g: Graph, instance: str, algo: str, args) -> dict:
+    """Run `algo` with the `--kmax` and `--time-limit` of `args`."""
+    algo, mod = _pick_algorithm(g, algo, args.kmax)
     t0 = time.perf_counter()
-    sol = _solve_one(g, algo, kmax, time_limit, modulator)
-    rec.wall_time_s = round(time.perf_counter() - t0, 6)
-    if sol is not None:
-        rec.size = sol.size
-        rec.witness = [v + 1 for v in sol.members]
-        rec.valid = sol.valid
-        if not sol.valid:
-            raise InternalVerificationError(
-                f"{algo} returned an invalid witness on {instance}"
-            )
-    if oracle:
+    sol = _solve_one(g, algo, mod, args.time_limit)
+    wall_time_s = round(time.perf_counter() - t0, 6)
+    if sol is not None and not sol.valid:
+        raise InternalVerificationError(
+            f"{algo} returned an invalid witness on {instance}"
+        )
+    return _document(g, instance, algo, sol, wall_time_s)
+
+
+def _check_oracle(g: Graph, records: list[dict], time_limit: float | None) -> None:
+    """Run the oracle once and set `oracle_size` (absent when it finds no
+    alliance) and `match` on every record; an ILP oracle past `time_limit`
+    sets `match` to null."""
+    try:
         if g.n <= BRUTE_MAX_N:
             ref = brute_force_min_alliance(g)
         else:
             ref = solve_min_alliance_ilp(g, time_limit=time_limit)
-        rec.oracle_size = None if ref is None else ref.size
-        rec.match = (rec.size == rec.oracle_size)
-    return rec
+    except BudgetExceeded:
+        for rec in records:
+            rec["match"] = None
+        return
+    for rec in records:
+        if ref is not None:
+            rec["oracle_size"] = ref.size
+        rec["match"] = rec["size"] == (None if ref is None else ref.size)
 
 
 def write_counterexample(
@@ -267,11 +245,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
     members = _read_vertex_set(args.set, g.n)
     sol = verify_alliance(g, members)
-    rec = _record_for(g, args.graph, "verify")
-    rec.size = sol.size
-    rec.witness = [v + 1 for v in sol.members]
-    rec.valid = sol.valid
-    out = rec.to_dict()
+    out = _document(g, args.graph, "verify", sol, None)
     out["violations"] = [
         {"vertex": v + 1, "defenders": have, "needed": need}
         for v, have, need in sol.violations
@@ -283,11 +257,10 @@ def _cmd_solve(args) -> tuple[int, dict]:
     _check_time_limit(args.time_limit)
     _check_kmax(args.kmax)
     g = _read_graph(args.graph)
-    algo, mod = _pick_algorithm(g, args.algo, args.kmax)
-    rec = _solve_record(
-        g, args.graph, algo, args.kmax, args.oracle, args.time_limit, mod
-    )
-    return EXIT_OK, rec.to_dict()
+    rec = _solve_record(g, args.graph, args.algo, args)
+    if args.oracle:
+        _check_oracle(g, [rec], args.time_limit)
+    return EXIT_OK, rec
 
 
 def _cmd_params(args) -> tuple[int, dict]:
@@ -394,22 +367,13 @@ def _cmd_bench(args) -> tuple[int, list[dict]]:
     status = EXIT_OK
     for path in corpus:
         g = _read_graph(path)
-        per_algo: dict[str, ResultRecord] = {}
-        for algo in algos:
-            real, mod = _pick_algorithm(g, algo, args.kmax)
-            rec = _solve_record(
-                g, path.name, real, args.kmax, args.oracle, args.time_limit, mod
-            )
-            per_algo[algo] = rec
-            records.append(rec.to_dict())
+        recs = [_solve_record(g, path.name, algo, args) for algo in algos]
+        records += recs
         if args.oracle:
-            bad = {a: r for a, r in per_algo.items() if r.match is False}
-            if bad:
+            _check_oracle(g, recs, args.time_limit)
+            if any(rec["match"] is False for rec in recs):
                 write_counterexample(
-                    args.artifacts,
-                    path.stem,
-                    g,
-                    {a: r.to_dict() for a, r in per_algo.items()},
+                    args.artifacts, path.stem, g, dict(zip(algos, recs))
                 )
                 status = EXIT_INTERNAL
     return status, records

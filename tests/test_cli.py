@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from minalliance import (
+    BRUTE_MAX_N,
     build_graph,
     degree_alliance,
     emit_dimacs,
@@ -554,14 +555,18 @@ def test_gen_rejects_bad_spec(capsys):
     assert out["kind"] == "invalid-input"
 
 
-def test_bench_clean_corpus(capsys, tmp_path):
+def small_corpus(tmp_path, count=2):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    for seed in range(3):
+    for seed in range(count):
         g = generate("degcap:n=9,dmax=5", seed)
         (corpus / f"g{seed}.dimacs").write_text(emit_dimacs(g))
+    return str(corpus)
+
+
+def test_bench_clean_corpus(capsys, tmp_path):
     code, out = run(
-        capsys, "bench", str(corpus), "--algo", "lowdeg,brute", "--oracle",
+        capsys, "bench", small_corpus(tmp_path, 3), "--algo", "lowdeg,brute", "--oracle",
         "--artifacts", str(tmp_path / "bad"),
     )
     assert code == EXIT_OK
@@ -595,6 +600,129 @@ def test_bench_mismatch_writes_artifact(capsys, tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "bad" / "g.counterexample.json").read_text())
     assert payload["instance"] == "g"
     assert payload["records"]["lowdeg"]["match"] is False
+
+
+def recording(calls, label, func):
+    """`func`, appending `label` to `calls` on each call."""
+
+    def wrapped(*args, **kwargs):
+        calls.append(label)
+        return func(*args, **kwargs)
+
+    return wrapped
+
+
+def test_bench_runs_the_oracle_once_per_graph(capsys, tmp_path, monkeypatch):
+    import minalliance.cli as cli_mod
+
+    calls = []
+    real = cli_mod.brute_force_min_alliance
+    monkeypatch.setattr(cli_mod, "brute_force_min_alliance", recording(calls, "brute", real))
+    code, out = run(
+        capsys, "bench", small_corpus(tmp_path), "--algo", "auto,search,ilp", "--oracle",
+        "--artifacts", str(tmp_path / "bad"),
+    )
+    assert code == EXIT_OK
+    assert len(out) == 6 and all(rec["match"] is True for rec in out)
+    assert calls == ["brute", "brute"]
+
+
+def test_bench_prints_one_record_per_repeated_algo_entry(capsys, tmp_path):
+    code, out = run(
+        capsys, "bench", small_corpus(tmp_path), "--algo", "search,lowdeg,search",
+        "--oracle", "--artifacts", str(tmp_path / "bad"),
+    )
+    assert code == EXIT_OK
+    assert [(rec["instance"], rec["algorithm"]) for rec in out] == [
+        (f"g{i}.dimacs", algo) for i in range(2) for algo in ("search", "lowdeg", "search")
+    ]
+    assert all(rec["match"] is True for rec in out)
+
+
+@pytest.mark.parametrize(
+    "spec, seed, algo",
+    [("cliqueplus:n=12,k=2", 3, "dtc"), ("twincover:n=16,t=3", 10, "twincover")],
+)
+def test_an_explicit_modulator_route_prints_autos_document(capsys, tmp_path, spec, seed, algo):
+    path = tmp_path / "g.dimacs"
+    path.write_text(emit_dimacs(generate(spec, seed)))
+    docs = []
+    for argv in ([], ["--algo", algo]):
+        code, out = run(capsys, "solve", str(path), "--oracle", *argv)
+        assert code == EXIT_OK
+        assert isinstance(out.pop("wall_time_s"), float)
+        docs.append(out)
+    assert docs[0]["algorithm"] == algo
+    assert docs[0] == docs[1]
+
+
+def out_of_time_ilp(monkeypatch):
+    """Stub the ILP engine so that the ILP oracle always overruns."""
+    import minalliance.ilp as ilp
+
+    def out_of_time(prob, **_kw):
+        raise ilp.IlpBudgetExceeded("time limit exceeded after 1 nodes")
+
+    monkeypatch.setattr(ilp, "solve_ilp", out_of_time)
+
+
+def test_an_oracle_overrun_keeps_the_solver_answer(capsys, tmp_path, monkeypatch):
+    out_of_time_ilp(monkeypatch)
+    path = tmp_path / "cubic60.dimacs"
+    path.write_text(emit_dimacs(generate("cubic:n=60", 1)))
+    code, out = run(capsys, "solve", str(path), "--oracle", "--time-limit", "0.05")
+    assert code == EXIT_OK
+    assert (out["algorithm"], out["size"], out["valid"]) == ("lowdeg", 2, True)
+    assert out["match"] is None
+    assert "oracle_size" not in out
+
+
+def test_bench_records_an_oracle_overrun_and_goes_on(capsys, tmp_path, monkeypatch):
+    out_of_time_ilp(monkeypatch)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for seed in (1, 2):
+        (corpus / f"c{seed}.dimacs").write_text(emit_dimacs(generate("cubic:n=60", seed)))
+    code, out = run(
+        capsys, "bench", str(corpus), "--oracle", "--time-limit", "0.05",
+        "--artifacts", str(tmp_path / "bad"),
+    )
+    assert code == EXIT_OK
+    assert [rec["instance"] for rec in out] == ["c1.dimacs", "c2.dimacs"]
+    for rec in out:
+        assert (rec["algorithm"], rec["size"], rec["match"]) == ("lowdeg", 2, None)
+        assert "oracle_size" not in rec
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]])
+def test_auto_answers_the_empty_graph_with_no_alliance(capsys, tmp_path, extra):
+    path = tmp_path / "empty.dimacs"
+    path.write_text("p edge 0 0\n")
+    code, out = run(capsys, "solve", str(path), *extra)
+    assert code == EXIT_OK
+    assert (out["algorithm"], out["size"], out["witness"], out["valid"]) == (
+        "search", None, [], None
+    )
+    if extra:
+        assert out["match"] is True and "oracle_size" not in out
+    else:
+        assert "match" not in out
+
+
+@pytest.mark.parametrize("n, oracle", [(BRUTE_MAX_N, "brute"), (BRUTE_MAX_N + 1, "ilp")])
+def test_the_oracle_is_brute_force_up_to_its_guard(capsys, tmp_path, monkeypatch, n, oracle):
+    import minalliance.cli as cli_mod
+
+    used = []
+    for name, label in (("brute_force_min_alliance", "brute"), ("solve_min_alliance_ilp", "ilp")):
+        monkeypatch.setattr(cli_mod, name, recording(used, label, getattr(cli_mod, name)))
+    path = tmp_path / "cycle.dimacs"
+    path.write_text(emit_dimacs(build_graph(n, [(v, (v + 1) % n) for v in range(n)])))
+    code, out = run(capsys, "solve", str(path), "--oracle")
+    assert code == EXIT_OK
+    assert (out["algorithm"], out["size"], out["oracle_size"], out["match"]) == ("lowdeg", 2, 2, True)
+    assert used == [oracle]
 
 
 def test_invalid_witness_is_internal_error(capsys, bridge_file, monkeypatch):
