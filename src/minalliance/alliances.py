@@ -74,7 +74,7 @@ def verify_alliance(g: Graph, members: Iterable[int]) -> AllianceSolution:
     ordered = tuple(sorted(mset))
     violations = []
     for v in ordered:
-        defenders = 1 + sum(1 for u in g.adj[v] if u in mset)
+        defenders = 1 + len(mset.intersection(g.adj[v]))
         needed = protection_threshold(g.degree(v))
         if defenders < needed:
             violations.append((v, defenders, needed))

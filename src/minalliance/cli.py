@@ -27,6 +27,12 @@ every route, neither the modulator search nor the oracle.  With no alliance,
 `size` and `valid` are null and `witness` is empty.  `--oracle` adds `match`
 and, unless the oracle finds no alliance, `oracle_size`; an ILP oracle past
 `--time-limit` leaves `match` null.  `bench` runs the oracle once per graph.
+A `bench` entry that cannot take a graph (a guard, a missing modulator, a
+degree bound) or runs past `--time-limit` gets the error document `solve`
+would print, with `algorithm` and `instance`, no oracle check, and `bench`
+goes on; it exits 2 on an oracle mismatch, else 1 if any entry erred, else
+0.  A file that fails to parse, or a witness that fails verification, still
+stops `bench` with one error document.
 
 `run_command` builds the argparse tree once per process and reuses it; each
 call parses into a fresh namespace, so no option carries over to the next.
@@ -46,15 +52,14 @@ from .alliances import (
     BRUTE_MAX_N,
     BudgetExceeded,
     InternalVerificationError,
-    SearchGuardError,
     brute_force_min_alliance,
     degree_alliance,
     verify_alliance,
 )
-from .dimacs import DimacsError, emit_dimacs, parse_dimacs
+from .dimacs import emit_dimacs, parse_dimacs
 from .fpt import solve_dtc, solve_twincover
 from .generators import generate
-from .graphs import Graph, GraphError
+from .graphs import Graph
 from .ilp import solve_min_alliance_ilp
 from .lowdeg import solve_min_alliance_lowdeg
 from .params import distance_to_clique_set, partition_clique_sets, twin_cover_set
@@ -71,6 +76,8 @@ EXIT_INVALID = 1
 EXIT_INTERNAL = 2
 
 SEED_ENV = "MINALLIANCE_SEED"
+
+ALGORITHMS = ("auto", "search", "brute", "lowdeg", "ilp", "dtc", "twincover")
 
 
 def _read_graph(path: str | Path) -> Graph:
@@ -356,6 +363,16 @@ def _cmd_gen(args) -> tuple[int, dict]:
     return EXIT_OK, out
 
 
+def _bench_record(g: Graph, instance: str, algo: str, args) -> dict:
+    """`_solve_record`, or, when the entry cannot take the graph or runs
+    past its budget, the error document `run_command` would print for it,
+    with `algorithm` and `instance`."""
+    try:
+        return _solve_record(g, instance, algo, args)
+    except (BudgetExceeded, ValueError) as exc:
+        return {"algorithm": algo, "instance": instance, **_error_document(exc)}
+
+
 def _cmd_bench(args) -> tuple[int, list[dict]]:
     _check_time_limit(args.time_limit)
     _check_kmax(args.kmax)
@@ -363,20 +380,28 @@ def _cmd_bench(args) -> tuple[int, list[dict]]:
     if not corpus:
         raise ValueError(f"no .dimacs files under {args.corpus}")
     algos = args.algo.split(",")
+    unknown = [algo for algo in algos if algo not in ALGORITHMS]
+    if unknown:
+        raise ValueError(f"--algo: unknown algorithm {', '.join(map(repr, unknown))}")
     records = []
-    status = EXIT_OK
+    mismatch = False
     for path in corpus:
         g = _read_graph(path)
-        recs = [_solve_record(g, path.name, algo, args) for algo in algos]
+        recs = [_bench_record(g, path.name, algo, args) for algo in algos]
         records += recs
-        if args.oracle:
-            _check_oracle(g, recs, args.time_limit)
-            if any(rec["match"] is False for rec in recs):
+        solved = [rec for rec in recs if "error" not in rec]
+        if args.oracle and solved:
+            _check_oracle(g, solved, args.time_limit)
+            if any(rec["match"] is False for rec in solved):
                 write_counterexample(
                     args.artifacts, path.stem, g, dict(zip(algos, recs))
                 )
-                status = EXIT_INTERNAL
-    return status, records
+                mismatch = True
+    if mismatch:
+        return EXIT_INTERNAL, records
+    if any("error" in rec for rec in records):
+        return EXIT_INVALID, records
+    return EXIT_OK, records
 
 
 class _HelpRequested(Exception):
@@ -412,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algo",
         default="auto",
-        choices=["auto", "search", "brute", "lowdeg", "ilp", "dtc", "twincover"],
+        choices=ALGORITHMS,
     )
     p.add_argument("--kmax", type=int, default=5)
     p.add_argument("--oracle", action="store_true")
@@ -464,6 +489,23 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _error_document(exc: BudgetExceeded | ValueError | OSError) -> dict:
+    """The `"kind": "budget"` document of a budget exit, with the verified
+    incumbent and the proven lower bound, or the `"kind": "invalid-input"`
+    document of any other error."""
+    if isinstance(exc, BudgetExceeded):
+        inc = exc.alliance
+        members = None if inc is None else [v + 1 for v in inc.members]
+        return {
+            "error": str(exc),
+            "kind": "budget",
+            "incumbent": members,
+            "incumbent_size": None if members is None else len(members),
+            "lower_bound": exc.lower_bound,
+        }
+    return {"error": str(exc), "kind": "invalid-input"}
+
+
 def run_command(argv: list[str]) -> int:
     try:
         args = _shared_parser().parse_args(argv)
@@ -474,26 +516,8 @@ def run_command(argv: list[str]) -> int:
     except InternalVerificationError as exc:
         print(json.dumps({"error": str(exc), "kind": "internal"}))
         return EXIT_INTERNAL
-    except BudgetExceeded as exc:
-        inc = exc.alliance
-        members = None if inc is None else [v + 1 for v in inc.members]
-        print(json.dumps({
-            "error": str(exc),
-            "kind": "budget",
-            "incumbent": members,
-            "incumbent_size": None if members is None else len(members),
-            "lower_bound": exc.lower_bound,
-        }))
-        return EXIT_INVALID
-    except (
-        GraphError,
-        DimacsError,
-        SearchGuardError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
-        print(json.dumps({"error": str(exc), "kind": "invalid-input"}))
+    except (BudgetExceeded, ValueError, OSError) as exc:
+        print(json.dumps(_error_document(exc)))
         return EXIT_INVALID
     print(json.dumps(payload, sort_keys=True))
     return status

@@ -1,9 +1,27 @@
 """DIMACS edge-format reading and writing, with an `f` line extension that
-marks forbidden vertices.  Vertices are 1-indexed on disk, 0-indexed in code."""
+marks forbidden vertices.  Vertices are 1-indexed on disk, 0-indexed in code.
+
+`parse_dimacs` reads text in the exact layout `emit_dimacs` writes on a fast
+path (`_parse_canonical`) and everything else line by line (`_parse_lines`);
+both give the same graph, and every fault is reported by the line parser."""
 
 from __future__ import annotations
 
+import operator
+import re
+
 from .graphs import Graph, _freeze
+
+# The layout `emit_dimacs` writes: comment lines, the problem line, edge
+# lines, forbidden lines, single spaces, every line ended by "\n".  A comment
+# must not span a line break that `str.splitlines` (the line parser's split)
+# sees, so its class excludes every such separator, not only "\n".
+_CANONICAL = re.compile(
+    r"(?:c[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\n)*"
+    r"p edge ([0-9]+) ([0-9]+)\n"
+    r"((?:e [0-9]+ [0-9]+\n)*)"
+    r"((?:f [0-9]+\n)*)"
+)
 
 
 class DimacsError(ValueError):
@@ -24,10 +42,44 @@ class EdgeRangeError(DimacsError):
     pass
 
 
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of `text` when it is in `emit_dimacs`'s layout with valid
+    data, else None.
+
+    Valid means m edges with 1 <= u < v <= n, none repeated, and forbidden
+    ids in 1..n.  Each id is looked up in a {"1": 0, ..., str(n): n - 1}
+    dict, which parses and range-checks it in one step; "0", an id above n
+    and a leading zero all miss.  The edge count is checked before the dict
+    is built, so a header that promises more edges than the text holds
+    costs no O(n) work."""
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    n, m = int(match[1]), int(match[2])
+    fields = match[3].split()
+    if len(fields) != 3 * m:
+        return None
+    ids = dict(zip(map(str, range(1, n + 1)), range(n)))
+    try:
+        us = list(map(ids.__getitem__, fields[1::3]))
+        vs = list(map(ids.__getitem__, fields[2::3]))
+        forbidden = set(map(ids.__getitem__, match[4].split()[1::2]))
+    except KeyError:
+        return None
+    if not all(map(operator.lt, us, vs)):
+        return None
+    edges = list(zip(us, vs))
+    if len(set(edges)) != m:
+        return None
+    return _freeze(n, edges, forbidden)
+
+
 def parse_dimacs(text: str | bytes) -> Graph:
     """Parse "p edge n m" followed by m "e u v" lines and optional "f u" lines.
 
-    Bytes are read as UTF-8; a bad byte is a DimacsError on its line."""
+    Bytes are read as UTF-8; a bad byte is a DimacsError on its line.  Text
+    in `emit_dimacs`'s layout takes the fast path; any other text, and every
+    fault, goes through the line parser, which names the line at fault."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -35,6 +87,13 @@ def parse_dimacs(text: str | bytes) -> Graph:
             # the bad byte starts or continues the last line of the valid prefix
             line = len((text[: exc.start].decode("utf-8") + "x").splitlines())
             raise DimacsError(f"byte {text[exc.start]:#04x} is not UTF-8", line) from None
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_lines(text: str) -> Graph:
+    """The line parser: any accepted layout, and a DimacsError naming the
+    line of the first fault."""
     n = m = -1
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

@@ -7,6 +7,7 @@ them inside an alliance.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,12 +33,20 @@ class VertexRangeError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
+    """`edges` sorted with u < v in each pair, `adj[v]` v's neighbours in
+    ascending order.  `adj_sets` holds the same neighbourhoods as frozensets;
+    it is built from `adj` on first use, as many solves never read it, and
+    is no field, so equality and hashing see only the fields."""
+
     n: int
     edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...]
-    adj_sets: tuple[frozenset[int], ...]
     forbidden: frozenset[int]
     top_degree: int  # counted once, in `_freeze`
+
+    @functools.cached_property
+    def adj_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.adj))
 
     @property
     def m(self) -> int:
@@ -103,7 +112,6 @@ def _freeze(n: int, edges: list[tuple[int, int]], forbidden: Iterable[int]) -> G
         n=n,
         edges=tuple(edges),
         adj=tuple(map(tuple, neigh)),
-        adj_sets=tuple(map(frozenset, neigh)),
         forbidden=frozenset(forbidden),
         top_degree=max(map(len, neigh), default=0),
     )

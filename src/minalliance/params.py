@@ -52,10 +52,13 @@ class TwinPartition:
 
 def remainder_is_clique(g: Graph, modulator: Iterable[int]) -> bool:
     """True when `g` minus `modulator` is a clique: every remainder vertex
-    has the other |R| - 1 remainder vertices as neighbours."""
+    has the other |R| - 1 remainder vertices as neighbours, that is, its
+    degree less its modulator neighbours is |R| - 1."""
     mod = set(modulator)
     rest = [v for v in range(g.n) if v not in mod]
-    return all(len(g.adj_sets[v] - mod) == len(rest) - 1 for v in rest)
+    return all(
+        len(g.adj[v]) - len(mod.intersection(g.adj[v])) == len(rest) - 1 for v in rest
+    )
 
 
 def _closed_twin_groups(g: Graph, cover: set[int]) -> list[list[int]] | None:
@@ -144,10 +147,10 @@ def distance_to_clique_set(g: Graph, k_max: int) -> frozenset[int] | None:
     exists, and the count, O(n), answers before the O(n^2) non-edge list
     is built.  It rejects only inputs with no answer, so no answer changes.
     """
-    adj = g.adj_sets
     keep = g.n - k_max  # the fewest vertices the clique remainder can have
-    if k_max >= 0 and sum(1 for nb in adj if len(nb) >= keep - 1) < keep:
+    if k_max >= 0 and sum(1 for nb in g.adj if len(nb) >= keep - 1) < keep:
         return None
+    adj = g.adj_sets
     non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if v not in adj[u]]
     return _min_cover(non_edges, k_max)
 

@@ -19,12 +19,7 @@ from collections.abc import Iterator
 from itertools import chain, cycle
 from time import monotonic
 
-from .alliances import (
-    AllianceSolution,
-    BudgetExceeded,
-    checked_alliance,
-    protection_threshold,
-)
+from .alliances import AllianceSolution, BudgetExceeded, checked_alliance
 from .graphs import Graph
 
 
@@ -97,8 +92,8 @@ def solve_min_alliance_search(
     roots = [v for v in range(g.n) if v not in g.forbidden]
     if not roots:
         return None
-    # neighbours a member needs inside S: ceil((d+1)/2) minus itself
-    need = [protection_threshold(g.degree(v)) - 1 for v in range(g.n)]
+    # neighbours a member needs inside S: ceil((d+1)/2) minus itself, d // 2
+    need = [len(nbrs) // 2 for nbrs in g.adj]
     deadline = None if time_limit is None else monotonic() + time_limit
     lo = min(need[v] for v in roots) + 1
     hi = len(roots) + 1  # no incumbent yet: one past the largest level

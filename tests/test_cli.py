@@ -695,6 +695,86 @@ def test_bench_records_an_oracle_overrun_and_goes_on(capsys, tmp_path, monkeypat
     assert not (tmp_path / "bad").exists()
 
 
+def cycle_corpus(tmp_path, sizes):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for n in sizes:
+        g = build_graph(n, [(v, (v + 1) % n) for v in range(n)])
+        (corpus / f"c{n:02d}.dimacs").write_text(emit_dimacs(g))
+    return str(corpus)
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]])
+def test_bench_records_an_entrys_error_and_goes_on(capsys, tmp_path, extra):
+    corpus = cycle_corpus(tmp_path, (5, BRUTE_MAX_N + 1))
+    code, out = run(
+        capsys, "bench", corpus, "--algo", "auto,brute", *extra,
+        "--artifacts", str(tmp_path / "bad"),
+    )
+    assert code == EXIT_INVALID
+    assert [(rec["instance"], rec["algorithm"]) for rec in out] == [
+        (f"c{n:02d}.dimacs", algo) for n in (5, BRUTE_MAX_N + 1) for algo in ("lowdeg", "brute")
+    ]
+    assert out[3] == {
+        "algorithm": "brute",
+        "instance": f"c{BRUTE_MAX_N + 1}.dimacs",
+        "error": f"refusing exhaustive search on n={BRUTE_MAX_N + 1} (guard max_n={BRUTE_MAX_N})",
+        "kind": "invalid-input",
+    }
+    for rec in out[:3]:
+        assert (rec["size"], rec["valid"]) == (2, True)
+        assert rec.get("match", True) is True
+    assert not (tmp_path / "bad").exists()
+
+
+def test_bench_records_a_budget_exit_with_its_incumbent(capsys, tmp_path, monkeypatch):
+    import minalliance.cli as cli_mod
+    from minalliance import BudgetExceeded
+
+    def out_of_time(graph, *, time_limit=None):
+        incumbent = verify_alliance(graph, range(graph.n))
+        raise BudgetExceeded("time limit exceeded", alliance=incumbent, lower_bound=2)
+
+    monkeypatch.setattr(cli_mod, "solve_min_alliance_search", out_of_time)
+    code, out = run(capsys, "bench", cycle_corpus(tmp_path, (4,)), "--algo", "search,lowdeg")
+    assert code == EXIT_INVALID
+    assert out[0] == {
+        "algorithm": "search",
+        "instance": "c04.dimacs",
+        "error": "time limit exceeded",
+        "kind": "budget",
+        "incumbent": [1, 2, 3, 4],
+        "incumbent_size": 4,
+        "lower_bound": 2,
+    }
+    assert (out[1]["algorithm"], out[1]["size"]) == ("lowdeg", 2)
+
+
+def test_bench_exits_2_on_a_mismatch_beside_an_error(capsys, tmp_path, monkeypatch):
+    import minalliance.cli as cli_mod
+
+    def oversized_solver(graph, *, time_limit=None):
+        return verify_alliance(graph, range(graph.n))
+
+    monkeypatch.setattr(cli_mod, "solve_min_alliance_lowdeg", oversized_solver)
+    code, out = run(
+        capsys, "bench", cycle_corpus(tmp_path, (5, BRUTE_MAX_N + 1)), "--algo", "brute,lowdeg",
+        "--oracle", "--artifacts", str(tmp_path / "bad"),
+    )
+    assert code == EXIT_INTERNAL
+    assert [rec["kind"] for rec in out if "error" in rec] == ["invalid-input"]
+    assert [rec["match"] for rec in out if "error" not in rec] == [True, False, False]
+    assert sorted(p.name for p in (tmp_path / "bad").iterdir()) == [
+        f"c{n:02d}.{ext}" for n in (5, BRUTE_MAX_N + 1) for ext in ("counterexample.json", "dimacs")
+    ]
+
+
+def test_bench_rejects_an_unknown_algo_before_any_graph(capsys, tmp_path):
+    code, out = run(capsys, "bench", cycle_corpus(tmp_path, (4,)), "--algo", "auto,fast")
+    assert code == EXIT_INVALID
+    assert out == {"error": "--algo: unknown algorithm 'fast'", "kind": "invalid-input"}
+
+
 @pytest.mark.parametrize("extra", [[], ["--oracle"]])
 def test_auto_answers_the_empty_graph_with_no_alliance(capsys, tmp_path, extra):
     path = tmp_path / "empty.dimacs"

@@ -6,6 +6,8 @@ from minalliance.dimacs import (
     DuplicateEdgeError,
     EdgeRangeError,
     MalformedHeaderError,
+    _parse_canonical,
+    _parse_lines,
 )
 
 from conftest import TRIANGULAR_PRISM_EDGES
@@ -54,6 +56,9 @@ def test_parse_cubic_file_feeds_reduction(tmp_path):
         ("p edge 2 1\nf 9\n", EdgeRangeError, 2),
         (b"p edge 2 1\ne 1 2\n\xff\n", DimacsError, 3),
         (b"p edge 2 1\r\ne 1 \xe92\n", DimacsError, 2),
+        # U+2028 ends a line for str.splitlines, so "e 1 2" is edge data
+        # before the problem line, not part of the comment
+        ("c x\u2028e 1 2\np edge 2 1\ne 1 2\n", MalformedHeaderError, 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, err, line):
@@ -109,3 +114,20 @@ def test_parse_of_emit_keeps_forbidden_vertices():
     assert (back.adj, back.adj_sets, back.forbidden) == (
         target.adj, target.adj_sets, target.forbidden
     )
+
+
+@pytest.mark.parametrize(
+    "g, comment",
+    [(generate(spec, 5), f"{spec} seed=5")
+     for spec in ("cubic:n=30", "degcap:n=24,dmax=8", "cliqueplus:n=20,k=3",
+                  "twincover:n=24,t=4")]
+    + [(build_reduction(generate("cubic:n=4", 0), 1).target, "forbidden vertices"),
+       (build_graph(3, [(0, 2), (1, 2)]), "two lines\n\tof remarks"),
+       (build_graph(0, []), None)],
+)
+def test_emit_output_takes_the_fast_path(g, comment):
+    text = emit_dimacs(g, comment=comment)
+    fast = _parse_canonical(text)
+    assert fast is not None
+    assert fast == _parse_lines(text) == g
+    assert fast.adj_sets == g.adj_sets
