@@ -32,7 +32,9 @@ degree bound) or runs past `--time-limit` gets the error document `solve`
 would print, with `algorithm` and `instance`, no oracle check, and `bench`
 goes on; it exits 2 on an oracle mismatch, else 1 if any entry erred, else
 0.  A file that fails to parse, or a witness that fails verification, still
-stops `bench` with one error document.
+stops `bench` with one error document.  A `verify` document holds the
+`solve` fields except `algorithm` and `wall_time_s`, which say nothing about a
+verification, plus `violations`.
 
 `run_command` builds the argparse tree once per process and reuses it; each
 call parses into a fresh namespace, so no option carries over to the next.
@@ -175,10 +177,9 @@ def _solve_one(g: Graph, algo: str, mod: frozenset[int] | None,
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _document(g: Graph, instance: str, algo: str, sol, wall_time_s) -> dict:
+def _document(g: Graph, instance: str, sol) -> dict:
     """The fields `solve`, `bench` and `verify` share; `sol` None is no alliance."""
     return {
-        "algorithm": algo,
         "instance": instance,
         "n": g.n,
         "m": g.m,
@@ -186,7 +187,6 @@ def _document(g: Graph, instance: str, algo: str, sol, wall_time_s) -> dict:
         "size": None if sol is None else sol.size,
         "witness": [] if sol is None else [v + 1 for v in sol.members],
         "valid": None if sol is None else sol.valid,
-        "wall_time_s": wall_time_s,
     }
 
 
@@ -210,7 +210,7 @@ def _solve_record(g: Graph, instance: str, algo: str, args) -> dict:
         raise InternalVerificationError(
             f"{algo} returned an invalid witness on {instance}"
         )
-    return _document(g, instance, algo, sol, wall_time_s)
+    return {"algorithm": algo, **_document(g, instance, sol), "wall_time_s": wall_time_s}
 
 
 def _check_oracle(g: Graph, records: list[dict], time_limit: float | None) -> None:
@@ -252,7 +252,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
     members = _read_vertex_set(args.set, g.n)
     sol = verify_alliance(g, members)
-    out = _document(g, args.graph, "verify", sol, None)
+    out = _document(g, args.graph, sol)
     out["violations"] = [
         {"vertex": v + 1, "defenders": have, "needed": need}
         for v, have, need in sol.violations

@@ -58,11 +58,12 @@ def _priced_picks(g: Graph, mod: tuple[int, ...]):
 
     A picked u has itself and its picked neighbours as defenders, so its
     demand is its threshold - 1 - |N(u) cap P|.  The threshold and the mask
-    of N(u) cap mod are built once per solve, which makes a demand one
-    popcount instead of a walk of N(u) per pick.
+    of N(u) cap mod are built once per solve, the mask from u's adjacency
+    list, which makes a demand one popcount instead of a walk of N(u) per
+    pick.
     """
     spare = [protection_threshold(g.degree(u)) - 1 for u in mod]
-    nbrs = [_mask(mod, g.adj_sets[u]) for u in mod]
+    nbrs = [_mask(mod, g.adj[u]) for u in mod]
     k = len(mod)
     for pmask in range(1 << k):
         bits = [i for i in range(k) if pmask >> i & 1]

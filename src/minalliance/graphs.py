@@ -35,8 +35,11 @@ class VertexRangeError(GraphError):
 class Graph:
     """`edges` sorted with u < v in each pair, `adj[v]` v's neighbours in
     ascending order.  `adj_sets` holds the same neighbourhoods as frozensets;
-    it is built from `adj` on first use, as many solves never read it, and
-    is no field, so equality and hashing see only the fields."""
+    it is built from `adj` on first use and is no field, so equality and
+    hashing see only the fields.  Its readers are `has_edge`, the twin-cover
+    search and partition in `params`, brute force and `reduction`'s
+    domination test; `lowdeg`, `search` and the whole `dtc` route (its
+    modulator search, partition and guess loop) never build it."""
 
     n: int
     edges: tuple[tuple[int, int], ...]

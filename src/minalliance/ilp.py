@@ -5,8 +5,9 @@ finite integer box bounds.  Each node's relaxation is solved by a dual
 simplex from the slack basis, negative-cost columns flipped, so one phase
 suffices.  All arithmetic is exact: the simplex works on integer-scaled rows
 (every comparison it makes -- signs and cross-multiplied ratios -- is
-invariant under positive row scaling), and solutions are extracted as
-`fractions.Fraction` values.  No floating point anywhere.
+invariant under positive row scaling), and each solution value is read as
+an `int` when it is integral and as a `fractions.Fraction` otherwise.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _lp_min(
     rows_in: Sequence[Sequence[int]],
     rhs_in: Sequence[int],
     ub: Sequence[int],
-) -> tuple[str, list[Fraction] | None]:
+) -> tuple[str, list[int | Fraction] | None]:
     """Exact LP:  min c.y  s.t.  rows.y >= rhs,  0 <= y <= ub.
 
     Dual simplex from the slack basis, negative-cost columns flipped.  Each
@@ -109,6 +110,13 @@ def _lp_min(
     cross-multiplied ratios are all the method reads.  Returns
     ("optimal", y) or ("infeasible", None): with finite bounds the LP is
     never unbounded.
+
+    A basic y_j is its row's right-hand side over its own entry, which the
+    scaling keeps positive.  It is an `int` when that entry divides the
+    right-hand side and a `Fraction` only otherwise, so y_j is an `int`
+    exactly when it is integral.  `solve_ilp` reads `.denominator`, floor
+    and ceil, which both types give alike, so an integral optimum, the
+    usual case in the FPT guess loops, costs only integer arithmetic.
     """
     p, m = len(c), len(rows_in)
     ncols = p + m + p
@@ -164,10 +172,11 @@ def _lp_min(
             z = [piv * x - f * y for x, y in zip(z, prow)]
             _row_reduce(z)
         basis[leave] = enter
-    y = [Fraction(0)] * p
+    y: list[int | Fraction] = [0] * p
     for row, col in zip(rows, basis):
         if col < p:
-            y[col] = Fraction(row[-1], row[col])
+            num, den = row[-1], row[col]  # den > 0: the row's scale
+            y[col] = num // den if num % den == 0 else Fraction(num, den)
     return "optimal", [ub[j] - yj if flip[j] else yj for j, yj in enumerate(y)]
 
 

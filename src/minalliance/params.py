@@ -3,8 +3,9 @@ partitions of the leftover graph that the parameterized solvers consume."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain
 from typing import Iterable
 
 from .graphs import Graph, VertexRangeError
@@ -50,15 +51,30 @@ class TwinPartition:
         return max((len(cl) for tc in self.classes for cl in tc.cliques), default=0)
 
 
+def _clique_signatures(g: Graph, mod: set[int]) -> dict[int, list[int]] | None:
+    """Each vertex v outside `mod`, in ascending order, mapped to its
+    signature N(v) cap mod in ascending order, or None when `g` minus `mod`
+    is not a clique.
+
+    One pass over the adjacency lists of the modulator's vertices in the
+    graph builds every signature.  The remainder R is a clique exactly when
+    every v in R has the other |R| - 1 vertices of R as neighbours, that
+    is, when deg(v) - |sig(v)| = |R| - 1.
+    """
+    sigs: dict[int, list[int]] = {v: [] for v in range(g.n) if v not in mod}
+    for u in sorted(mod.intersection(range(g.n))):
+        for v in g.adj[u]:
+            if v in sigs:
+                sigs[v].append(u)
+    others = len(sigs) - 1
+    if any(len(g.adj[v]) - len(sig) != others for v, sig in sigs.items()):
+        return None
+    return sigs
+
+
 def remainder_is_clique(g: Graph, modulator: Iterable[int]) -> bool:
-    """True when `g` minus `modulator` is a clique: every remainder vertex
-    has the other |R| - 1 remainder vertices as neighbours, that is, its
-    degree less its modulator neighbours is |R| - 1."""
-    mod = set(modulator)
-    rest = [v for v in range(g.n) if v not in mod]
-    return all(
-        len(g.adj[v]) - len(mod.intersection(g.adj[v])) == len(rest) - 1 for v in rest
-    )
+    """True when `g` minus `modulator` is a clique."""
+    return _clique_signatures(g, set(modulator)) is not None
 
 
 def _closed_twin_groups(g: Graph, cover: set[int]) -> list[list[int]] | None:
@@ -99,9 +115,24 @@ def _min_cover(edges: list[tuple[int, int]], k_max: int) -> frozenset[int] | Non
     known.  A cover holds a distinct vertex of every matched edge, so a
     pruned subtree holds no cover within the cap, and the search finds the
     same covers in the same order as without the bound.
+
+    Degree kernel (Buss & Goldsmith 1993): a cover without a vertex of more
+    than k_max edges holds all its more than k_max other ends, so every
+    cover within the cap holds the set F of those vertices.  More than
+    k_max of them leave no cover; otherwise the search starts from F and
+    branches only on the edges F leaves uncovered, whose minimum covers C'
+    avoid F and give exactly the minimum covers F + C' within the cap.
+    Adding F to two covers of equal size disjoint from it keeps their
+    lexicographic order (the least vertex of their symmetric difference
+    decides it, and F changes no symmetric difference), so the first
+    minimum cover found is still the lexicographically smallest.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    degree = Counter(chain.from_iterable(edges))
+    forced = {v for v, d in degree.items() if d > k_max}
+    if len(forced) > k_max:
+        return None
     best: frozenset[int] | None = None
 
     def dfs(partial: set[int], i: int) -> None:
@@ -130,7 +161,7 @@ def _min_cover(edges: list[tuple[int, int]], k_max: int) -> frozenset[int] | Non
             dfs(partial, i + 1)
             partial.remove(v)
 
-    dfs(set(), 0)
+    dfs(forced, 0)
     return best
 
 
@@ -146,12 +177,19 @@ def distance_to_clique_set(g: Graph, k_max: int) -> frozenset[int] | None:
     n - k_max vertices have degree >= n - k_max - 1.  When fewer do, no set
     exists, and the count, O(n), answers before the O(n^2) non-edge list
     is built.  It rejects only inputs with no answer, so no answer changes.
+    The non-edges are read off the sorted adjacency lists, skipping every
+    vertex of degree n - 1.
     """
-    keep = g.n - k_max  # the fewest vertices the clique remainder can have
+    n = g.n
+    keep = n - k_max  # the fewest vertices the clique remainder can have
     if k_max >= 0 and sum(1 for nb in g.adj if len(nb) >= keep - 1) < keep:
         return None
-    adj = g.adj_sets
-    non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if v not in adj[u]]
+    non_edges: list[tuple[int, int]] = []  # sorted, u < v in each pair
+    for u, nbrs in enumerate(g.adj):
+        if len(nbrs) < n - 1:
+            missing = set(range(u + 1, n))
+            missing.difference_update(nbrs)
+            non_edges.extend((u, v) for v in sorted(missing))
     return _min_cover(non_edges, k_max)
 
 
@@ -175,17 +213,16 @@ def partition_twin_classes(g: Graph, modulator: Iterable[int]) -> TwinPartition:
     for v in mod:
         if not (0 <= v < g.n):
             raise VertexRangeError(f"modulator vertex {v} out of range")
-    if not remainder_is_clique(g, mod):
+    sigs = _clique_signatures(g, mod)
+    if sigs is None:
         raise RemainderNotCliqueError(
             "removing the modulator must leave a clique"
         )
     groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
-        if v in mod:
-            continue
-        groups.setdefault(_signature(g, v, mod), []).append(v)
+    for v, sig in sigs.items():  # v ascending, so each class is sorted
+        groups.setdefault(tuple(sig), []).append(v)
     classes = tuple(
-        TwinClass(index=i, signature=sig, members=tuple(sorted(vs)))
+        TwinClass(index=i, signature=sig, members=tuple(vs))
         for i, (sig, vs) in enumerate(sorted(groups.items()))
     )
     return TwinPartition(

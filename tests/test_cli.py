@@ -79,6 +79,15 @@ def test_verify_reports_violations(capsys, tmp_path, bridge_file):
     assert out["violations"] == [{"vertex": 5, "defenders": 1, "needed": 3}]
 
 
+def test_verify_document_holds_exactly_its_fields(capsys, tmp_path, bridge_file):
+    # no `algorithm` and no `wall_time_s`: no solver runs in a verification
+    code, out = run(capsys, "verify", bridge_file, vertex_file(tmp_path, "set.txt", [5]))
+    assert code == EXIT_OK
+    assert set(out) == {
+        "instance", "n", "m", "params", "size", "witness", "valid", "violations"
+    }
+
+
 @pytest.mark.parametrize(
     "content, expected",
     [

@@ -24,6 +24,7 @@ from minalliance import (
     twin_cover_set,
     verify_alliance,
 )
+from minalliance.cli import _pick_algorithm
 from minalliance.fpt import _priced_picks
 from minalliance.params import InvalidTwinCoverError, RemainderNotCliqueError
 
@@ -119,6 +120,15 @@ def test_guess_loop_counts_and_witness_are_pinned(spec, seed, counts, members):
 
 
 # ---------------------------------------------------------------- solve_dtc
+
+
+def test_dtc_route_builds_no_adjacency_sets():
+    # the modulator search, the partition and the guess loop read `adj` only
+    g = generate("cliqueplus:n=26,k=2", 3)
+    algo, mod = _pick_algorithm(g, "auto", 5)
+    assert algo == "dtc"
+    assert solve_dtc(g, mod).valid
+    assert "adj_sets" not in g.__dict__
 
 
 def test_dtc_on_k4_without_modulator():

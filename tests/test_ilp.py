@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -169,6 +170,23 @@ def test_lp_relaxation_matches_highs(seed):
     for row, b in zip(rows, rhs):
         assert sum(a * yj for a, yj in zip(row, y)) >= b
     assert abs(float(sum(cj * yj for cj, yj in zip(c, y))) - ref.fun) <= 1e-9
+
+
+def test_lp_values_are_ints_exactly_when_integral():
+    # an integral value is an int, never a Fraction with denominator 1
+    for seed in range(200):
+        _status, y = _lp_min(*_random_lp(seed))
+        for yj in y or ():
+            assert type(yj) is int or (type(yj) is Fraction and yj.denominator != 1), (seed, y)
+
+
+def test_fractional_lp_value_stays_a_fraction():
+    # y0 <= 1/2 through a flipped column (negative cost), y1 >= 1 at its bound
+    status, y = _lp_min([-1, 1], [[-2, 0], [0, 1]], [-1, 1], [1, 1])
+    assert (status, y) == ("optimal", [Fraction(1, 2), 1])
+    assert [type(yj) for yj in y] == [Fraction, int]
+    sol = solve_ilp(prob([-1, 1], [([-2, 0], -1), ([0, 1], 1)], [(0, 1), (0, 1)]))
+    assert (sol.assignment, sol.objective_value) == ((0, 1), 1)
 
 
 def test_encode_k1():

@@ -1,5 +1,6 @@
 """Structural parameters: clique modulators, twin covers, partitions."""
 
+import collections
 import itertools
 import math
 import random
@@ -67,6 +68,27 @@ def test_min_cover_matches_exhaustive_scan(seed):
     edges = sorted(rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n))))
     for k_max in range(9):
         assert _min_cover(edges, k_max) == lex_first_min_cover(edges, k_max)
+
+
+def test_min_cover_degree_kernel_keeps_the_lexicographic_choice():
+    # hubs with more than k_max edges belong to every cover within the cap,
+    # and more than k_max of them leave none
+    forced = too_many = 0
+    for seed in range(150):
+        rng = random.Random(f"min-cover-hubs/{seed}")
+        n = rng.randint(4, 12)
+        pairs = set(rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(0, n)))
+        for hub in rng.sample(range(n), rng.randint(1, min(5, n))):
+            for v in rng.sample([v for v in range(n) if v != hub], rng.randint(1, n - 1)):
+                pairs.add((min(hub, v), max(hub, v)))
+        edges = sorted(pairs)
+        degree = collections.Counter(itertools.chain.from_iterable(edges))
+        for k_max in range(7):
+            hubs = sum(1 for d in degree.values() if d > k_max)
+            forced += 0 < hubs <= k_max
+            too_many += hubs > k_max
+            assert _min_cover(edges, k_max) == lex_first_min_cover(edges, k_max), (seed, k_max)
+    assert forced >= 100 and too_many >= 100
 
 
 # ------------------------------------------------------------ distance to clique
