@@ -139,39 +139,35 @@ def degree_alliance(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def _connected_subsets(g: Graph, size: int, allowed: list[bool]):
-    """Yield every `size`-vertex subset inducing a connected subgraph, once each.
+def _connected_subsets(g: Graph, size: int, allowed: int):
+    """Yield every `size`-vertex connected subset of the vertex mask
+    `allowed`, once each, as an ascending tuple.
 
     Wernicke-style extension: subsets are rooted at their minimum vertex and
     grown through exclusive neighbourhoods, so no subset repeats.
     """
-    adj = g.adj_sets
+    masks = g.masks
 
-    def extend(sub: list[int], ext: list[int], seen: set[int], root: int):
+    def extend(sub: list[int], ext: int, unseen: int):
         if len(sub) == size:
             yield tuple(sorted(sub))
             return
-        rest = list(ext)
-        while rest:
-            w = rest.pop(0)
-            fresh = sorted(
-                u for u in adj[w] if u > root and allowed[u] and u not in seen
-            )
-            yield from extend(
-                sub + [w],
-                sorted(rest + fresh),
-                seen | {w} | set(fresh),
-                root,
-            )
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length() - 1
+            fresh = masks[w] & unseen
+            yield from extend(sub + [w], ext | fresh, unseen ^ fresh)
 
     for root in range(g.n):
-        if not allowed[root]:
+        if not allowed >> root & 1:
             continue
         if size == 1:
             yield (root,)
             continue
-        ext = sorted(u for u in adj[root] if u > root and allowed[u])
-        yield from extend([root], ext, {root} | set(ext), root)
+        above = allowed >> root + 1 << root + 1
+        ext = masks[root] & above
+        yield from extend([root], ext, above ^ ext)
 
 
 def brute_force_min_alliance(
@@ -191,16 +187,17 @@ def brute_force_min_alliance(
         raise SearchGuardError(
             f"refusing exhaustive search on n={g.n} (guard max_n={max_n})"
         )
-    allowed = [v not in g.forbidden for v in range(g.n)]
+    allowed = sum(1 << v for v in range(g.n) if v not in g.forbidden)
     cap = g.n if size_cap is None else min(size_cap, g.n)
     need = [protection_threshold(g.degree(v)) for v in range(g.n)]
+    masks = g.masks
     for k in range(1, cap + 1):
         best: tuple[int, ...] | None = None
         for sub in _connected_subsets(g, k, allowed):
             if best is not None and sub >= best:
                 continue
-            sset = set(sub)
-            if all(1 + len(g.adj_sets[v] & sset) >= need[v] for v in sub):
+            smask = sum(1 << v for v in sub)
+            if all(1 + (masks[v] & smask).bit_count() >= need[v] for v in sub):
                 best = sub
         if best is not None:
             return verify_alliance(g, best)

@@ -34,12 +34,12 @@ class VertexRangeError(GraphError):
 @dataclass(frozen=True)
 class Graph:
     """`edges` sorted with u < v in each pair, `adj[v]` v's neighbours in
-    ascending order.  `adj_sets` holds the same neighbourhoods as frozensets;
-    it is built from `adj` on first use and is no field, so equality and
-    hashing see only the fields.  Its readers are `has_edge`, the twin-cover
-    search and partition in `params`, brute force and `reduction`'s
-    domination test; `lowdeg`, `search` and the whole `dtc` route (its
-    modulator search, partition and guess loop) never build it."""
+    ascending order.  `masks[v]` is v's neighbourhood as an int, bit u set
+    when u is a neighbour; it is built from `adj` on first use and is no
+    field, so equality and hashing see only the fields.  Its readers are
+    `has_edge`, the twin-cover search and partition in `params`, brute force
+    and `reduction`'s domination test; `lowdeg`, `search`, `verify_alliance`
+    and the `dtc` route never build it."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -48,8 +48,9 @@ class Graph:
     top_degree: int  # counted once, in `_freeze`
 
     @functools.cached_property
-    def adj_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self.adj))
+    def masks(self) -> tuple[int, ...]:
+        bits = [1 << v for v in range(self.n)]
+        return tuple(sum(map(bits.__getitem__, nbrs)) for nbrs in self.adj)
 
     @property
     def m(self) -> int:
@@ -62,7 +63,7 @@ class Graph:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
+        return v >= 0 and self.masks[u] >> v & 1 == 1
 
     def max_degree(self) -> int:
         return self.top_degree

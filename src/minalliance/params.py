@@ -77,22 +77,24 @@ def remainder_is_clique(g: Graph, modulator: Iterable[int]) -> bool:
     return _clique_signatures(g, set(modulator)) is not None
 
 
-def _closed_twin_groups(g: Graph, cover: set[int]) -> list[list[int]] | None:
-    """The vertices outside `cover` grouped by closed neighbourhood N[v], or
-    None when `cover` is not a twin cover.
+def _closed_twin_groups(g: Graph, cover: set[int]) -> dict[int, list[int]] | None:
+    """The vertices outside `cover` grouped by the mask of N[v], or None
+    when `cover` is not a twin cover.  Ids outside 0..n-1 are ignored.
 
     A group lies inside its N[v] minus the cover, and that set holds more
     than the group exactly when an outside edge leaves the group: an edge
     joining non-twins.  So the cover is a twin cover iff no group's N[v]
     minus the cover is larger than the group.
     """
-    groups: dict[frozenset[int], list[int]] = {}
+    masks, outside = g.masks, 0
+    groups: dict[int, list[int]] = {}
     for v in range(g.n):
         if v not in cover:
-            groups.setdefault(g.adj_sets[v] | {v}, []).append(v)
-    if any(len(closed - cover) > len(vs) for closed, vs in groups.items()):
+            outside |= 1 << v
+            groups.setdefault(masks[v] | 1 << v, []).append(v)
+    if any((closed & outside).bit_count() > len(vs) for closed, vs in groups.items()):
         return None
-    return list(groups.values())
+    return groups
 
 
 def is_twin_cover(g: Graph, cover: Iterable[int]) -> bool:
@@ -198,13 +200,9 @@ def twin_cover_set(g: Graph, k_max: int) -> frozenset[int] | None:
 
     A twin cover is a vertex cover of the edges joining non-twins.
     """
-    closed = [g.adj_sets[v] | {v} for v in range(g.n)]
+    closed = [m | 1 << v for v, m in enumerate(g.masks)]
     # g.edges is sorted with u < v in every pair
     return _min_cover([(u, v) for u, v in g.edges if closed[u] != closed[v]], k_max)
-
-
-def _signature(g: Graph, v: int, modulator: set[int]) -> tuple[int, ...]:
-    return tuple(sorted(g.adj_sets[v] & modulator))
 
 
 def partition_twin_classes(g: Graph, modulator: Iterable[int]) -> TwinPartition:
@@ -236,8 +234,9 @@ def partition_clique_sets(g: Graph, cover: Iterable[int]) -> TwinPartition:
     Outside a twin cover every edge joins closed twins, so the components
     are the closed-twin groups: twins are adjacent, so a group is a clique;
     no outside edge leaves a group, so a group is a component; and N[v]
-    minus the cover is the group itself, so a group has one cover
-    signature.  Components with equal signatures form one clique set.
+    minus the cover is the group itself, so a group's cover signature,
+    N[v] intersected with the cover, is read off its mask.  Components with
+    equal signatures form one clique set.
     """
     cov = set(cover)
     for v in cov:
@@ -246,9 +245,11 @@ def partition_clique_sets(g: Graph, cover: Iterable[int]) -> TwinPartition:
     comps = _closed_twin_groups(g, cov)
     if comps is None:
         raise InvalidTwinCoverError("not a twin cover: some outside edge joins non-twins")
+    order = sorted(cov)
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for comp in comps:
-        groups.setdefault(_signature(g, comp[0], cov), []).append(tuple(comp))
+    for closed, comp in comps.items():
+        sig = tuple(u for u in order if closed >> u & 1)
+        groups.setdefault(sig, []).append(tuple(comp))
     classes = []
     for i, (sig, cliques) in enumerate(sorted(groups.items())):
         ordered = tuple(sorted(cliques, key=lambda cl: (len(cl), cl)))
@@ -257,5 +258,5 @@ def partition_clique_sets(g: Graph, cover: Iterable[int]) -> TwinPartition:
             TwinClass(index=i, signature=sig, members=members, cliques=ordered)
         )
     return TwinPartition(
-        modulator=tuple(sorted(cov)), mode="cliques-remainder", classes=tuple(classes)
+        modulator=tuple(order), mode="cliques-remainder", classes=tuple(classes)
     )

@@ -177,8 +177,9 @@ def extract_dominating_set(
 
 
 def is_dominating_set(g: Graph, vertices: Iterable[int]) -> bool:
-    ds = set(vertices)
-    return all(v in ds or g.adj_sets[v] & ds for v in range(g.n))
+    """Whether `vertices` dominates `g`; ids outside 0..n-1 are ignored."""
+    ds = sum(1 << v for v in set(vertices) if 0 <= v < g.n)
+    return all((m | 1 << v) & ds for v, m in enumerate(g.masks))
 
 
 def dominating_sets_upto(g: Graph, k: int) -> Iterator[frozenset[int]]:

@@ -15,7 +15,8 @@ the general branch and bound before it descended from an incumbent; and
 `remainder_is_clique_by_pairs`, `partition_twin_classes_by_pairs` and
 `partition_clique_sets_by_dfs`, the structural partitions as they were
 computed before a twin cover's remainder was read off its closed-twin
-classes.
+classes; and `connected_subsets_by_sorted_lists`, brute force's
+connected-subset enumeration before it held its sets as vertex masks.
 """
 
 from __future__ import annotations
@@ -199,6 +200,36 @@ def climb_only_search(g):
     return None
 
 
+def connected_subsets_by_sorted_lists(g, size, allowed):
+    """Every `size`-vertex connected subset of `g` within `allowed`, in the
+    order brute force yields them: rooted at the least vertex, extended
+    through exclusive neighbourhoods from a sorted extension list."""
+    adj = [set(nbrs) for nbrs in g.adj]
+
+    def extend(sub, ext, seen, root):
+        if len(sub) == size:
+            yield tuple(sorted(sub))
+            return
+        rest = list(ext)
+        while rest:
+            w = rest.pop(0)
+            fresh = sorted(
+                u for u in adj[w] if u > root and allowed[u] and u not in seen
+            )
+            yield from extend(
+                sub + [w], sorted(rest + fresh), seen | {w} | set(fresh), root
+            )
+
+    for root in range(g.n):
+        if not allowed[root]:
+            continue
+        if size == 1:
+            yield (root,)
+            continue
+        ext = sorted(u for u in adj[root] if u > root and allowed[u])
+        yield from extend([root], ext, {root} | set(ext), root)
+
+
 def girth_by_enumeration(n, edges):
     lengths = [len(c) for c in simple_cycles(n, edges)]
     return min(lengths) if lengths else None
@@ -311,7 +342,7 @@ def remainder_is_clique_by_pairs(g, modulator):
 
 
 def _cover_signature(g, v, cover):
-    return tuple(sorted(g.adj_sets[v] & cover))
+    return tuple(sorted(cover.intersection(g.adj[v])))
 
 
 def partition_twin_classes_by_pairs(g, modulator):

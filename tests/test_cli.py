@@ -27,6 +27,7 @@ from minalliance.cli import (
     write_counterexample,
 )
 
+from _oracles import milp_min_alliance_size
 from conftest import SQUARE_BRIDGE_CLIQUE_EDGES, TRIANGULAR_PRISM_EDGES
 
 
@@ -342,6 +343,18 @@ def test_auto_keeps_an_optimum_of_three_on_twincover(capsys, tmp_path):
     path.write_text(emit_dimacs(g))
     code, out = run(capsys, "solve", str(path), "--oracle")
     assert (code, out["algorithm"], out["size"], out["match"]) == (EXIT_OK, "twincover", 3, True)
+
+
+def test_auto_keeps_the_twincover_route_on_large_twin_classes(capsys, tmp_path):
+    # `search` banning all but one of each twin class took up to 1 515x this
+    # route's time on this family, so `auto` keeps the route
+    pytest.importorskip("scipy.optimize")
+    g = generate("twincover:n=200,t=5,zmax=60", 3)
+    path = tmp_path / "tc.dimacs"
+    path.write_text(emit_dimacs(g))
+    code, out = run(capsys, "solve", str(path))
+    assert (code, out["algorithm"], out["size"]) == (EXIT_OK, "twincover", 8)
+    assert out["size"] == milp_min_alliance_size(g.n, g.edges)
 
 
 @pytest.mark.parametrize(

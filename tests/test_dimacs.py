@@ -111,8 +111,8 @@ def test_parse_of_emit_keeps_forbidden_vertices():
     assert target.forbidden
     back = parse_dimacs(emit_dimacs(target))
     assert back == target
-    assert (back.adj, back.adj_sets, back.forbidden) == (
-        target.adj, target.adj_sets, target.forbidden
+    assert (back.adj, back.masks, back.forbidden) == (
+        target.adj, target.masks, target.forbidden
     )
 
 
@@ -130,4 +130,4 @@ def test_emit_output_takes_the_fast_path(g, comment):
     fast = _parse_canonical(text)
     assert fast is not None
     assert fast == _parse_lines(text) == g
-    assert fast.adj_sets == g.adj_sets
+    assert fast.masks == g.masks

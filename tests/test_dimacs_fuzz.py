@@ -108,7 +108,7 @@ def outcome(parse, source):
         g = parse(source)
     except DimacsError as exc:
         return type(exc), str(exc), exc.line
-    return g, g.adj_sets
+    return g, g.masks
 
 
 def by_lines(data: bytes):

@@ -24,7 +24,7 @@ from minalliance import (
     twin_cover_set,
     verify_alliance,
 )
-from minalliance.cli import _pick_algorithm
+from minalliance.cli import _pick_algorithm, _solve_one
 from minalliance.fpt import _priced_picks
 from minalliance.params import InvalidTwinCoverError, RemainderNotCliqueError
 
@@ -123,12 +123,18 @@ def test_guess_loop_counts_and_witness_are_pinned(spec, seed, counts, members):
 
 
 def test_dtc_route_builds_no_adjacency_sets():
-    # the modulator search, the partition and the guess loop read `adj` only
-    g = generate("cliqueplus:n=26,k=2", 3)
-    algo, mod = _pick_algorithm(g, "auto", 5)
-    assert algo == "dtc"
-    assert solve_dtc(g, mod).valid
-    assert "adj_sets" not in g.__dict__
+    # the dtc route (modulator search, partition, guess loop), lowdeg and
+    # search read `adj` only, and so does the degree test that routes them
+    for spec, seed, route in [
+        ("cliqueplus:n=26,k=2", 3, "dtc"),
+        ("cubic:n=20", 1, "lowdeg"),
+        ("twincover:n=30,t=4", 2, "search"),
+    ]:
+        g = generate(spec, seed)
+        algo, mod = _pick_algorithm(g, "auto", 5)
+        assert algo == route
+        assert _solve_one(g, algo, mod, None).valid
+        assert "masks" not in g.__dict__
 
 
 def test_dtc_on_k4_without_modulator():

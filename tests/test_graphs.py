@@ -6,6 +6,7 @@ import pytest
 
 from minalliance import (
     build_graph,
+    build_reduction,
     distances_from,
     generate,
     girth,
@@ -216,10 +217,10 @@ def test_cycle_witness_is_a_chordless_cycle_through_v(seed):
         assert found[0] == len(found[1])
         members = set(found[1])
         assert v in members
-        assert all(len(g.adj_sets[u] & members) == 2 for u in members)
+        assert all(len(members.intersection(g.adj[u])) == 2 for u in members)
         seen, stack = {v}, [v]
         while stack:
-            for y in g.adj_sets[stack.pop()] & members - seen:
+            for y in members.intersection(g.adj[stack.pop()]) - seen:
                 seen.add(y)
                 stack.append(y)
         assert seen == members
@@ -282,3 +283,33 @@ def test_generated_graphs_round_trip_primitives():
             assert list(distances_from(g, v)) == [
                 -1 if d == float("inf") else d for d in ref[v]
             ]
+
+
+# ---------------------------------------------------------------- mask view
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda spec=spec: generate(spec, 4)
+     for spec in ("degcap:n=20,dmax=6", "cubic:n=16", "cliqueplus:n=18,k=3",
+                  "twincover:n=20,t=4")]
+    + [lambda: build_graph(0, []),
+       lambda: build_reduction(generate("cubic:n=4", 0), 1).target],
+    ids=["degcap", "cubic", "cliqueplus", "twincover", "empty", "reduction-target"],
+)
+def test_masks_hold_adj_bit_for_bit(make):
+    g = make()
+    assert len(g.masks) == g.n
+    for v, mask in enumerate(g.masks):
+        assert mask >> g.n == 0
+        assert [u for u in range(g.n) if mask >> u & 1] == list(g.adj[v])
+
+
+def test_building_the_masks_changes_no_equality_or_hash():
+    g, twin = generate("twincover:n=20,t=4", 1), generate("twincover:n=20,t=4", 1)
+    before = hash(g)
+    assert g.has_edge(*g.edges[0])
+    assert not g.has_edge(0, -1) and not g.has_edge(0, g.n)
+    assert "masks" in g.__dict__ and "masks" not in twin.__dict__
+    assert hash(g) == before == hash(twin)
+    assert g == twin

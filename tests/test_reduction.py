@@ -188,6 +188,14 @@ def test_is_dominating_set(triangular_prism):
     assert not is_dominating_set(triangular_prism, {0})
 
 
+def test_is_dominating_set_ignores_ids_outside_the_graph(triangular_prism):
+    n = triangular_prism.n
+    assert is_dominating_set(triangular_prism, {-1, 1, 4, n})
+    assert not is_dominating_set(triangular_prism, {-1, 0, n})
+    assert not is_dominating_set(triangular_prism, {-1, n})
+    assert is_dominating_set(build_graph(0, []), {-1, 0})
+
+
 def test_dominating_enumeration_matches_oracle(triangular_prism):
     got = sorted(map(sorted, dominating_sets_upto(triangular_prism, 3)))
     want = sorted(map(sorted, all_dominating_sets(6, triangular_prism.edges, 3)))
