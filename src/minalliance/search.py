@@ -50,8 +50,17 @@ def solve_min_alliance_search(
     (ties: smallest id) is branched on.  With c_1 < c_2 < ... its allowed
     neighbours outside S and outside the banned set, branch i adds c_i and
     bans c_1..c_{i-1}, for i up to (number of candidates - deficit + 1).  A
-    node is pruned when the deficit exceeds the remaining budget k - |S| or
-    the number of candidates.
+    node is pruned when the deficit exceeds the number of candidates, or
+    when its bound exceeds the remaining budget k - |S|.
+
+    The bound counts the vertices the members force.  Call an allowed
+    vertex v *tight* when its allowed degree equals need(v) = d(v) // 2 > 0:
+    an alliance holding v holds every allowed neighbour of v, so it holds
+    the whole component K of v among the tight vertices and the allowed
+    vertices of N(K), v's force set; a vertex that is not tight forces only
+    itself.  Without forbidden vertices no vertex is tight, as d // 2 < d.
+    The bound of a node is the larger of its deficit and the number of
+    vertices outside S in the union F of its members' force sets.
 
     Exactness: every component of an alliance is an alliance (a member's
     neighbours inside lie in its component), so an optimum A may be taken
@@ -60,11 +69,14 @@ def solve_min_alliance_search(
     deficit of u is at least the number of its candidates that A still
     needs, so at least `deficit` candidates lie in A and the first of them,
     c_j, has j <= candidates - deficit + 1.  Branch j alone keeps S inside A
-    and every banned vertex outside it, and the budget prune never cuts it
-    (the deficit is at most |A - S| <= k - |S|).  So each level at or above
-    the optimum finds an alliance, and each level below it finds none: a
-    failed climb proves lo + 1 a lower bound, a failed descent proves hi
-    optimal, and both directions are exact.
+    and every banned vertex outside it, and the budget prune never cuts it:
+    A holds F, so the bound is at most |A - S| <= k - |S|.  So each level at
+    or above the optimum finds an alliance, and each level below it finds
+    none: a failed climb proves lo + 1 a lower bound, a failed descent
+    proves hi optimal, and both directions are exact.  The bound reads S
+    and never k, and the prune cuts only subtrees that hold no alliance of
+    at most k vertices, so each level's first find, and the witness, is
+    the one the deficit alone gives.
 
     Each climb is one fresh level.  The descents are one walk,
     `_alliances`, started once at level n': after each find A it resumes at
@@ -80,7 +92,7 @@ def solve_min_alliance_search(
     twice for it.  The nodes a level visits, and their order, depend on k
     only through the budget prune, so a lower level visits a subsequence of
     a higher level's nodes.  If level k finds A first, level |A| still
-    visits every node on the way to A (their deficits are at most |A - S|,
+    visits every node on the way to A (their bounds are at most |A - S|,
     as above) and no alliance before it, so it finds A first too.  The
     schedule's last find has the optimum size, so it is that witness.
 
@@ -102,13 +114,14 @@ def solve_min_alliance_search(
     climbs = chain((True, False), cycle((False, True)))
     # every walk records, per root, the least level that could change it
     reach: dict[int, int] = {}
+    view = _allowed_view(g)
     # one walk for every descent: each turn resumes it at level hi - 1
-    descent = _alliances(g, len(roots), roots, need, deadline, reach)
+    descent = _alliances(g, len(roots), roots, need, deadline, reach, view)
     try:
         while lo < hi:
             if next(climbs):
                 k = lo
-                members = _alliance_within(g, k, roots, need, deadline, reach)
+                members = _alliance_within(g, k, roots, need, deadline, reach, view)
             else:
                 k = hi - 1
                 members = next(descent, None)
@@ -128,6 +141,43 @@ def solve_min_alliance_search(
     return None if best is None else checked_alliance(g, best, "search witness")
 
 
+def _allowed_view(g: Graph) -> tuple:
+    """The walk's view of the allowed subgraph, built once per solve:
+    (each vertex's allowed neighbours ascending, the blocked template with
+    the forbidden vertices set, the force masks or None).
+
+    Every alliance holding v holds each vertex of force[v]: the tight
+    component K of a tight v and the allowed vertices of N(K), or v alone
+    (see `solve_min_alliance_search`).  With no tight vertex, as on
+    every graph without forbidden vertices, the masks are None and the
+    walk does no mask work.
+    """
+    if not g.forbidden:
+        return g.adj, [False] * g.n, None
+    blocked = [v in g.forbidden for v in range(g.n)]
+    nbrs = [[u for u in adj if not blocked[u]] for adj in g.adj]
+    tight = [
+        not blocked[v] and 0 < len(nbrs[v]) == len(g.adj[v]) // 2 for v in range(g.n)
+    ]
+    if not any(tight):
+        return nbrs, blocked, None
+    force = [1 << v for v in range(g.n)]
+    for v in range(g.n):
+        if not tight[v] or force[v] != 1 << v:  # not tight, or its component done
+            continue
+        comp, stack, mask = [v], [v], 1 << v
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if not mask >> u & 1:
+                    mask |= 1 << u
+                    if tight[u]:
+                        comp.append(u)
+                        stack.append(u)
+        for u in comp:
+            force[u] = mask
+    return nbrs, blocked, force
+
+
 def _alliance_within(
     g: Graph,
     k: int,
@@ -135,9 +185,10 @@ def _alliance_within(
     need: list[int],
     deadline: float | None,
     reach: dict[int, int] | None = None,
+    view: tuple | None = None,
 ) -> list[int] | None:
     """The first alliance of at most k vertices in the search order, or None."""
-    return next(_alliances(g, k, roots, need, deadline, reach), None)
+    return next(_alliances(g, k, roots, need, deadline, reach, view), None)
 
 
 def _alliances(
@@ -147,15 +198,21 @@ def _alliances(
     need: list[int],
     deadline: float | None,
     reach: dict[int, int] | None = None,
+    view: tuple | None = None,
 ) -> Iterator[list[int]]:
     """The first alliance A of at most k vertices in the search order, then
     the first of at most |A| - 1 vertices, and so on, in one walk.
+
+    `view` is `_allowed_view(g)`, built here when not given.  A node's
+    bound, the larger of its deficit and the number of forced vertices
+    outside S, is a lower bound on |A - S| for every alliance A in its
+    subtree, and it depends on S alone, never on the level.
 
     After a find A of s vertices at level k, the walk goes on at level
     s - 1.  The budget prune alone depends on the level, so level s - 1
     visits a subsequence of level k's nodes, in the same order.  It follows
     the same path towards A, with the same bans and branches, up to the
-    outermost frame it would not push (deficit > (s - 1) - |S| at its
+    outermost frame it would not push (bound > (s - 1) - |S| at its
     node), and visits nothing before that which level k did not visit
     before A: no alliance, since A was level k's first.  Unwinding that
     frame and every frame above it, with no further branch taken, leaves
@@ -166,35 +223,28 @@ def _alliances(
 
     `reach` maps a root to the least level that could change its walk; the
     walks of one solve share it, and each call without it starts afresh.
-    A root walk that finds nothing records the least |S| + deficit over
+    A root walk that finds nothing records the least |S| + bound over
     the nodes the budget prune cut with deficit <= candidates (the others
     are cut at every level), or n' + 1 if it cut none.  A later walk at a
     level k below that value bans the root without walking it.  Every root
     walk starts with the same bans, the forbidden vertices and the earlier
-    roots, so its nodes depend on k only through the budget prune: a node
-    the recorded walk pushed is pushed at every level above it, a node it
-    cut stays cut below the recorded value, and each level below that
-    value walks the recorded nodes or a subsequence of them and finds
-    nothing there either.  So the bans, the finds, the resume points and
-    the witness stay what a walk without `reach` gives.
+    roots, so its nodes depend on k only through the budget prune, whose
+    bound does not read k: a node the recorded walk pushed is pushed at
+    every level above it, a node it cut stays cut below the recorded
+    value, and each level below that value walks the recorded nodes or a
+    subsequence of them and finds nothing there either.  So the bans, the
+    finds, the resume points and the witness stay what a walk without
+    `reach` gives.
     """
     if reach is None:
         reach = {}
-    adj = g.adj  # each neighbour list ascending
-    inside = [0] * g.n  # |N(v) cap S|
+    nbrs, template, force = _allowed_view(g) if view is None else view
+    lack = list(need)  # need(v) - |N(v) cap S|
     # a vertex is blocked while it is a member, banned or forbidden
-    blocked = [v in g.forbidden for v in range(g.n)]
+    blocked = template[:]
     members: list[int] = []
-
-    def add(v: int) -> None:
-        blocked[v] = True
-        members.append(v)
-        for u in adj[v]:
-            inside[u] += 1
-
-    def drop_last() -> None:  # leaves the vertex blocked, that is banned
-        for u in adj[members.pop()]:
-            inside[u] -= 1
+    # the union of the members' force masks, after each member added
+    forced = [0]
 
     for root in roots:
         if k < 1:  # not even a root fits
@@ -202,12 +252,17 @@ def _alliances(
         if reach.get(root, 0) > k:  # its walk at level k would find nothing
             blocked[root] = True
             continue
-        add(root)
+        blocked[root] = True
+        members.append(root)
+        for u in nbrs[root]:
+            lack[u] -= 1
+        if force is not None:
+            forced.append(force[root])
         # one frame per branching node:
-        # [candidates, branches taken, width, |S|, deficit]
+        # [candidates, branches taken, width, |S|, bound]
         frames: list[list] = []
         found = False
-        least = len(roots) + 1  # least |S| + deficit the budget prune cut
+        least = len(roots) + 1  # least |S| + bound the budget prune cut
         while True:
             if deadline is not None and monotonic() > deadline:
                 raise BudgetExceeded(
@@ -215,7 +270,7 @@ def _alliances(
                 )
             worst, deficit = -1, 0
             for u in members:
-                d = need[u] - inside[u]
+                d = lack[u]
                 if d > deficit or (d == deficit and d > 0 and u < worst):
                     worst, deficit = u, d
             if deficit == 0:
@@ -224,35 +279,51 @@ def _alliances(
                 k = len(members) - 1
                 # from the outermost frame level k would not push, every
                 # frame takes no further branch
-                for i, (_, _, _, size, deficit) in enumerate(frames):
-                    if deficit > k - size:
+                for i, (_, _, _, size, bound) in enumerate(frames):
+                    if bound > k - size:
                         for stale in frames[i:]:
                             stale[2] = stale[1]
                         break
             else:
-                cands = [c for c in adj[worst] if not blocked[c]]
+                cands = [c for c in nbrs[worst] if not blocked[c]]
                 size = len(members)
                 if deficit <= len(cands):
-                    if deficit <= k - size:
-                        frames.append([cands, 0, len(cands) - deficit + 1, size, deficit])
-                    elif size + deficit < least:
-                        least = size + deficit
+                    bound = deficit
+                    if force is not None:
+                        bound = max(deficit, forced[-1].bit_count() - size)
+                    if bound <= k - size:
+                        frames.append([cands, 0, len(cands) - deficit + 1, size, bound])
+                    elif size + bound < least:
+                        least = size + bound
             # next branch: undo the last one (its vertex stays banned), or
             # lift the frame's bans and backtrack once every branch is taken
             while frames:
                 frame = frames[-1]
                 cands, taken, width, _, _ = frame
                 if taken:
-                    drop_last()
+                    for u in nbrs[members.pop()]:
+                        lack[u] += 1
+                    if force is not None:
+                        forced.pop()
                 if taken < width:
-                    add(cands[taken])
+                    v = cands[taken]
+                    blocked[v] = True
+                    members.append(v)
+                    for u in nbrs[v]:
+                        lack[u] -= 1
+                    if force is not None:
+                        forced.append(forced[-1] | force[v])
                     frame[1] = taken + 1
                     break
                 for c in cands[:width]:
                     blocked[c] = False
                 frames.pop()
             else:
-                drop_last()  # the root, banned for the later roots
+                # drop the root, which stays banned for the later roots
+                for u in nbrs[members.pop()]:
+                    lack[u] += 1
+                if force is not None:
+                    forced.pop()
                 if not found:
                     reach[root] = least
                 break

@@ -15,14 +15,17 @@ the general branch and bound before it descended from an incumbent; and
 `remainder_is_clique_by_pairs`, `partition_twin_classes_by_pairs` and
 `partition_clique_sets_by_dfs`, the structural partitions as they were
 computed before a twin cover's remainder was read off its closed-twin
-classes; and `connected_subsets_by_sorted_lists`, brute force's
-connected-subset enumeration before it held its sets as vertex masks.
+classes; `connected_subsets_by_sorted_lists`, brute force's
+connected-subset enumeration before it held its sets as vertex masks; and
+`alliances_by_deficit`, the general branch and bound's walk before it
+bounded a node by the vertices its members force.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from time import monotonic
 
 INF = float("inf")
 
@@ -198,6 +201,86 @@ def climb_only_search(g):
         if members is not None:
             return tuple(members)
     return None
+
+
+def alliances_by_deficit(g, k, roots, need, deadline, reach=None):
+    """`search._alliances` as it was when the budget prune read the worst
+    member's deficit alone: the first alliance of at most k vertices in the
+    search order, then the first of at most |A| - 1 vertices, and so on.
+    It reads the deadline clock, this module's `monotonic`, once per node."""
+    from minalliance import BudgetExceeded
+
+    if reach is None:
+        reach = {}
+    adj = g.adj
+    inside = [0] * g.n
+    blocked = [v in g.forbidden for v in range(g.n)]
+    members = []
+
+    def add(v):
+        blocked[v] = True
+        members.append(v)
+        for u in adj[v]:
+            inside[u] += 1
+
+    def drop_last():
+        for u in adj[members.pop()]:
+            inside[u] -= 1
+
+    for root in roots:
+        if k < 1:
+            return
+        if reach.get(root, 0) > k:
+            blocked[root] = True
+            continue
+        add(root)
+        frames = []  # [candidates, branches taken, width, |S|, deficit]
+        found = False
+        least = len(roots) + 1
+        while True:
+            if deadline is not None and monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"time limit exceeded while searching size {k}", lower_bound=k
+                )
+            worst, deficit = -1, 0
+            for u in members:
+                d = need[u] - inside[u]
+                if d > deficit or (d == deficit and d > 0 and u < worst):
+                    worst, deficit = u, d
+            if deficit == 0:
+                found = True
+                yield sorted(members)
+                k = len(members) - 1
+                for i, (_, _, _, size, deficit) in enumerate(frames):
+                    if deficit > k - size:
+                        for stale in frames[i:]:
+                            stale[2] = stale[1]
+                        break
+            else:
+                cands = [c for c in adj[worst] if not blocked[c]]
+                size = len(members)
+                if deficit <= len(cands):
+                    if deficit <= k - size:
+                        frames.append([cands, 0, len(cands) - deficit + 1, size, deficit])
+                    elif size + deficit < least:
+                        least = size + deficit
+            while frames:
+                frame = frames[-1]
+                cands, taken, width, _, _ = frame
+                if taken:
+                    drop_last()
+                if taken < width:
+                    add(cands[taken])
+                    frame[1] = taken + 1
+                    break
+                for c in cands[:width]:
+                    blocked[c] = False
+                frames.pop()
+            else:
+                drop_last()
+                if not found:
+                    reach[root] = least
+                break
 
 
 def connected_subsets_by_sorted_lists(g, size, allowed):

@@ -8,10 +8,12 @@ from minalliance import (
     BudgetExceeded,
     brute_force_min_alliance,
     build_graph,
+    build_reduction,
     demand,
     distance_to_clique_set,
     encode_min_alliance_ilp,
     generate,
+    minimum_dominating_set,
     normalize_partial_cliques,
     partition_clique_sets,
     partition_twin_classes,
@@ -124,13 +126,18 @@ def test_guess_loop_counts_and_witness_are_pinned(spec, seed, counts, members):
 
 def test_dtc_route_builds_no_adjacency_sets():
     # the dtc route (modulator search, partition, guess loop), lowdeg and
-    # search read `adj` only, and so does the degree test that routes them
-    for spec, seed, route in [
-        ("cliqueplus:n=26,k=2", 3, "dtc"),
-        ("cubic:n=20", 1, "lowdeg"),
-        ("twincover:n=30,t=4", 2, "search"),
+    # search read `adj` only, and so does the degree test that routes them;
+    # search keeps its own force masks on a reduction target's tight vertices
+    reduction_source = generate("cubic:n=4", 1)
+    reduction_target = build_reduction(
+        reduction_source, len(minimum_dominating_set(reduction_source))
+    ).target
+    for g, route in [
+        (generate("cliqueplus:n=26,k=2", 3), "dtc"),
+        (generate("cubic:n=20", 1), "lowdeg"),
+        (generate("twincover:n=30,t=4", 2), "search"),
+        (reduction_target, "search"),
     ]:
-        g = generate(spec, seed)
         algo, mod = _pick_algorithm(g, "auto", 5)
         assert algo == route
         assert _solve_one(g, algo, mod, None).valid

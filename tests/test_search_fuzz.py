@@ -1,5 +1,7 @@
 """Differential fuzzing of the branch and bound against brute force."""
 
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,9 +17,11 @@ from minalliance import (
     protection_threshold,
     solve_min_alliance_search,
 )
+import minalliance.search as search
 from minalliance.search import _alliance_within, _alliances
 
-from _oracles import climb_only_search
+import _oracles
+from _oracles import alliances_by_deficit, climb_only_search
 
 
 @st.composite
@@ -120,14 +124,71 @@ def test_shared_reach_changes_no_level(g, rng):
     assert list(_alliances(g, len(roots), roots, need, None, reach)) == restarts
 
 
-def test_reach_bounds_the_nodes_on_a_reduction_target(monkeypatch):
-    # one deadline read per node, plus one for the deadline itself; the
-    # walks without `reach` take 1 620 nodes on this target
-    import minalliance.search as search
+@st.composite
+def _graphs_with_tight_vertices(draw):
+    """`_graphs`, then forbidden leaves planted at some allowed vertices: each
+    gets as many forbidden neighbours as allowed ones, or one more, where
+    leaves can do that, and then needs every allowed neighbour (is tight)."""
+    g = draw(_graphs())
+    n, edges, forbidden = g.n, list(g.edges), set(g.forbidden)
+    for v in sorted(draw(st.sets(st.integers(0, g.n - 1), min_size=1))):
+        allowed = sum(u not in g.forbidden for u in g.adj[v])
+        leaves = 2 * allowed + draw(st.integers(0, 1)) - len(g.adj[v])
+        if v in g.forbidden or leaves < 0:
+            continue
+        edges += [(v, u) for u in range(n, n + leaves)]
+        forbidden.update(range(n, n + leaves))
+        n += leaves
+    return build_graph(n, edges, forbidden)
 
+
+def _finds_and_reads(module, walk, g, k, roots, need, first_only):
+    """What a walk finds, its first find alone or all of them, and how often
+    it reads `module`'s deadline clock on the way."""
+    reads = []
+    with mock.patch.object(module, "monotonic", lambda: reads.append(None) or 0.0):
+        walk_finds = walk(g, k, roots, need, 1.0)
+        finds = [next(walk_finds, None)] if first_only else list(walk_finds)
+    return finds, len(reads)
+
+
+def _assert_walks_match_the_deficit_walk(g):
+    # every level's first find and the descent's finds are the reference's;
+    # the forced-vertex bound only cuts nodes, and none without forbidden
+    # vertices, which leave no vertex tight
+    roots, need = _roots_and_need(g)
+    runs = [(k, True) for k in range(1, len(roots) + 1)] + [(len(roots), False)]
+    for k, first_only in runs:
+        finds, reads = _finds_and_reads(search, _alliances, g, k, roots, need, first_only)
+        ref_finds, ref_reads = _finds_and_reads(
+            _oracles, alliances_by_deficit, g, k, roots, need, first_only
+        )
+        assert finds == ref_finds
+        assert reads <= ref_reads if g.forbidden else reads == ref_reads
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_graphs_with_tight_vertices())
+def test_forced_vertex_bound_keeps_the_deficit_walk_finds(g):
+    _assert_walks_match_the_deficit_walk(g)
+    _assert_walks_match_the_deficit_walk(build_graph(g.n, g.edges))
+
+
+@pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
+def test_forced_vertex_bound_keeps_the_deficit_walk_finds_on_reduction_targets(source):
+    src = generate(source, 1)
+    _assert_walks_match_the_deficit_walk(
+        build_reduction(src, len(minimum_dominating_set(src))).target
+    )
+
+
+def test_reach_bounds_the_nodes_on_a_reduction_target(monkeypatch):
+    # one deadline read per node, plus one for the deadline itself: 470
+    # nodes on this target, where a budget prune that reads the worst
+    # member's deficit alone takes 842, and 1 620 without `reach`
     reads = []
     monkeypatch.setattr(search, "monotonic", lambda: reads.append(None) or 0.0)
     src = generate("cubic:n=4", 1)
     target = build_reduction(src, len(minimum_dominating_set(src))).target
     assert solve_min_alliance_search(target, time_limit=1.0).size == 24
-    assert len(reads) - 1 <= 900
+    assert len(reads) - 1 <= 500
