@@ -147,18 +147,6 @@ def _connected_subsets(g: Graph, size: int, allowed: int):
     grown through exclusive neighbourhoods, so no subset repeats.
     """
     masks = g.masks
-
-    def extend(sub: list[int], ext: int, unseen: int):
-        if len(sub) == size:
-            yield tuple(sorted(sub))
-            return
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            w = low.bit_length() - 1
-            fresh = masks[w] & unseen
-            yield from extend(sub + [w], ext | fresh, unseen ^ fresh)
-
     for root in range(g.n):
         if not allowed >> root & 1:
             continue
@@ -167,7 +155,21 @@ def _connected_subsets(g: Graph, size: int, allowed: int):
             continue
         above = allowed >> root + 1 << root + 1
         ext = masks[root] & above
-        yield from extend([root], ext, above ^ ext)
+        yield from _extend(masks, size, [root], ext, above ^ ext)
+
+
+def _extend(masks: list[int], size: int, sub: list[int], ext: int, unseen: int):
+    """`_connected_subsets` below the subset `sub`: a module-level function,
+    not a closure, as a recursive closure sits in a reference cycle."""
+    if len(sub) == size:
+        yield tuple(sorted(sub))
+        return
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        w = low.bit_length() - 1
+        fresh = masks[w] & unseen
+        yield from _extend(masks, size, sub + [w], ext | fresh, unseen ^ fresh)
 
 
 def brute_force_min_alliance(

@@ -38,6 +38,12 @@ verification, plus `violations`.
 
 `run_command` builds the argparse tree once per process and reuses it; each
 call parses into a fresh namespace, so no option carries over to the next.
+It parses in one pass: when the first argument names a subcommand, that
+subcommand's parser alone reads the rest, and anything it leaves over is the
+top parser's "unrecognized arguments" error, word for word the one a pass
+through the whole tree gives.  Any other argument list goes through the
+whole tree.  Input files are opened by the path as given, and one shared
+encoder prints every success document.
 """
 
 from __future__ import annotations
@@ -81,17 +87,23 @@ SEED_ENV = "MINALLIANCE_SEED"
 
 ALGORITHMS = ("auto", "search", "brute", "lowdeg", "ilp", "dtc", "twincover")
 
+# built once: json.dumps with any option set builds a new encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def _read_graph(path: str | Path) -> Graph:
-    return parse_dimacs(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return parse_dimacs(fh.read())
 
 
 def _read_vertex_set(path: str, n: int) -> list[int]:
     """1-indexed vertex ids in 1..n separated by whitespace or commas; 'c'/'#'
     lines are comments.  A bad byte, token or id is a ValueError that names
     its line and the id as written."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
     out = []
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
@@ -485,8 +497,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    return build_parser()
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argparse tree, built once per process, and its subcommand parsers
+    by name."""
+    ap = build_parser()
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return ap, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one pass: when `argv[0]` names a
+    subcommand, its parser alone reads the rest, and anything it leaves is
+    the top parser's "unrecognized arguments" error, as in the full pass."""
+    ap, subparsers = _shared_parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        ap.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _error_document(exc: BudgetExceeded | ValueError | OSError) -> dict:
@@ -508,7 +538,7 @@ def _error_document(exc: BudgetExceeded | ValueError | OSError) -> dict:
 
 def run_command(argv: list[str]) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse_args(argv)
         status, payload = args.func(args)
     except _HelpRequested as exc:
         print(json.dumps({"help": str(exc), "kind": "help"}))
@@ -519,7 +549,7 @@ def run_command(argv: list[str]) -> int:
     except (BudgetExceeded, ValueError, OSError) as exc:
         print(json.dumps(_error_document(exc)))
         return EXIT_INVALID
-    print(json.dumps(payload, sort_keys=True))
+    print(_encode(payload))
     return status
 
 

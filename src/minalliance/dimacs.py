@@ -7,6 +7,7 @@ both give the same graph, and every fault is reported by the line parser."""
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 
@@ -42,6 +43,13 @@ class EdgeRangeError(DimacsError):
     pass
 
 
+@functools.lru_cache(maxsize=16)
+def _id_table(n: int) -> dict[str, int]:
+    """{"1": 0, ..., str(n): n - 1}, shared by every parse with this n, so
+    its callers only read it."""
+    return dict(zip(map(str, range(1, n + 1)), range(n)))
+
+
 def _parse_canonical(text: str) -> Graph | None:
     """The graph of `text` when it is in `emit_dimacs`'s layout with valid
     data, else None.
@@ -59,7 +67,7 @@ def _parse_canonical(text: str) -> Graph | None:
     fields = match[3].split()
     if len(fields) != 3 * m:
         return None
-    ids = dict(zip(map(str, range(1, n + 1)), range(n)))
+    ids = _id_table(n)
     try:
         us = list(map(ids.__getitem__, fields[1::3]))
         vs = list(map(ids.__getitem__, fields[2::3]))

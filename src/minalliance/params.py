@@ -164,6 +164,7 @@ def _min_cover(edges: list[tuple[int, int]], k_max: int) -> frozenset[int] | Non
             partial.remove(v)
 
     dfs(forced, 0)
+    del dfs  # its closure cell refers back to it; the cycle would keep `edges`
     return best
 
 

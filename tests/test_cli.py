@@ -955,3 +955,51 @@ def test_parser_is_built_at_most_once(capsys, monkeypatch, bridge_file):
         run_command(argv)
     capsys.readouterr()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["--help"], ["-h"], ["frob"], ["-x", "solve", "GRAPH"], ["solve"],
+        ["solve", "--help"], ["solve", "GRAPH", "-h"],
+        ["solve", "GRAPH", "--nonsense"], ["solve", "--nonsense", "GRAPH"],
+        ["solve", "GRAPH", "extra"],
+        ["solve", "GRAPH", "--kmax", "abc"], ["solve", "GRAPH", "--kmax"],
+        ["solve", "GRAPH", "--algo", "nope"], ["solve", "GRAPH", "--alg", "search"],
+        ["solve", "GRAPH", "--orac"], ["solve", "--", "GRAPH"],
+        ["verify", "GRAPH"], ["verify", "GRAPH", "MISSING"], ["bench"],
+        ["solve", "MISSING"], ["solve", "DIR"],
+        ["solve", "GRAPH"], ["solve", "GRAPH", "--algo=lowdeg", "--oracle", "--kmax", "2"],
+        ["params", "GRAPH", "--kmax", "1"], ["gen", "cubic:n=6", "--seed", "3"],
+    ],
+    ids=lambda argv: " ".join(argv) or "(no arguments)",
+)
+def test_one_pass_parse_matches_the_full_parser(capsys, monkeypatch, tmp_path, bridge_file, argv):
+    # run_command hands argv after a subcommand name to that subcommand's
+    # parser alone; the full tree must give the same exit code and document
+    import minalliance.cli as cli_mod
+
+    paths = {"GRAPH": bridge_file, "MISSING": str(tmp_path / "missing"), "DIR": str(tmp_path)}
+    argv = [paths.get(a, a) for a in argv]
+
+    def outcome():
+        code = run_command(list(argv))
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        (line,) = captured.out.splitlines()
+        doc = json.loads(line)
+        doc.pop("wall_time_s", None)
+        return code, doc
+
+    got = outcome()
+    monkeypatch.setattr(cli_mod, "_parse_args", lambda argv: cli_mod.build_parser().parse_args(argv))
+    assert got == outcome()
+
+
+@pytest.mark.parametrize("path", ["", "./no-such.dimacs"])
+def test_a_missing_graph_is_named_as_written(capsys, path):
+    # the file is opened by the path as given, and the message names it so
+    code, out = run(capsys, "solve", path)
+    assert code == EXIT_INVALID
+    assert out["kind"] == "invalid-input"
+    assert out["error"].endswith(f"No such file or directory: {path!r}")

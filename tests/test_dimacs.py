@@ -6,6 +6,7 @@ from minalliance.dimacs import (
     DuplicateEdgeError,
     EdgeRangeError,
     MalformedHeaderError,
+    _id_table,
     _parse_canonical,
     _parse_lines,
 )
@@ -131,3 +132,36 @@ def test_emit_output_takes_the_fast_path(g, comment):
     assert fast is not None
     assert fast == _parse_lines(text) == g
     assert fast.masks == g.masks
+
+
+def test_id_tables_are_shared_across_sizes_without_leaking_between_them():
+    # each n = 5 text has an id the n = 10 or n = 12 table would accept, or a
+    # leading zero; a shared table must miss it as a fresh one does
+    def small(*lines):
+        return "p edge 5 %d\n" % sum(line[0] == "e" for line in lines) + "".join(
+            f"{line}\n" for line in lines
+        )
+
+    fives = [
+        small("e 1 2", "e 2 3", "e 4 5"),
+        small("e 1 2", "e 3 7"),
+        small("e 1 2", "f 6"),
+        small("e 2 007"),
+        small("e 1 005", "f 3"),
+    ]
+    texts = [emit_dimacs(generate("cubic:n=10", 1)), *fives,
+             emit_dimacs(generate("degcap:n=12,dmax=4", 2), comment="twelve"), *fives]
+    _id_table.cache_clear()
+    for text in texts:
+        try:
+            want = _parse_lines(text)
+        except DimacsError as exc:
+            with pytest.raises(type(exc)) as info:
+                parse_dimacs(text)
+            got = info.value
+            assert (type(got), got.line, str(got)) == (type(exc), exc.line, str(exc))
+        else:
+            assert parse_dimacs(text) == want
+    assert _id_table.cache_info().hits >= len(fives)
+    for n in (5, 10, 12):
+        assert _id_table(n) == {str(v + 1): v for v in range(n)}

@@ -1,6 +1,7 @@
 """Structural parameters: clique modulators, twin covers, partitions."""
 
 import collections
+import gc
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import random
 import pytest
 
 from minalliance import (
+    brute_force_min_alliance,
     build_graph,
     distance_to_clique_set,
     generate,
@@ -89,6 +91,28 @@ def test_min_cover_degree_kernel_keeps_the_lexicographic_choice():
             too_many += hubs > k_max
             assert _min_cover(edges, k_max) == lex_first_min_cover(edges, k_max), (seed, k_max)
     assert forced >= 100 and too_many >= 100
+
+
+@pytest.mark.parametrize(
+    "search, spec, seed, want",
+    [
+        (lambda g: distance_to_clique_set(g, 5), "cliqueplus:n=26,k=2", 3, frozenset({18})),
+        (lambda g: twin_cover_set(g, 5), "twincover:n=30,t=4", 2, frozenset({3, 15, 17, 22})),
+        (lambda g: brute_force_min_alliance(g).members, "degcap:n=14,dmax=5", 3, (5, 9)),
+    ],
+    ids=["distance-to-clique", "twin-cover", "brute-force"],
+)
+def test_recursive_searches_leave_no_reference_cycle(search, spec, seed, want):
+    # a recursive closure sits in a cycle with its own cell, which keeps the
+    # searched edges alive until the collector runs; none may be left
+    g = generate(spec, seed)
+    gc.collect()
+    gc.disable()
+    try:
+        assert search(g) == want
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------ distance to clique
