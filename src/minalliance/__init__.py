@@ -32,7 +32,6 @@ from .ilp import (
     IlpBudgetExceeded,
     IlpProblem,
     IlpSolution,
-    dump_lp,
     encode_min_alliance_ilp,
     solve_ilp,
     solve_min_alliance_ilp,

@@ -9,16 +9,16 @@ failed verification.  `--help`, on its own or after a subcommand, prints one
 `_pick_algorithm` alone resolves `--algo` to a solver and searches its
 modulator.  `auto` sends a graph with forbidden vertices or none at all to
 `search`, one of maximum degree at most five to `lowdeg`, and one whose
-degrees show an optimum of one or two (`degree_alliance`) to `search`, whose
-first climb returns that witness.  Otherwise a distance-to-clique set or a
-twin cover of at most `--kmax` vertices routes to `dtc` or `twincover`, and
-everything else goes to the branch and bound `search`.  Brute force and the
-ILP encoding stay selectable and are `--oracle`'s oracles: brute force up to
-`BRUTE_MAX_N` vertices, the ILP above.  Past `--time-limit`, every solver but
-brute force raises `BudgetExceeded`, printed as one `"kind": "budget"`
-document with the verified incumbent and the proven lower bound, each null
-when unknown.  A negative limit or `--kmax` is invalid input, rejected
-before the graph is read.
+degrees show an optimum of one or two (`degree_alliance`) to `search`, which
+returns that witness before any level.  Otherwise a distance-to-clique set
+of at most `--kmax` vertices routes to `dtc`, and everything else goes to
+the branch and bound `search`; the twin-cover solver runs only when named.
+Brute force and the ILP encoding stay selectable and are `--oracle`'s
+oracles: brute force up to `BRUTE_MAX_N` vertices, the ILP above.  Past
+`--time-limit`, every solver but brute force raises `BudgetExceeded`,
+printed as one `"kind": "budget"` document with the verified incumbent and
+the proven lower bound, each null when unknown.  A negative limit or
+`--kmax` is invalid input, rejected before the graph is read.
 
 A `solve` document, and each record of `bench`'s list, holds `algorithm`
 (the solver that ran), `instance`, `n`, `m`, `params`, `size`, `witness`
@@ -148,12 +148,12 @@ def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int]
     with: `dtc` and `twincover` search theirs (a ValueError when none is
     within `kmax`), and `auto` routes as the module docstring says."""
     if algo == "auto":
-        # lowdeg, dtc and twincover take no forbidden vertex and no empty graph
+        # lowdeg and dtc take no forbidden vertex and no empty graph
         if g.forbidden or not g.n:
             return "search", None
         if g.max_degree() <= 5:
             return "lowdeg", None
-        # an optimum of one or two vertices is the first find of search's climb
+        # search answers an optimum of one or two vertices from the degrees
         if degree_alliance(g) is not None:
             return "search", None
     if algo in ("auto", "dtc"):
@@ -162,12 +162,11 @@ def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int]
             return "dtc", mod
         if algo == "dtc":
             raise ValueError(f"no distance-to-clique set within k_max={kmax}")
-    if algo in ("auto", "twincover"):
+    if algo == "twincover":
         cover = twin_cover_set(g, kmax)
-        if cover is not None:
-            return "twincover", cover
-        if algo == "twincover":
+        if cover is None:
             raise ValueError(f"no twin cover within k_max={kmax}")
+        return "twincover", cover
     return ("search" if algo == "auto" else algo), None
 
 

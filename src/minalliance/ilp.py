@@ -332,30 +332,3 @@ def solve_min_alliance_ilp(g: Graph, *, time_limit: float | None = None):
     members = [v for v, xv in enumerate(sol.assignment) if xv]
     return checked_alliance(g, members, "ILP witness")
 
-
-def dump_lp(prob: IlpProblem) -> str:
-    """Human-readable LP-format text for a problem (stable field order)."""
-    out = ["Minimize", " obj: " + _linear(prob.objective), "Subject To"]
-    for i, (coeffs, rhs) in enumerate(prob.constraints):
-        out.append(f" c{i}: {_linear(coeffs)} >= {rhs}")
-    out.append("Bounds")
-    for j, (lo, hi) in enumerate(prob.bounds):
-        out.append(f" {lo} <= x{j} <= {hi}")
-    out.append("End")
-    return "\n".join(out) + "\n"
-
-
-def _linear(coeffs: Sequence[int]) -> str:
-    parts: list[str] = []
-    for j, a in enumerate(coeffs):
-        if a == 0:
-            continue
-        if not parts:
-            prefix = "" if a > 0 else "- "
-        else:
-            prefix = "+ " if a > 0 else "- "
-        mag = abs(a)
-        parts.append(f"{prefix}{'' if mag == 1 else str(mag) + ' '}x{j}")
-    if not parts:
-        return "0"
-    return " ".join(parts)

@@ -72,11 +72,6 @@ def _clique_signatures(g: Graph, mod: set[int]) -> dict[int, list[int]] | None:
     return sigs
 
 
-def remainder_is_clique(g: Graph, modulator: Iterable[int]) -> bool:
-    """True when `g` minus `modulator` is a clique."""
-    return _clique_signatures(g, set(modulator)) is not None
-
-
 def _closed_twin_groups(g: Graph, cover: set[int]) -> dict[int, list[int]] | None:
     """The vertices outside `cover` grouped by the mask of N[v], or None
     when `cover` is not a twin cover.  Ids outside 0..n-1 are ignored.

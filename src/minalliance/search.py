@@ -15,11 +15,12 @@ only through that prune (see `_alliances`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import chain, cycle
 from time import monotonic
 
-from .alliances import AllianceSolution, BudgetExceeded, checked_alliance
+from .alliances import AllianceSolution, BudgetExceeded, checked_alliance, degree_alliance
 from .graphs import Graph
 
 
@@ -29,20 +30,19 @@ def solve_min_alliance_search(
     """Minimum defensive alliance avoiding forbidden vertices, or None.
 
     Level k asks for the first alliance of at most k vertices in the search
-    order.  Levels run on one fixed schedule between
-    lo, a size every smaller one is proven not to reach (first the least
-    threshold ceil((d(v)+1)/2) of an allowed vertex), and hi, the size of
-    the incumbent (first n' + 1, for the n' allowed vertices).  A climb runs
-    level lo and sets lo += 1 if it finds nothing; what it finds has size
-    lo, the optimum.  A descent runs level hi - 1 and sets hi to the size of
-    what it finds, or lo = hi if it finds nothing.  The schedule is one
-    climb, one descent (level n', which finds an incumbent if any alliance
-    exists), then descent and climb in turn until lo == hi.  It counts
-    levels, not seconds, so the levels run, the witness and the budget exits
-    depend on the graph alone.  A climb alone is fast when the optimum is
-    near the threshold, a descent alone when it is near n' (the
-    dominating-set reduction targets); in turn, the schedule runs at most
-    about twice the levels of the better direction.
+    order.  Levels run on one fixed schedule between lo, a size every
+    smaller one is proven not to reach (first the least root bound, below),
+    and hi, the size of the incumbent (first n' + 1, for the n' allowed
+    vertices).  A climb runs level lo and sets lo += 1 if it finds nothing;
+    what it finds has size lo, the optimum.  A descent runs level hi - 1 and
+    sets hi to the size of what it finds, or lo = hi if it finds nothing.
+    The schedule is one climb, one descent (level n', which finds an
+    incumbent if any alliance exists), then descent and climb in turn until
+    lo == hi.  It counts levels, not seconds, so the levels run, the witness
+    and the budget exits depend on the graph alone.  A climb alone is fast
+    when the optimum is near the root bound, a descent alone when it is near
+    n' (the dominating-set reduction targets); in turn, the schedule runs at
+    most about twice the levels of the better direction.
 
     Inside a level, the allowed roots are tried in ascending order, every
     earlier root banned.  A node holds a connected member set S and a
@@ -78,6 +78,20 @@ def solve_min_alliance_search(
     at most k vertices, so each level's first find, and the witness, is
     the one the deficit alone gives.
 
+    Before any level, an optimum of one or two is read off the degrees
+    (`degree_alliance`, whose answer is the first climb's find).  Else each
+    root r gets a root bound.  With thr(v) = need(v) + 1, a connected
+    alliance A with least vertex r holds need(r) allowed neighbours of r,
+    all above r, and |A| >= thr(v) for each member v, so |A| is at least
+    thr(r) and the need(r)-th smallest thr(u) over those u; with fewer than
+    need(r) of them no such A exists, and the bound is n' + 1.  It starts
+    r's `reach` entry, and lo starts at its least value over the roots.
+    Like the force bound, it reads only the root and its bans (the
+    forbidden vertices and the earlier roots) and never k; a walk at r
+    finds only connected alliances with least vertex r, so skipping r
+    below its bound keeps the level-subsequence, resumption and `reach`
+    arguments below, with the same finds and witness.
+
     Each climb is one fresh level.  The descents are one walk,
     `_alliances`, started once at level n': after each find A it resumes at
     level |A| - 1 where that level, run afresh from the first root, would
@@ -99,22 +113,25 @@ def solve_min_alliance_search(
     Past `time_limit` seconds the search raises BudgetExceeded with
     `lower_bound` = lo, which every smaller size is proven not to reach,
     and the incumbent as checked by `checked_alliance`, or None before the
-    first descent has found one.
+    first descent has found one.  The degree answer reads no clock.
     """
+    small = degree_alliance(g)
+    if small is not None:
+        return checked_alliance(g, small, "search witness")
     roots = [v for v in range(g.n) if v not in g.forbidden]
     if not roots:
         return None
     # neighbours a member needs inside S: ceil((d+1)/2) minus itself, d // 2
     need = [len(nbrs) // 2 for nbrs in g.adj]
+    view = _allowed_view(g)
+    # per root, the least level that could change its walk: first its bound
+    reach = _root_bounds(roots, need, view[0])
     deadline = None if time_limit is None else monotonic() + time_limit
-    lo = min(need[v] for v in roots) + 1
+    lo = min(reach.values())
     hi = len(roots) + 1  # no incumbent yet: one past the largest level
     best = None
     # climb, the incumbent's descent, then descent and climb in turn
     climbs = chain((True, False), cycle((False, True)))
-    # every walk records, per root, the least level that could change it
-    reach: dict[int, int] = {}
-    view = _allowed_view(g)
     # one walk for every descent: each turn resumes it at level hi - 1
     descent = _alliances(g, len(roots), roots, need, deadline, reach, view)
     try:
@@ -141,6 +158,21 @@ def solve_min_alliance_search(
     return None if best is None else checked_alliance(g, best, "search witness")
 
 
+def _root_bounds(roots: list[int], need: list[int], nbrs: list[list[int]]) -> dict[int, int]:
+    """Each root's bound, a size below which no connected alliance has that
+    root as its least vertex (see `solve_min_alliance_search`)."""
+    bounds = {}
+    for r in roots:
+        k, adj = need[r], nbrs[r]
+        # the thresholds, less one, of the allowed neighbours above r
+        above = sorted(map(need.__getitem__, adj[bisect_right(adj, r):]))
+        if len(above) < k:
+            bounds[r] = len(roots) + 1
+        else:
+            bounds[r] = max(k, above[k - 1] if k else 0) + 1
+    return bounds
+
+
 def _allowed_view(g: Graph) -> tuple:
     """The walk's view of the allowed subgraph, built once per solve:
     (each vertex's allowed neighbours ascending, the blocked template with
@@ -155,7 +187,8 @@ def _allowed_view(g: Graph) -> tuple:
     if not g.forbidden:
         return g.adj, [False] * g.n, None
     blocked = [v in g.forbidden for v in range(g.n)]
-    nbrs = [[u for u in adj if not blocked[u]] for adj in g.adj]
+    # a forbidden vertex is never a member, so nothing reads its list
+    nbrs = [[] if blocked[v] else [u for u in g.adj[v] if not blocked[u]] for v in range(g.n)]
     tight = [
         not blocked[v] and 0 < len(nbrs[v]) == len(g.adj[v]) // 2 for v in range(g.n)
     ]
@@ -225,7 +258,8 @@ def _alliances(
     walks of one solve share it, and each call without it starts afresh.
     A root walk that finds nothing records the least |S| + bound over
     the nodes the budget prune cut with deficit <= candidates (the others
-    are cut at every level), or n' + 1 if it cut none.  A later walk at a
+    are cut at every level), or n' + 1 if it cut none: above the level it
+    ran at, so never below a root bound that let it run.  A later walk at a
     level k below that value bans the root without walking it.  Every root
     walk starts with the same bans, the forbidden vertices and the earlier
     roots, so its nodes depend on k only through the budget prune, whose

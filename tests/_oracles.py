@@ -16,9 +16,11 @@ the general branch and bound before it descended from an incumbent; and
 `partition_clique_sets_by_dfs`, the structural partitions as they were
 computed before a twin cover's remainder was read off its closed-twin
 classes; `connected_subsets_by_sorted_lists`, brute force's
-connected-subset enumeration before it held its sets as vertex masks; and
+connected-subset enumeration before it held its sets as vertex masks;
 `alliances_by_deficit`, the general branch and bound's walk before it
-bounded a node by the vertices its members force.
+bounded a node by the vertices its members force; and
+`search_without_root_bound`, its level schedule before it read an optimum
+of one or two off the degrees and started each root at its root bound.
 """
 
 from __future__ import annotations
@@ -281,6 +283,40 @@ def alliances_by_deficit(g, k, roots, need, deadline, reach=None):
                 if not found:
                     reach[root] = least
                 break
+
+
+def search_without_root_bound(g):
+    """The witness tuple `solve_min_alliance_search` returned, or None, when
+    lo started at the least threshold of an allowed vertex and `reach`
+    started empty: one climb, the incumbent's descent, then descent and
+    climb in turn until lo == hi."""
+    from itertools import chain, cycle
+
+    from minalliance.search import _alliance_within, _alliances, _allowed_view
+
+    roots = [v for v in range(g.n) if v not in g.forbidden]
+    if not roots:
+        return None
+    need = [len(nbrs) // 2 for nbrs in g.adj]
+    lo = min(need[v] for v in roots) + 1
+    hi = len(roots) + 1
+    best = None
+    climbs = chain((True, False), cycle((False, True)))
+    reach = {}
+    view = _allowed_view(g)
+    descent = _alliances(g, len(roots), roots, need, None, reach, view)
+    while lo < hi:
+        if next(climbs):
+            k = lo
+            members = _alliance_within(g, k, roots, need, None, reach, view)
+        else:
+            k = hi - 1
+            members = next(descent, None)
+        if members is None:
+            lo = k + 1
+        else:
+            best, hi = members, len(members)
+    return None if best is None else tuple(best)
 
 
 def connected_subsets_by_sorted_lists(g, size, allowed):

@@ -242,21 +242,52 @@ def test_solve_search_with_oracle(capsys, bridge_file):
     assert out["match"] is True
 
 
-def test_search_budget_overrun_reports_lower_bound(capsys, bridge_file, monkeypatch):
+def test_search_budget_overrun_reports_lower_bound(capsys, tmp_path, monkeypatch):
     import minalliance.search as search
 
+    # K6 on 1..6 and vertex 0 joined to 1 and 2: no alliance of one or two,
+    # so the degrees leave the search to run
+    edges = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)] + [(0, 1), (0, 2)]
+    g = build_graph(7, edges)
+    assert degree_alliance(g) is None
+    path = tmp_path / "k6.dimacs"
+    path.write_text(emit_dimacs(g))
     reads = iter([0.0])  # the deadline is set at 0 + 1 s; every later read is past it
     monkeypatch.setattr(search, "monotonic", lambda: next(reads, 1e9))
-    code, out = run(capsys, "solve", bridge_file, "--algo", "search", "--time-limit", "1")
+    code, out = run(capsys, "solve", str(path), "--algo", "search", "--time-limit", "1")
     assert code == EXIT_INVALID
-    # degree-2 vertices need 2 defenders, so size 2 is searched first
+    # vertex 0 needs 2 defenders but its neighbours 4 each, and the rest
+    # need 3, so size 3 is searched first
     assert out == {
-        "error": "time limit exceeded while searching size 2",
+        "error": "time limit exceeded while searching size 3",
         "kind": "budget",
         "incumbent": None,
         "incumbent_size": None,
-        "lower_bound": 2,
+        "lower_bound": 3,
     }
+
+
+@pytest.mark.parametrize(
+    "spec, seed, route, kmax",
+    [
+        ("twincover:n=200,t=5,zmax=60", 3, "twincover", 5),
+        ("twincover:n=200,t=5,zmax=60", 4, "twincover", 5),
+        ("cliqueplus:n=100,k=8", 3, "dtc", 8),
+    ],
+)
+def test_search_solves_the_structured_frontier_within_a_second(
+    capsys, tmp_path, spec, seed, route, kmax
+):
+    # the root bound starts the climb at the optimum on these graphs, each
+    # of which ran past any budget without it; the paper's solver for the
+    # family checks the size
+    g = generate(spec, seed)
+    path = tmp_path / "g.dimacs"
+    path.write_text(emit_dimacs(g))
+    code, out = run(capsys, "solve", str(path), "--algo", "search", "--time-limit", "1")
+    assert (code, out["algorithm"], out["valid"]) == (EXIT_OK, "search", True)
+    _, ref = run(capsys, "solve", str(path), "--algo", route, "--kmax", str(kmax))
+    assert out["size"] == ref["size"]
 
 
 def test_search_budget_overrun_carries_the_incumbent(
@@ -342,18 +373,21 @@ def test_auto_keeps_an_optimum_of_three_on_twincover(capsys, tmp_path):
     path = tmp_path / "tc.dimacs"
     path.write_text(emit_dimacs(g))
     code, out = run(capsys, "solve", str(path), "--oracle")
-    assert (code, out["algorithm"], out["size"], out["match"]) == (EXIT_OK, "twincover", 3, True)
+    assert (code, out["algorithm"], out["size"], out["match"]) == (EXIT_OK, "search", 3, True)
+    # the paper's twin-cover solver, named, agrees
+    code, cover = run(capsys, "solve", str(path), "--algo", "twincover")
+    assert (code, cover["algorithm"], cover["size"]) == (EXIT_OK, "twincover", 3)
 
 
-def test_auto_keeps_the_twincover_route_on_large_twin_classes(capsys, tmp_path):
-    # `search` banning all but one of each twin class took up to 1 515x this
-    # route's time on this family, so `auto` keeps the route
+def test_auto_sends_large_twin_classes_to_search(capsys, tmp_path):
+    # the root bound starts `search` at the optimum here; on this family it
+    # once took up to 1 515x the twin-cover route's time
     pytest.importorskip("scipy.optimize")
     g = generate("twincover:n=200,t=5,zmax=60", 3)
     path = tmp_path / "tc.dimacs"
     path.write_text(emit_dimacs(g))
     code, out = run(capsys, "solve", str(path))
-    assert (code, out["algorithm"], out["size"]) == (EXIT_OK, "twincover", 8)
+    assert (code, out["algorithm"], out["size"]) == (EXIT_OK, "search", 8)
     assert out["size"] == milp_min_alliance_size(g.n, g.edges)
 
 
@@ -661,10 +695,7 @@ def test_bench_prints_one_record_per_repeated_algo_entry(capsys, tmp_path):
     assert all(rec["match"] is True for rec in out)
 
 
-@pytest.mark.parametrize(
-    "spec, seed, algo",
-    [("cliqueplus:n=12,k=2", 3, "dtc"), ("twincover:n=16,t=3", 10, "twincover")],
-)
+@pytest.mark.parametrize("spec, seed, algo", [("cliqueplus:n=12,k=2", 3, "dtc")])
 def test_an_explicit_modulator_route_prints_autos_document(capsys, tmp_path, spec, seed, algo):
     path = tmp_path / "g.dimacs"
     path.write_text(emit_dimacs(generate(spec, seed)))

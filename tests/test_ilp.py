@@ -8,7 +8,6 @@ from minalliance import (
     IlpProblem,
     brute_force_min_alliance,
     build_graph,
-    dump_lp,
     encode_min_alliance_ilp,
     generate,
     solve_ilp,
@@ -225,15 +224,3 @@ def test_encode_matches_brute_force(seed):
     ref = brute_force_min_alliance(g)
     assert sol.size == ref.size
     assert sol.valid
-
-
-def test_dump_lp_round_trippable_text():
-    text = dump_lp(prob([1, 2], [([1, -1], 0), ([0, 1], 2)], [(0, 3), (-1, 4)]))
-    lines = text.splitlines()
-    assert lines[0] == "Minimize"
-    assert "Subject To" in lines
-    assert "Bounds" in lines
-    assert lines[-1] == "End"
-    assert any("x1" in ln for ln in lines)
-    # stable output: identical calls yield identical text
-    assert text == dump_lp(prob([1, 2], [([1, -1], 0), ([0, 1], 2)], [(0, 3), (-1, 4)]))

@@ -22,7 +22,6 @@ from minalliance.params import (
     InvalidTwinCoverError,
     RemainderNotCliqueError,
     _min_cover,
-    remainder_is_clique,
 )
 
 from _oracles import (
@@ -50,11 +49,12 @@ def lex_min(sets):
 MANY_CANDIDATES = 2_000_000
 
 
-def test_remainder_is_clique_accepts_one_shot_iterable():
+def test_partition_twin_classes_accepts_one_shot_iterable():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert remainder_is_clique(g, {2})
-    assert remainder_is_clique(g, iter([2]))
-    assert not remainder_is_clique(g, iter([1]))
+    assert partition_twin_classes(g, {2}).modulator == (2,)
+    assert partition_twin_classes(g, iter([2])).modulator == (2,)
+    with pytest.raises(RemainderNotCliqueError):
+        partition_twin_classes(g, iter([1]))
 
 
 # ------------------------------------------------------------ minimum cover

@@ -1,9 +1,9 @@
 """The structural partitions against their former computations.
 
-`is_twin_cover`, `remainder_is_clique`, `partition_twin_classes` and
-`partition_clique_sets` must give the results, and raise the exception
-types, of the per-edge twin check, the pair-by-pair clique check and the
-depth-first component partition in `_oracles`.  The candidate sets are
+`is_twin_cover`, `partition_twin_classes` and `partition_clique_sets`
+must give the results, and raise the exception types, of the per-edge twin
+check, the pair-by-pair clique check and the depth-first component
+partition in `_oracles`.  The candidate sets are
 planted twin covers and clique modulators, random sets, the minimum sets
 the library finds, and sets holding an id outside the graph; every graph is
 perturbed by one edge half of the time, so near misses come up as often as
@@ -26,7 +26,7 @@ from minalliance import (
     partition_twin_classes,
     twin_cover_set,
 )
-from minalliance.params import remainder_is_clique
+from minalliance.params import RemainderNotCliqueError
 
 from _oracles import (
     is_twin_cover_oracle,
@@ -62,10 +62,14 @@ def clique_sets_plain(g, cover):
 
 
 def check_agrees(g, cand):
-    """Compare all four functions on one (graph, candidate set) case."""
+    """Compare all three functions on one (graph, candidate set) case."""
     cand = tuple(cand)
     assert outcome(is_twin_cover, g, cand) == is_twin_cover_oracle(g.n, g.edges, cand)
-    assert outcome(remainder_is_clique, g, cand) == remainder_is_clique_by_pairs(g, cand)
+    # the clique check alone, past the range check that ids outside g meet first
+    inside = [v for v in cand if 0 <= v < g.n]
+    assert (outcome(partition_twin_classes, g, inside) is RemainderNotCliqueError) == (
+        not remainder_is_clique_by_pairs(g, cand)
+    )
     assert outcome(twin_classes_plain, g, cand) == outcome(
         partition_twin_classes_by_pairs, g, cand
     )

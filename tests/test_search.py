@@ -152,3 +152,19 @@ def test_size_matches_milp_above_brute_force(n, variant):
     assert (None if sol is None else sol.members) == climb_only_search(g)
     if sol is not None:
         assert verify_alliance(g, sol.members).valid
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [("cliqueplus:n=8,k=2", seed) for seed in range(1, 7)]
+    + [("cliqueplus:n=12,k=3", seed) for seed in range(1, 7)]
+    + [("cliqueplus:n=14,k=4", seed) for seed in range(1, 5)]
+    + [("cliqueplus:n=16,k=5", seed) for seed in range(1, 4)]
+    + [("cliqueplus:n=18,k=6", seed) for seed in range(1, 3)],
+)
+def test_cliqueplus_optimum_matches_brute_force(spec, seed):
+    # optima near n / 2, where the root bound starts the climb
+    g = generate(spec, seed)
+    sol = solve_min_alliance_search(g)
+    assert sol.valid
+    assert sol.size == brute_force_min_alliance(g).size

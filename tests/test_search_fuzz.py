@@ -1,5 +1,6 @@
 """Differential fuzzing of the branch and bound against brute force."""
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -21,7 +22,12 @@ import minalliance.search as search
 from minalliance.search import _alliance_within, _alliances
 
 import _oracles
-from _oracles import alliances_by_deficit, climb_only_search
+from _oracles import (
+    alliances_by_deficit,
+    climb_only_search,
+    majority_protected,
+    search_without_root_bound,
+)
 
 
 @st.composite
@@ -192,3 +198,47 @@ def test_reach_bounds_the_nodes_on_a_reduction_target(monkeypatch):
     target = build_reduction(src, len(minimum_dominating_set(src))).target
     assert solve_min_alliance_search(target, time_limit=1.0).size == 24
     assert len(reads) - 1 <= 500
+
+
+@st.composite
+def _graphs_with_heavy_neighbourhoods(draw):
+    """`_graphs`, then forbidden leaves: up to two at every vertex, and two
+    to five more at each neighbour of one or two centres, which raise the
+    thresholds around a centre above its own without changing the allowed
+    subgraph."""
+    g = draw(_graphs())
+    n, edges, forbidden = g.n, list(g.edges), set(g.forbidden)
+    centres = draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=2))
+    for v in range(g.n):
+        heavy = any(c in centres for c in g.adj[v])
+        leaves = draw(st.integers(0, 2)) + (draw(st.integers(2, 5)) if heavy else 0)
+        edges += [(v, w) for w in range(n, n + leaves)]
+        forbidden.update(range(n, n + leaves))
+        n += leaves
+    return build_graph(n, edges, forbidden)
+
+
+_bound_cases = st.one_of(
+    _graphs(), _graphs_with_tight_vertices(), _graphs_with_heavy_neighbourhoods()
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_bound_cases)
+def test_root_bound_and_degree_answer_keep_the_witness(g):
+    sol = solve_min_alliance_search(g)
+    assert (None if sol is None else sol.members) == search_without_root_bound(g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_bound_cases)
+def test_no_alliance_falls_below_its_least_vertex_root_bound(g):
+    # every set of allowed vertices with least vertex r and fewer than
+    # bound(r) vertices fails the raw majority condition
+    roots, need = _roots_and_need(g)
+    bounds = search._root_bounds(roots, need, search._allowed_view(g)[0])
+    for r in roots:
+        above = [v for v in roots if v > r]
+        for size in range(min(bounds[r] - 1, len(above) + 1)):
+            for rest in itertools.combinations(above, size):
+                assert not majority_protected(g.adj, (r, *rest))
