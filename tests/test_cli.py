@@ -695,8 +695,20 @@ def test_bench_prints_one_record_per_repeated_algo_entry(capsys, tmp_path):
     assert all(rec["match"] is True for rec in out)
 
 
-@pytest.mark.parametrize("spec, seed, algo", [("cliqueplus:n=12,k=2", 3, "dtc")])
-def test_an_explicit_modulator_route_prints_autos_document(capsys, tmp_path, spec, seed, algo):
+@pytest.mark.parametrize(
+    "spec, seed, algo, auto_algo",
+    [
+        pytest.param("cliqueplus:n=12,k=2", 3, "dtc", "dtc", id="cliqueplus:n=12,k=2-3-dtc"),
+        # auto sends this graph to search; the named route prints the same
+        # document under its own name
+        pytest.param(
+            "twincover:n=16,t=3", 10, "twincover", "search", id="twincover:n=16,t=3-10-twincover"
+        ),
+    ],
+)
+def test_an_explicit_modulator_route_prints_autos_document(
+    capsys, tmp_path, spec, seed, algo, auto_algo
+):
     path = tmp_path / "g.dimacs"
     path.write_text(emit_dimacs(generate(spec, seed)))
     docs = []
@@ -705,7 +717,8 @@ def test_an_explicit_modulator_route_prints_autos_document(capsys, tmp_path, spe
         assert code == EXIT_OK
         assert isinstance(out.pop("wall_time_s"), float)
         docs.append(out)
-    assert docs[0]["algorithm"] == algo
+    assert docs[0].pop("algorithm") == auto_algo
+    assert docs[1].pop("algorithm") == algo
     assert docs[0] == docs[1]
 
 
