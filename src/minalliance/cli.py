@@ -10,9 +10,12 @@ failed verification.  `--help`, on its own or after a subcommand, prints one
 modulator.  `auto` sends a graph with forbidden vertices or none at all to
 `search`, one of maximum degree at most five to `lowdeg`, and one whose
 degrees show an optimum of one or two (`degree_alliance`) to `search`, which
-returns that witness before any level.  Otherwise a distance-to-clique set
-of at most `--kmax` vertices routes to `dtc`, and everything else goes to
-the branch and bound `search`; the twin-cover solver runs only when named.
+returns that witness before any level.  Otherwise a smallest
+distance-to-clique set of more than SEARCH_MAX_DTC and at most `--kmax`
+vertices routes to `dtc`, and everything else goes to the branch and bound
+`search`, whose threshold bounds solve the graphs closer to a clique faster
+than `dtc`; with `--kmax` at most SEARCH_MAX_DTC, as by default, `auto`
+searches no modulator.  The twin-cover solver runs only when named.
 Brute force and the ILP encoding stay selectable and are `--oracle`'s
 oracles: brute force up to `BRUTE_MAX_N` vertices, the ILP above.  Past
 `--time-limit`, every solver but brute force raises `BudgetExceeded`,
@@ -87,6 +90,11 @@ SEED_ENV = "MINALLIANCE_SEED"
 
 ALGORITHMS = ("auto", "search", "brute", "lowdeg", "ilp", "dtc", "twincover")
 
+# `auto` leaves a graph this close to a clique to `search`, whose threshold
+# bounds solve it faster than `dtc`'s guess loop; `dtc` takes the graphs
+# whose smallest distance-to-clique set is larger, up to `--kmax`
+SEARCH_MAX_DTC = 5
+
 # built once: json.dumps with any option set builds a new encoder per call
 _encode = json.JSONEncoder(sort_keys=True).encode
 
@@ -153,12 +161,15 @@ def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int]
             return "search", None
         if g.max_degree() <= 5:
             return "lowdeg", None
-        # search answers an optimum of one or two vertices from the degrees
-        if degree_alliance(g) is not None:
+        # no distance-to-clique set can be large enough for dtc; search
+        # answers an optimum of one or two vertices from the degrees
+        if kmax <= SEARCH_MAX_DTC or degree_alliance(g) is not None:
             return "search", None
     if algo in ("auto", "dtc"):
         mod = distance_to_clique_set(g, kmax)
-        if mod is not None:
+        # the set is a smallest one, so auto keeps a graph within
+        # SEARCH_MAX_DTC of a clique out of dtc
+        if mod is not None and (algo == "dtc" or len(mod) > SEARCH_MAX_DTC):
             return "dtc", mod
         if algo == "dtc":
             raise ValueError(f"no distance-to-clique set within k_max={kmax}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import chain, cycle
+from operator import itemgetter
 from time import monotonic
 
 from .alliances import AllianceSolution, BudgetExceeded, checked_alliance, degree_alliance
@@ -53,14 +54,22 @@ def solve_min_alliance_search(
     node is pruned when the deficit exceeds the number of candidates, or
     when its bound exceeds the remaining budget k - |S|.
 
-    The bound counts the vertices the members force.  Call an allowed
-    vertex v *tight* when its allowed degree equals need(v) = d(v) // 2 > 0:
-    an alliance holding v holds every allowed neighbour of v, so it holds
-    the whole component K of v among the tight vertices and the allowed
-    vertices of N(K), v's force set; a vertex that is not tight forces only
-    itself.  Without forbidden vertices no vertex is tight, as d // 2 < d.
-    The bound of a node is the larger of its deficit and the number of
-    vertices outside S in the union F of its members' force sets.
+    The bound counts the vertices the members force and the thresholds
+    thr(v) = need(v) + 1 the candidates reach: an alliance holding v holds
+    v and need(v) of its neighbours, so it has at least thr(v) vertices.
+    Call an allowed vertex v *tight* when its allowed degree equals
+    need(v) = d(v) // 2 > 0: an alliance holding v holds every allowed
+    neighbour of v, so it holds the whole component K of v among the tight
+    vertices and the allowed vertices of N(K), v's force set; a vertex that
+    is not tight forces only itself.  Without forbidden vertices no vertex
+    is tight, as d // 2 < d.  The bound of a node is the largest of its
+    deficit, the number of vertices outside S in the union F of its
+    members' force sets, and the node bound: the deficit-th smallest thr(c)
+    over the candidates, less |S|.  The walk sorts those thresholds only
+    where the largest threshold of an allowed vertex, less |S|, exceeds the
+    other two, since the sort cannot raise the bound elsewhere; at a root's
+    own node the node bound is the root bound (below) less one, and the
+    walk reads that instead.
 
     Exactness: every component of an alliance is an alliance (a member's
     neighbours inside lie in its component), so an optimum A may be taken
@@ -70,22 +79,26 @@ def solve_min_alliance_search(
     needs, so at least `deficit` candidates lie in A and the first of them,
     c_j, has j <= candidates - deficit + 1.  Branch j alone keeps S inside A
     and every banned vertex outside it, and the budget prune never cuts it:
-    A holds F, so the bound is at most |A - S| <= k - |S|.  So each level at
-    or above the optimum finds an alliance, and each level below it finds
-    none: a failed climb proves lo + 1 a lower bound, a failed descent
-    proves hi optimal, and both directions are exact.  The bound reads S
-    and never k, and the prune cuts only subtrees that hold no alliance of
-    at most k vertices, so each level's first find, and the witness, is
-    the one the deficit alone gives.
+    A holds F, and `deficit` candidates, the largest thr(c) among them at
+    least the deficit-th smallest, so the bound is at most |A - S| <=
+    k - |S|.  So each level at or above the optimum finds an alliance, and
+    each level below it finds none: a failed climb proves lo + 1 a lower
+    bound, a failed descent proves hi optimal, and both directions are
+    exact.  The bound reads S and its bans and never k, and the prune cuts
+    only subtrees that hold no alliance of at most k vertices, so each
+    level's first find, and the witness, is the one the deficit alone
+    gives.
 
     Before any level, an optimum of one or two is read off the degrees
     (`degree_alliance`, whose answer is the first climb's find).  Else each
-    root r gets a root bound.  With thr(v) = need(v) + 1, a connected
-    alliance A with least vertex r holds need(r) allowed neighbours of r,
-    all above r, and |A| >= thr(v) for each member v, so |A| is at least
-    thr(r) and the need(r)-th smallest thr(u) over those u; with fewer than
-    need(r) of them no such A exists, and the bound is n' + 1.  It starts
-    r's `reach` entry, and lo starts at its least value over the roots.
+    root r gets a root bound.  A connected alliance A with least vertex r
+    holds need(r) allowed neighbours of r, all above r, and |A| >= thr(v)
+    for each member v, so |A| is at least thr(r) and the need(r)-th
+    smallest thr(u) over those u; with fewer than need(r) of them no such A
+    exists, and the bound is n' + 1.  Those u are the candidates of r's own
+    node, whose deficit is need(r), so its node bound is the root bound less
+    one.  The root bound starts r's `reach` entry, and lo starts at its
+    least value over the roots.
     Like the force bound, it reads only the root and its bans (the
     forbidden vertices and the earlier roots) and never k; a walk at r
     finds only connected alliances with least vertex r, so skipping r
@@ -123,9 +136,10 @@ def solve_min_alliance_search(
         return None
     # neighbours a member needs inside S: ceil((d+1)/2) minus itself, d // 2
     need = [len(nbrs) // 2 for nbrs in g.adj]
-    view = _allowed_view(g)
-    # per root, the least level that could change its walk: first its bound
-    reach = _root_bounds(roots, need, view[0])
+    view = _allowed_view(g, roots, need)
+    # per root, the least level that could change its walk: first its bound,
+    # copied, as the walk reads the bounds themselves
+    reach = dict(view[4])
     deadline = None if time_limit is None else monotonic() + time_limit
     lo = min(reach.values())
     hi = len(roots) + 1  # no incumbent yet: one past the largest level
@@ -164,36 +178,52 @@ def _root_bounds(roots: list[int], need: list[int], nbrs: list[list[int]]) -> di
     bounds = {}
     for r in roots:
         k, adj = need[r], nbrs[r]
-        # the thresholds, less one, of the allowed neighbours above r
-        above = sorted(map(need.__getitem__, adj[bisect_right(adj, r):]))
-        if len(above) < k:
+        first = bisect_right(adj, r)  # the allowed neighbours above r start here
+        if len(adj) - first < k:
             bounds[r] = len(roots) + 1
         else:
-            bounds[r] = max(k, above[k - 1] if k else 0) + 1
+            bounds[r] = max(k, _kth_need(need, adj[first:], k) if k else 0) + 1
     return bounds
 
 
-def _allowed_view(g: Graph) -> tuple:
-    """The walk's view of the allowed subgraph, built once per solve:
-    (each vertex's allowed neighbours ascending, the blocked template with
-    the forbidden vertices set, the force masks or None).
+def _kth_need(need: list[int], vs: list[int], k: int) -> int:
+    """The k-th smallest need(v) over the vertices vs, for 1 <= k <= len(vs)."""
+    # one itemgetter call reads every need; it returns a lone one bare
+    return sorted(itemgetter(*vs)(need))[k - 1] if len(vs) > 1 else need[vs[0]]
+
+
+def _allowed_view(g: Graph, roots: list[int], need: list[int]) -> tuple:
+    """The walk's view of the allowed subgraph, built once per solve from
+    the allowed vertices `roots`, ascending: (each vertex's allowed
+    neighbours ascending, the blocked template with the forbidden vertices
+    set, the force masks or None, the largest threshold need(v) + 1 of an
+    allowed vertex, the root bounds).  With no tight vertex, as on every
+    graph without forbidden vertices, the masks are None and the walk does
+    no mask work.
+    """
+    if g.forbidden:
+        blocked = [v in g.forbidden for v in range(g.n)]
+        # a forbidden vertex is never a member, so nothing reads its list
+        nbrs = [[] if blocked[v] else [u for u in g.adj[v] if not blocked[u]] for v in range(g.n)]
+        force = _force_masks(g, nbrs, blocked)
+    else:
+        nbrs, blocked, force = g.adj, [False] * g.n, None
+    top = max(map(need.__getitem__, roots), default=0) + 1
+    return nbrs, blocked, force, top, _root_bounds(roots, need, nbrs)
+
+
+def _force_masks(g: Graph, nbrs: list[list[int]], blocked: list[bool]) -> list[int] | None:
+    """Each vertex's force set as a mask, or None when no vertex is tight.
 
     Every alliance holding v holds each vertex of force[v]: the tight
     component K of a tight v and the allowed vertices of N(K), or v alone
-    (see `solve_min_alliance_search`).  With no tight vertex, as on
-    every graph without forbidden vertices, the masks are None and the
-    walk does no mask work.
+    (see `solve_min_alliance_search`).
     """
-    if not g.forbidden:
-        return g.adj, [False] * g.n, None
-    blocked = [v in g.forbidden for v in range(g.n)]
-    # a forbidden vertex is never a member, so nothing reads its list
-    nbrs = [[] if blocked[v] else [u for u in g.adj[v] if not blocked[u]] for v in range(g.n)]
     tight = [
         not blocked[v] and 0 < len(nbrs[v]) == len(g.adj[v]) // 2 for v in range(g.n)
     ]
     if not any(tight):
-        return nbrs, blocked, None
+        return None
     force = [1 << v for v in range(g.n)]
     for v in range(g.n):
         if not tight[v] or force[v] != 1 << v:  # not tight, or its component done
@@ -208,7 +238,7 @@ def _allowed_view(g: Graph) -> tuple:
                         stack.append(u)
         for u in comp:
             force[u] = mask
-    return nbrs, blocked, force
+    return force
 
 
 def _alliance_within(
@@ -236,10 +266,12 @@ def _alliances(
     """The first alliance A of at most k vertices in the search order, then
     the first of at most |A| - 1 vertices, and so on, in one walk.
 
-    `view` is `_allowed_view(g)`, built here when not given.  A node's
-    bound, the larger of its deficit and the number of forced vertices
-    outside S, is a lower bound on |A - S| for every alliance A in its
-    subtree, and it depends on S alone, never on the level.
+    `roots` are the allowed vertices, ascending, and `view` is
+    `_allowed_view(g, roots, need)`, built here when not given.  A node's
+    bound, the largest of its deficit, the number of forced vertices
+    outside S and its node bound, is a lower bound on |A - S| for every
+    alliance A in its subtree, and it depends on S and its bans alone,
+    never on the level.
 
     After a find A of s vertices at level k, the walk goes on at level
     s - 1.  The budget prune alone depends on the level, so level s - 1
@@ -272,7 +304,7 @@ def _alliances(
     """
     if reach is None:
         reach = {}
-    nbrs, template, force = _allowed_view(g) if view is None else view
+    nbrs, template, force, top, floor = _allowed_view(g, roots, need) if view is None else view
     lack = list(need)  # need(v) - |N(v) cap S|
     # a vertex is blocked while it is a member, banned or forbidden
     blocked = template[:]
@@ -325,6 +357,11 @@ def _alliances(
                     bound = deficit
                     if force is not None:
                         bound = max(deficit, forced[-1].bit_count() - size)
+                    if size == 1:  # the root's node: its root bound reads these thresholds
+                        bound = max(bound, floor[root] - 1)
+                    elif top - size > bound:  # else no threshold can raise it
+                        # the deficit-th smallest threshold of a candidate
+                        bound = max(bound, _kth_need(need, cands, deficit) + 1 - size)
                     if bound <= k - size:
                         frames.append([cands, 0, len(cands) - deficit + 1, size, bound])
                     elif size + bound < least:

@@ -18,9 +18,11 @@ computed before a twin cover's remainder was read off its closed-twin
 classes; `connected_subsets_by_sorted_lists`, brute force's
 connected-subset enumeration before it held its sets as vertex masks;
 `alliances_by_deficit`, the general branch and bound's walk before it
-bounded a node by the vertices its members force; and
-`search_without_root_bound`, its level schedule before it read an optimum
-of one or two off the degrees and started each root at its root bound.
+bounded a node by the vertices its members force;
+`alliances_without_node_bound`, that walk before it bounded a node by its
+candidates' thresholds; and `search_without_root_bound`, its level
+schedule before it read an optimum of one or two off the degrees and
+started each root at its root bound.
 """
 
 from __future__ import annotations
@@ -285,14 +287,106 @@ def alliances_by_deficit(g, k, roots, need, deadline, reach=None):
                 break
 
 
+def alliances_without_node_bound(g, k, roots, need, deadline, reach=None):
+    """`search._alliances` as it was when a node's bound was the larger of
+    its deficit and the number of forced vertices outside S: the first
+    alliance of at most k vertices in the search order, then the first of
+    at most |A| - 1 vertices, and so on.  It reads the deadline clock, this
+    module's `monotonic`, once per node."""
+    from minalliance import BudgetExceeded
+    from minalliance.search import _allowed_view
+
+    if reach is None:
+        reach = {}
+    nbrs, template, force = _allowed_view(g, roots, need)[:3]
+    lack = list(need)
+    blocked = template[:]
+    members = []
+    forced = [0]
+
+    for root in roots:
+        if k < 1:
+            return
+        if reach.get(root, 0) > k:
+            blocked[root] = True
+            continue
+        blocked[root] = True
+        members.append(root)
+        for u in nbrs[root]:
+            lack[u] -= 1
+        if force is not None:
+            forced.append(force[root])
+        frames = []  # [candidates, branches taken, width, |S|, bound]
+        found = False
+        least = len(roots) + 1
+        while True:
+            if deadline is not None and monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"time limit exceeded while searching size {k}", lower_bound=k
+                )
+            worst, deficit = -1, 0
+            for u in members:
+                d = lack[u]
+                if d > deficit or (d == deficit and d > 0 and u < worst):
+                    worst, deficit = u, d
+            if deficit == 0:
+                found = True
+                yield sorted(members)
+                k = len(members) - 1
+                for i, (_, _, _, size, bound) in enumerate(frames):
+                    if bound > k - size:
+                        for stale in frames[i:]:
+                            stale[2] = stale[1]
+                        break
+            else:
+                cands = [c for c in nbrs[worst] if not blocked[c]]
+                size = len(members)
+                if deficit <= len(cands):
+                    bound = deficit
+                    if force is not None:
+                        bound = max(deficit, forced[-1].bit_count() - size)
+                    if bound <= k - size:
+                        frames.append([cands, 0, len(cands) - deficit + 1, size, bound])
+                    elif size + bound < least:
+                        least = size + bound
+            while frames:
+                frame = frames[-1]
+                cands, taken, width, _, _ = frame
+                if taken:
+                    for u in nbrs[members.pop()]:
+                        lack[u] += 1
+                    if force is not None:
+                        forced.pop()
+                if taken < width:
+                    v = cands[taken]
+                    blocked[v] = True
+                    members.append(v)
+                    for u in nbrs[v]:
+                        lack[u] -= 1
+                    if force is not None:
+                        forced.append(forced[-1] | force[v])
+                    frame[1] = taken + 1
+                    break
+                for c in cands[:width]:
+                    blocked[c] = False
+                frames.pop()
+            else:
+                for u in nbrs[members.pop()]:
+                    lack[u] += 1
+                if force is not None:
+                    forced.pop()
+                if not found:
+                    reach[root] = least
+                break
+
+
 def search_without_root_bound(g):
     """The witness tuple `solve_min_alliance_search` returned, or None, when
     lo started at the least threshold of an allowed vertex and `reach`
     started empty: one climb, the incumbent's descent, then descent and
-    climb in turn until lo == hi."""
+    climb in turn until lo == hi, each level walked by
+    `alliances_without_node_bound`."""
     from itertools import chain, cycle
-
-    from minalliance.search import _alliance_within, _alliances, _allowed_view
 
     roots = [v for v in range(g.n) if v not in g.forbidden]
     if not roots:
@@ -303,12 +397,12 @@ def search_without_root_bound(g):
     best = None
     climbs = chain((True, False), cycle((False, True)))
     reach = {}
-    view = _allowed_view(g)
-    descent = _alliances(g, len(roots), roots, need, None, reach, view)
+    descent = alliances_without_node_bound(g, len(roots), roots, need, None, reach)
     while lo < hi:
         if next(climbs):
             k = lo
-            members = _alliance_within(g, k, roots, need, None, reach, view)
+            walk = alliances_without_node_bound(g, k, roots, need, None, reach)
+            members = next(walk, None)
         else:
             k = hi - 1
             members = next(descent, None)

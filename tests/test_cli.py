@@ -13,6 +13,7 @@ from minalliance import (
     BRUTE_MAX_N,
     build_graph,
     degree_alliance,
+    distance_to_clique_set,
     emit_dimacs,
     generate,
     parse_dimacs,
@@ -22,6 +23,7 @@ from minalliance.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
+    SEARCH_MAX_DTC,
     SEED_ENV,
     run_command,
     write_counterexample,
@@ -129,12 +131,31 @@ def test_solve_auto_on_high_degree_clique_attachments(capsys, tmp_path):
     g = generate("cliqueplus:n=12,k=2", 3)
     assert g.max_degree() > 5  # otherwise the dispatcher rightly picks lowdeg
     assert degree_alliance(g) is None  # optimum > 2, else search answers
+    # a distance to clique of at most SEARCH_MAX_DTC leaves the graph to search
+    assert len(distance_to_clique_set(g, 5)) <= SEARCH_MAX_DTC
     path = tmp_path / "cp.dimacs"
     path.write_text(emit_dimacs(g))
     code, out = run(capsys, "solve", str(path), "--oracle")
     assert code == EXIT_OK
-    assert out["algorithm"] == "dtc"
+    assert out["algorithm"] == "search"
     assert out["match"] is True
+
+
+def test_auto_sends_a_large_distance_to_clique_set_to_dtc(capsys, tmp_path):
+    # a smallest dtc set of 8 vertices, within --kmax 8 and above SEARCH_MAX_DTC
+    path = tmp_path / "cp.dimacs"
+    path.write_text(emit_dimacs(generate("cliqueplus:n=100,k=8", 3)))
+    code, out = run(capsys, "solve", str(path), "--kmax", "8")
+    assert (code, out["algorithm"], out["valid"]) == (EXIT_OK, "dtc", True)
+
+
+@pytest.mark.parametrize("k", range(2, SEARCH_MAX_DTC + 1))
+@pytest.mark.parametrize("n, seed", [(10, 1), (10, 2), (10, 3), (14, 1), (14, 2), (18, 1)])
+def test_auto_matches_brute_force_on_cliqueplus(capsys, tmp_path, k, n, seed):
+    path = tmp_path / "cp.dimacs"
+    path.write_text(emit_dimacs(generate(f"cliqueplus:n={n},k={k}", seed)))
+    code, out = run(capsys, "solve", str(path), "--oracle")
+    assert (code, out["algorithm"], out["match"]) == (EXIT_OK, "search", True)
 
 
 def test_solve_every_algorithm_agrees(capsys, tmp_path):
@@ -273,14 +294,17 @@ def test_search_budget_overrun_reports_lower_bound(capsys, tmp_path, monkeypatch
         ("twincover:n=200,t=5,zmax=60", 3, "twincover", 5),
         ("twincover:n=200,t=5,zmax=60", 4, "twincover", 5),
         ("cliqueplus:n=100,k=8", 3, "dtc", 8),
+        ("cliqueplus:n=60,k=4", 14, "dtc", 5),
+        ("cliqueplus:n=100,k=3", 5, "dtc", 5),
     ],
 )
 def test_search_solves_the_structured_frontier_within_a_second(
     capsys, tmp_path, spec, seed, route, kmax
 ):
-    # the root bound starts the climb at the optimum on these graphs, each
-    # of which ran past any budget without it; the paper's solver for the
-    # family checks the size
+    # the root bound starts the climb at the optimum on these graphs, and
+    # the node bound cuts the walk on the last two; each ran past any
+    # budget without them.  The paper's solver for the family checks the
+    # size
     g = generate(spec, seed)
     path = tmp_path / "g.dimacs"
     path.write_text(emit_dimacs(g))
@@ -696,18 +720,19 @@ def test_bench_prints_one_record_per_repeated_algo_entry(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec, seed, algo, auto_algo",
+    "spec, seed, algo, same_witness",
     [
-        pytest.param("cliqueplus:n=12,k=2", 3, "dtc", "dtc", id="cliqueplus:n=12,k=2-3-dtc"),
-        # auto sends this graph to search; the named route prints the same
-        # document under its own name
+        # auto sends both graphs to search; the named route prints the same
+        # document under its own name, with another witness of the same
+        # size on the cliqueplus graph
+        pytest.param("cliqueplus:n=12,k=2", 3, "dtc", False, id="cliqueplus:n=12,k=2-3-dtc"),
         pytest.param(
-            "twincover:n=16,t=3", 10, "twincover", "search", id="twincover:n=16,t=3-10-twincover"
+            "twincover:n=16,t=3", 10, "twincover", True, id="twincover:n=16,t=3-10-twincover"
         ),
     ],
 )
 def test_an_explicit_modulator_route_prints_autos_document(
-    capsys, tmp_path, spec, seed, algo, auto_algo
+    capsys, tmp_path, spec, seed, algo, same_witness
 ):
     path = tmp_path / "g.dimacs"
     path.write_text(emit_dimacs(generate(spec, seed)))
@@ -717,8 +742,11 @@ def test_an_explicit_modulator_route_prints_autos_document(
         assert code == EXIT_OK
         assert isinstance(out.pop("wall_time_s"), float)
         docs.append(out)
-    assert docs[0].pop("algorithm") == auto_algo
+    assert docs[0].pop("algorithm") == "search"
     assert docs[1].pop("algorithm") == algo
+    assert docs[0]["match"] is docs[1]["match"] is True
+    if not same_witness:
+        assert docs[0].pop("witness") != docs[1].pop("witness")
     assert docs[0] == docs[1]
 
 
@@ -941,18 +969,19 @@ def test_write_counterexample_helper(tmp_path):
 
 
 def test_options_do_not_carry_over_between_calls(capsys, tmp_path):
-    # a dtc set of 3 vertices and no twin cover of 2: --kmax decides the route
-    g = generate("cliqueplus:n=12,k=3", 1)
+    # a smallest dtc set of 6 vertices: --kmax decides the route
+    g = generate("cliqueplus:n=14,k=6", 1)
     assert degree_alliance(g) is None  # optimum > 2, else search answers
+    assert len(distance_to_clique_set(g, 8)) == SEARCH_MAX_DTC + 1
     path = tmp_path / "cp.dimacs"
     path.write_text(emit_dimacs(g))
-    code, out = run(capsys, "solve", str(path), "--algo", "search", "--kmax", "2", "--oracle")
+    code, out = run(capsys, "solve", str(path), "--algo", "search", "--kmax", "8", "--oracle")
     assert (code, out["algorithm"], out["match"]) == (EXIT_OK, "search", True)
-    code, out = run(capsys, "solve", str(path), "--kmax", "2")
-    assert (code, out["algorithm"]) == (EXIT_OK, "search")
+    code, out = run(capsys, "solve", str(path), "--kmax", "8")
+    assert (code, out["algorithm"]) == (EXIT_OK, "dtc")
     code, plain = run(capsys, "solve", str(path))
     # auto with the default kmax 5, and no --oracle fields
-    assert (code, plain["algorithm"]) == (EXIT_OK, "dtc")
+    assert (code, plain["algorithm"]) == (EXIT_OK, "search")
     assert "match" not in plain and "oracle_size" not in plain
     assert plain["size"] == out["size"]
 

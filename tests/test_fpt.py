@@ -132,13 +132,14 @@ def test_dtc_route_builds_no_adjacency_sets():
     reduction_target = build_reduction(
         reduction_source, len(minimum_dominating_set(reduction_source))
     ).target
-    for g, route in [
-        (generate("cliqueplus:n=26,k=2", 3), "dtc"),
-        (generate("cubic:n=20", 1), "lowdeg"),
-        (generate("twincover:n=30,t=4", 2), "search"),
-        (reduction_target, "search"),
+    for g, named, route in [
+        (generate("cliqueplus:n=26,k=2", 3), "dtc", "dtc"),
+        (generate("cliqueplus:n=26,k=2", 3), "auto", "search"),
+        (generate("cubic:n=20", 1), "auto", "lowdeg"),
+        (generate("twincover:n=30,t=4", 2), "auto", "search"),
+        (reduction_target, "auto", "search"),
     ]:
-        algo, mod = _pick_algorithm(g, "auto", 5)
+        algo, mod = _pick_algorithm(g, named, 5)
         assert algo == route
         assert _solve_one(g, algo, mod, None).valid
         assert "masks" not in g.__dict__

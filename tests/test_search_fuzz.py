@@ -24,6 +24,7 @@ from minalliance.search import _alliance_within, _alliances
 import _oracles
 from _oracles import (
     alliances_by_deficit,
+    alliances_without_node_bound,
     climb_only_search,
     majority_protected,
     search_without_root_bound,
@@ -158,33 +159,36 @@ def _finds_and_reads(module, walk, g, k, roots, need, first_only):
     return finds, len(reads)
 
 
-def _assert_walks_match_the_deficit_walk(g):
+def _assert_walk_matches(g, reference):
     # every level's first find and the descent's finds are the reference's;
-    # the forced-vertex bound only cuts nodes, and none without forbidden
-    # vertices, which leave no vertex tight
+    # the forced-vertex and threshold bounds only cut nodes.  Returns the
+    # clock reads of every run, the walk's and the reference's.
     roots, need = _roots_and_need(g)
     runs = [(k, True) for k in range(1, len(roots) + 1)] + [(len(roots), False)]
+    total = ref_total = 0
     for k, first_only in runs:
         finds, reads = _finds_and_reads(search, _alliances, g, k, roots, need, first_only)
         ref_finds, ref_reads = _finds_and_reads(
-            _oracles, alliances_by_deficit, g, k, roots, need, first_only
+            _oracles, reference, g, k, roots, need, first_only
         )
         assert finds == ref_finds
-        assert reads <= ref_reads if g.forbidden else reads == ref_reads
+        assert reads <= ref_reads
+        total, ref_total = total + reads, ref_total + ref_reads
+    return total, ref_total
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_graphs_with_tight_vertices())
 def test_forced_vertex_bound_keeps_the_deficit_walk_finds(g):
-    _assert_walks_match_the_deficit_walk(g)
-    _assert_walks_match_the_deficit_walk(build_graph(g.n, g.edges))
+    _assert_walk_matches(g, alliances_by_deficit)
+    _assert_walk_matches(build_graph(g.n, g.edges), alliances_by_deficit)
 
 
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
 def test_forced_vertex_bound_keeps_the_deficit_walk_finds_on_reduction_targets(source):
     src = generate(source, 1)
-    _assert_walks_match_the_deficit_walk(
-        build_reduction(src, len(minimum_dominating_set(src))).target
+    _assert_walk_matches(
+        build_reduction(src, len(minimum_dominating_set(src))).target, alliances_by_deficit
     )
 
 
@@ -236,9 +240,29 @@ def test_no_alliance_falls_below_its_least_vertex_root_bound(g):
     # every set of allowed vertices with least vertex r and fewer than
     # bound(r) vertices fails the raw majority condition
     roots, need = _roots_and_need(g)
-    bounds = search._root_bounds(roots, need, search._allowed_view(g)[0])
+    bounds = search._allowed_view(g, roots, need)[4]
     for r in roots:
         above = [v for v in roots if v > r]
         for size in range(min(bounds[r] - 1, len(above) + 1)):
             for rest in itertools.combinations(above, size):
                 assert not majority_protected(g.adj, (r, *rest))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_bound_cases)
+def test_threshold_node_bound_keeps_the_walk_finds(g):
+    # against the walk without the threshold bound: the same finds at every
+    # level and in the descent, with no more nodes
+    _assert_walk_matches(g, alliances_without_node_bound)
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [("cliqueplus:n=24,k=4", 1), ("cliqueplus:n=30,k=2", 2), ("cliqueplus:n=40,k=3", 8)],
+)
+def test_threshold_node_bound_keeps_the_walk_finds_on_cliqueplus(spec, seed):
+    # the clique's thresholds lie above most levels: the bound cuts nodes
+    reads, ref_reads = _assert_walk_matches(
+        generate(spec, seed), alliances_without_node_bound
+    )
+    assert reads < ref_reads
