@@ -39,14 +39,22 @@ stops `bench` with one error document.  A `verify` document holds the
 `solve` fields except `algorithm` and `wall_time_s`, which say nothing about a
 verification, plus `violations`.
 
-`run_command` builds the argparse tree once per process and reuses it; each
-call parses into a fresh namespace, so no option carries over to the next.
-It parses in one pass: when the first argument names a subcommand, that
-subcommand's parser alone reads the rest, and anything it leaves over is the
-top parser's "unrecognized arguments" error, word for word the one a pass
-through the whole tree gives.  Any other argument list goes through the
-whole tree.  Input files are opened by the path as given, and one shared
-encoder prints every success document.
+`run_command` builds the argparse tree once per process, and with it a table
+read off the tree's own actions: each subcommand's defaults (`func` too),
+positionals, and exact long options with their `type`, `choices`, `const`
+and `required`.  A plain command line, the subcommand followed by
+positionals and exact long options each with its value, is read off that
+table into the namespace `build_parser().parse_args` returns, without
+argparse, whose parse costs several times the solve on a small graph.  The
+reader declines anything else: a word that starts with "-" and is not an
+exact option (`-h`, `--`, an abbreviation, `--opt=value`, a negative-looking
+value), a value that fails its `type` or `choices`, a missing value,
+positional or required option, an extra positional, or an action the table
+does not model.  argparse then reads the whole tree, so every help and error
+document is argparse's, word for word.  Each call parses into a fresh
+namespace, so no option carries over to the next.  Input files are opened
+unbuffered by the path as given, and one shared encoder prints every
+success document.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from .alliances import (
     BRUTE_MAX_N,
@@ -100,7 +109,9 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _read_graph(path: str | Path) -> Graph:
-    with open(path, "rb") as fh:
+    # unbuffered: the one read takes the whole file, and a buffered open
+    # costs more than the read on a small graph
+    with open(path, "rb", buffering=0) as fh:
         return parse_dimacs(fh.read())
 
 
@@ -108,7 +119,7 @@ def _read_vertex_set(path: str, n: int) -> list[int]:
     """1-indexed vertex ids in 1..n separated by whitespace or commas; 'c'/'#'
     lines are comments.  A bad byte, token or id is a ValueError that names
     its line and the id as written."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         lines = fh.read().splitlines()
     out = []
     for lineno, raw in enumerate(lines, start=1):
@@ -506,27 +517,113 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the actions a plain form may hold; a subcommand with any other action, or
+# with a mutually exclusive group, is left to argparse
+_PLAIN_ACTIONS = (
+    argparse._StoreAction,
+    argparse._StoreConstAction,
+    argparse._StoreTrueAction,
+    argparse._StoreFalseAction,
+)
+
+
+class _PlainForm(NamedTuple):
+    """A subcommand's plain form, read off its parser's actions."""
+
+    defaults: dict[str, object]  # the subcommand name and `set_defaults` too
+    options: dict[str, argparse.Action]  # by exact long option string
+    positionals: tuple[argparse.Action, ...]
+    required: frozenset[argparse.Action]
+
+
+def _plain_form(command: dict[str, str], p: argparse.ArgumentParser) -> _PlainForm | None:
+    """The plain form of subcommand parser `p`, whose namespace starts as
+    `command`; None when `p` holds something the reader does not model."""
+    if p._mutually_exclusive_groups or p.prefix_chars != "-" or p.fromfile_prefix_chars:
+        return None
+    action_defaults, options, positionals, required = {}, {}, [], []
+    for a in p._actions:
+        if isinstance(a, argparse._HelpAction):
+            continue  # -h and --help stay argparse's
+        # a flag (store_const, store_true, store_false) takes no value
+        flag = isinstance(a, argparse._StoreConstAction) and bool(a.option_strings)
+        if (
+            type(a) not in _PLAIN_ACTIONS
+            or argparse.SUPPRESS in (a.dest, a.default)
+            or a.nargs != (0 if flag else None)
+            # argparse converts a string default by `type` at parse time
+            or (a.type is not None and (isinstance(a.default, str) or not callable(a.type)))
+        ):
+            return None
+        action_defaults.setdefault(a.dest, a.default)
+        if a.option_strings:
+            options.update((s, a) for s in a.option_strings if s.startswith("--"))
+        else:
+            positionals.append(a)
+        if a.required:
+            required.append(a)
+    # action defaults go first and win over `set_defaults` in argparse
+    defaults = {**command, **p._defaults, **action_defaults}
+    return _PlainForm(defaults, options, tuple(positionals), frozenset(required))
+
+
 @functools.cache
-def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argparse tree, built once per process, and its subcommand parsers
-    by name."""
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, _PlainForm | None]]:
+    """The argparse tree, built once per process, and the plain form of each
+    subcommand by name."""
     ap = build_parser()
     (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    return ap, sub.choices
+    others = [a for a in ap._actions if a is not sub and not isinstance(a, argparse._HelpAction)]
+    if others or sub.dest is argparse.SUPPRESS or ap.fromfile_prefix_chars:
+        return ap, {}
+    return ap, {name: _plain_form({sub.dest: name}, p) for name, p in sub.choices.items()}
+
+
+def _read_plain(form: _PlainForm, words: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives the subcommand of `form` followed by
+    `words`, or None unless `words` are plain: positionals and exact long
+    options, each store option followed by a value that does not start with
+    "-" and passes its `type` and `choices`, every required one present."""
+    values = dict(form.defaults)
+    seen = set()
+    positionals = iter(form.positionals)
+    words = iter(words)
+    for word in words:
+        if word[:1] == "-":
+            action = form.options.get(word)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                seen.add(action)
+                continue
+            word = next(words, "-")  # a missing value declines as "-" does
+            if word[:1] == "-":
+                return None
+        else:
+            action = next(positionals, None)
+            if action is None:
+                return None
+        try:
+            value = word if action.type is None else action.type(word)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not form.required <= seen:
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)` in one pass: when `argv[0]` names a
-    subcommand, its parser alone reads the rest, and anything it leaves is
-    the top parser's "unrecognized arguments" error, as in the full pass."""
-    ap, subparsers = _shared_parser()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        return ap.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        ap.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    """`build_parser().parse_args(argv)`: a plain form is read off the shared
+    table, and any other `argv` goes through argparse on the whole tree."""
+    ap, forms = _shared_parser()
+    form = forms.get(argv[0]) if argv else None
+    args = None if form is None else _read_plain(form, argv[1:])
+    return ap.parse_args(argv) if args is None else args
 
 
 def _error_document(exc: BudgetExceeded | ValueError | OSError) -> dict:

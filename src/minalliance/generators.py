@@ -53,18 +53,22 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec | str, seed: int) -> Graph:
+    """The graph of `spec` and `seed`; a GeneratorError names an unknown
+    kind, and a key the kind does not take or that is given twice."""
     if isinstance(spec, str):
         spec = parse_generator_spec(spec)
-    rng = random.Random(seed)
-    if spec.kind == "degcap":
-        return _degree_capped(spec, rng)
-    if spec.kind == "cubic":
-        return _cubic(spec, rng)
-    if spec.kind == "cliqueplus":
-        return _clique_plus(spec, rng)
-    if spec.kind == "twincover":
-        return _twin_cover_structured(spec, rng)
-    raise GeneratorError(f"unknown generator kind {spec.kind!r}")
+    if spec.kind not in _GENERATORS:
+        raise GeneratorError(f"unknown generator kind {spec.kind!r}")
+    build, keys = _GENERATORS[spec.kind]
+    names = [key for key, _ in spec.params]
+    for key in names:
+        if key not in keys:
+            raise GeneratorError(
+                f"generator '{spec.kind}' has no parameter {key!r} (it takes {', '.join(keys)})"
+            )
+        if names.count(key) > 1:
+            raise GeneratorError(f"generator '{spec.kind}' got parameter {key!r} twice")
+    return build(spec, random.Random(seed))
 
 
 def _degree_capped(spec: GeneratorSpec, rng: random.Random) -> Graph:
@@ -190,3 +194,12 @@ def _twin_cover_structured(spec: GeneratorSpec, rng: random.Random) -> Graph:
         if is_connected(g):
             return g
     raise GeneratorError(f"no connected twin-cover instance for n={n}, t={t}")
+
+
+# each kind's builder and the parameters it reads
+_GENERATORS = {
+    "degcap": (_degree_capped, ("n", "dmax")),
+    "cubic": (_cubic, ("n",)),
+    "cliqueplus": (_clique_plus, ("n", "k")),
+    "twincover": (_twin_cover_structured, ("n", "t", "zmax")),
+}

@@ -1044,12 +1044,19 @@ def test_parser_is_built_at_most_once(capsys, monkeypatch, bridge_file):
         ["solve", "MISSING"], ["solve", "DIR"],
         ["solve", "GRAPH"], ["solve", "GRAPH", "--algo=lowdeg", "--oracle", "--kmax", "2"],
         ["params", "GRAPH", "--kmax", "1"], ["gen", "cubic:n=6", "--seed", "3"],
+        ["solve", "--algo", "search", "--kmax", "8", "GRAPH"],
+        ["solve", "GRAPH", "--kmax", "1", "--algo", "lowdeg", "--kmax", "7"],
+        ["solve", "--oracle", "GRAPH", "--oracle", "--algo", "brute"],
+        ["solve", "GRAPH", "--time-limit", "nan"], ["solve", "GRAPH", "--kmax", "007"],
+        ["gen", "--seed", "3", "--seed", "1_0", "cubic:n=6"], ["gen", "cubic:n=4,foo=1"],
+        ["reduce", "--k", "1", "GRAPH"], ["reduce", "GRAPH"], ["bench", "DIR", "--algo", "auto,search"],
     ],
     ids=lambda argv: " ".join(argv) or "(no arguments)",
 )
 def test_one_pass_parse_matches_the_full_parser(capsys, monkeypatch, tmp_path, bridge_file, argv):
-    # run_command hands argv after a subcommand name to that subcommand's
-    # parser alone; the full tree must give the same exit code and document
+    # run_command reads a plain command line off the table of the shared
+    # tree and hands any other to argparse; the full tree, built anew, must
+    # give the same exit code and document
     import minalliance.cli as cli_mod
 
     paths = {"GRAPH": bridge_file, "MISSING": str(tmp_path / "missing"), "DIR": str(tmp_path)}
@@ -1061,12 +1068,110 @@ def test_one_pass_parse_matches_the_full_parser(capsys, monkeypatch, tmp_path, b
         assert captured.err == ""
         (line,) = captured.out.splitlines()
         doc = json.loads(line)
-        doc.pop("wall_time_s", None)
+        for record in doc if isinstance(doc, list) else [doc]:  # bench prints a list
+            record.pop("wall_time_s", None)
         return code, doc
 
     got = outcome()
     monkeypatch.setattr(cli_mod, "_parse_args", lambda argv: cli_mod.build_parser().parse_args(argv))
     assert got == outcome()
+
+
+def _parse_outcome(parse, argv):
+    """The namespace `parse` gives `argv` (a float by its repr, so that nan
+    equals nan), or "error" / "help" when it raises."""
+    import minalliance.cli as cli_mod
+
+    try:
+        args = parse(argv)
+    except ValueError:
+        return "error"
+    except cli_mod._HelpRequested:
+        return "help"
+    return {k: repr(v) if isinstance(v, float) else v for k, v in vars(args).items()}
+
+
+def _random_argv(rng, forms):
+    """A command line drawn from subcommands, their options and values, and
+    words argparse reads otherwise: abbreviations, `=` forms, -h, --, the
+    empty word, negative-looking, padded and non-numeric values."""
+    noise = [
+        "-h", "--help", "--", "", "-1", "-", "-x", "--nonsense", "007", "abc", "nan", "inf",
+        "1_0", " 5", "a b", "-x y", "1.5", "search", "lowdeg", "nope", "auto,search",
+        "cubic:n=6", "--alg", "--km", "--orac", "--time", "--inst", "--wit", "--se", "--o",
+        "--algo=search", "--kmax=3", "--seed=3", "--k=1", "frob", "solve", "gen",
+    ]
+    values = ["G", "3", "0", "007", "1_0", " 5", "-1", "nan", "2.5", "abc", "", "search",
+              "lowdeg", "auto,search", "nope", "cubic:n=6", "a b"]
+    command = rng.choice(sorted(forms)) if rng.random() < 0.95 else rng.choice(noise)
+    argv = [command]
+    form = forms.get(command)
+    options = sorted(form.options) if form and form.options else ["--algo", "--kmax"]
+    for _ in range(rng.randrange(6)):
+        r = rng.random()
+        if r < 0.1:
+            argv.append(rng.choice(noise))
+        elif r < 0.45:
+            argv.append(rng.choice(["G", "S", "x.dimacs"]))
+        else:
+            option = rng.choice(options)
+            argv.append(option)
+            action = form.options.get(option) if form else None
+            if action is None or action.nargs != 0:
+                if rng.random() < 0.95:
+                    argv.append(rng.choice(values))
+    return argv
+
+
+def test_the_plain_reader_agrees_with_argparse_or_declines():
+    # a seeded random walk over command lines: whenever the reader accepts,
+    # its namespace is the one the full tree gives; whenever the full tree
+    # errs or prints help, the reader declines
+    import minalliance.cli as cli_mod
+
+    _, forms = cli_mod._shared_parser()
+    full = cli_mod.build_parser()
+    rng = random.Random(28)
+    accepted = declined = 0
+    for _ in range(15000):
+        argv = _random_argv(rng, forms)
+        form = forms.get(argv[0])
+        args = None if form is None else cli_mod._read_plain(form, argv[1:])
+        if args is None:
+            declined += 1
+            continue
+        accepted += 1
+        assert _parse_outcome(lambda _: args, argv) == _parse_outcome(full.parse_args, argv), argv
+    assert accepted >= 1000 and declined >= 1000, (accepted, declined)
+
+
+def test_plain_command_lines_skip_argparse(capsys, monkeypatch, tmp_path, bridge_file):
+    import argparse
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bridge.dimacs").write_text(Path(bridge_file).read_text())
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+
+    def parses(*argv):
+        calls.clear()
+        run_command(list(argv))
+        capsys.readouterr()
+        return len(calls)
+
+    assert parses("solve", bridge_file) == 0
+    assert parses("solve", bridge_file, "--algo", "search", "--kmax", "8", "--oracle") == 0
+    assert parses("gen", "cubic:n=6", "--seed", "3") == 0
+    assert parses("bench", str(corpus), "--algo", "auto,search") == 0
+    for extra in (["-h"], ["--alg", "search"], ["--algo=lowdeg"], ["--nonsense"]):
+        assert parses("solve", bridge_file, *extra) >= 1, extra
 
 
 @pytest.mark.parametrize("path", ["", "./no-such.dimacs"])

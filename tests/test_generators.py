@@ -34,6 +34,23 @@ def test_parse_spec_errors():
         spec.get("n")
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ("cubic:n=4,foo=1", "'foo'"),
+        ("cubic:n=4,n=6", "'n'"),
+        ("twincover:n=30,t=4,zmx=60", "'zmx'"),
+        ("degcap:n=12,dmax=3,dmax=5", "'dmax'"),
+        ("cliqueplus:n=12,k=2,t=1", "'t'"),
+    ],
+)
+def test_unknown_and_repeated_keys_are_named(spec, named):
+    with pytest.raises(GeneratorError, match=named):
+        generate(spec, 0)
+    with pytest.raises(GeneratorError, match=named):
+        generate(parse_generator_spec(spec), 0)
+
+
 def test_cubic_odd_order_fails():
     with pytest.raises(GeneratorError):
         generate("cubic:n=5", 0)
