@@ -40,21 +40,21 @@ stops `bench` with one error document.  A `verify` document holds the
 verification, plus `violations`.
 
 `run_command` builds the argparse tree once per process, and with it a table
-read off the tree's own actions: each subcommand's defaults (`func` too),
-positionals, and exact long options with their `type`, `choices`, `const`
-and `required`.  A plain command line, the subcommand followed by
+read off the tree's actions as built: each subcommand's defaults (`func`
+too), positionals, and exact long options with their `type`, `choices`,
+`const` and `required`.  A plain command line, the subcommand followed by
 positionals and exact long options each with its value, is read off that
 table into the namespace `build_parser().parse_args` returns, without
 argparse, whose parse costs several times the solve on a small graph.  The
 reader declines anything else: a word that starts with "-" and is not an
 exact option (`-h`, `--`, an abbreviation, `--opt=value`, a negative-looking
 value), a value that fails its `type` or `choices`, a missing value,
-positional or required option, an extra positional, or an action the table
-does not model.  argparse then reads the whole tree, so every help and error
-document is argparse's, word for word.  Each call parses into a fresh
-namespace, so no option carries over to the next.  Input files are opened
-unbuffered by the path as given, and one shared encoder prints every
-success document.
+positional or required option, or an extra positional.  argparse then reads
+the whole tree, so every help and error document is argparse's, word for
+word.  A seeded differential test of the reader against the full tree keeps
+the two in step.  Each call parses into a fresh namespace, so no option
+carries over to the next.  Input files are opened unbuffered by the path as
+given, and one shared encoder prints every success document.
 """
 
 from __future__ import annotations
@@ -361,7 +361,8 @@ def _cmd_extract(args) -> tuple[int, dict]:
     if not isinstance(payload, dict) or payload.get("kind") != "dominating-set-reduction":
         raise ValueError(f"{args.instance} is not a reduction instance file")
     source, k = payload.get("source_dimacs"), payload.get("k")
-    if not isinstance(source, str) or not isinstance(k, int):
+    # `type`, not isinstance: JSON true and false load as bools, which are ints
+    if not isinstance(source, str) or type(k) is not int:
         raise ValueError(
             f"{args.instance} lacks a DIMACS string 'source_dimacs' or an integer 'k'"
         )
@@ -378,7 +379,11 @@ def _cmd_extract(args) -> tuple[int, dict]:
 def _cmd_gen(args) -> tuple[int, dict]:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
+        raw = os.environ.get(SEED_ENV, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV}={raw!r} is not an integer seed") from None
     g = generate(args.spec, seed)
     text = emit_dimacs(g, comment=f"{args.spec} seed={seed}")
     out = {
@@ -517,16 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# the actions a plain form may hold; a subcommand with any other action, or
-# with a mutually exclusive group, is left to argparse
-_PLAIN_ACTIONS = (
-    argparse._StoreAction,
-    argparse._StoreConstAction,
-    argparse._StoreTrueAction,
-    argparse._StoreFalseAction,
-)
-
-
 class _PlainForm(NamedTuple):
     """A subcommand's plain form, read off its parser's actions."""
 
@@ -536,46 +531,25 @@ class _PlainForm(NamedTuple):
     required: frozenset[argparse.Action]
 
 
-def _plain_form(command: dict[str, str], p: argparse.ArgumentParser) -> _PlainForm | None:
+def _plain_form(command: dict[str, str], p: argparse.ArgumentParser) -> _PlainForm:
     """The plain form of subcommand parser `p`, whose namespace starts as
-    `command`; None when `p` holds something the reader does not model."""
-    if p._mutually_exclusive_groups or p.prefix_chars != "-" or p.fromfile_prefix_chars:
-        return None
-    action_defaults, options, positionals, required = {}, {}, [], []
-    for a in p._actions:
-        if isinstance(a, argparse._HelpAction):
-            continue  # -h and --help stay argparse's
-        # a flag (store_const, store_true, store_false) takes no value
-        flag = isinstance(a, argparse._StoreConstAction) and bool(a.option_strings)
-        if (
-            type(a) not in _PLAIN_ACTIONS
-            or argparse.SUPPRESS in (a.dest, a.default)
-            or a.nargs != (0 if flag else None)
-            # argparse converts a string default by `type` at parse time
-            or (a.type is not None and (isinstance(a.default, str) or not callable(a.type)))
-        ):
-            return None
-        action_defaults.setdefault(a.dest, a.default)
-        if a.option_strings:
-            options.update((s, a) for s in a.option_strings if s.startswith("--"))
-        else:
-            positionals.append(a)
-        if a.required:
-            required.append(a)
+    `command`."""
+    # -h and --help stay argparse's
+    actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
     # action defaults go first and win over `set_defaults` in argparse
-    defaults = {**command, **p._defaults, **action_defaults}
-    return _PlainForm(defaults, options, tuple(positionals), frozenset(required))
+    defaults = {**command, **p._defaults, **{a.dest: a.default for a in actions}}
+    options = {s: a for a in actions for s in a.option_strings if s.startswith("--")}
+    positionals = tuple(a for a in actions if not a.option_strings)
+    required = frozenset(a for a in actions if a.required)
+    return _PlainForm(defaults, options, positionals, required)
 
 
 @functools.cache
-def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, _PlainForm | None]]:
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, _PlainForm]]:
     """The argparse tree, built once per process, and the plain form of each
     subcommand by name."""
     ap = build_parser()
     (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    others = [a for a in ap._actions if a is not sub and not isinstance(a, argparse._HelpAction)]
-    if others or sub.dest is argparse.SUPPRESS or ap.fromfile_prefix_chars:
-        return ap, {}
     return ap, {name: _plain_form({sub.dest: name}, p) for name, p in sub.choices.items()}
 
 
@@ -606,7 +580,7 @@ def _read_plain(form: _PlainForm, words: list[str]) -> argparse.Namespace | None
                 return None
         try:
             value = word if action.type is None else action.type(word)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except ValueError:
             return None
         if action.choices is not None and value not in action.choices:
             return None

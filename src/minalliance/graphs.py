@@ -63,7 +63,7 @@ class Graph:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v >= 0 and self.masks[u] >> v & 1 == 1
+        return 0 <= u < self.n and 0 <= v < self.n and self.masks[u] >> v & 1 == 1
 
     def max_degree(self) -> int:
         return self.top_degree

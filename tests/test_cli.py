@@ -586,6 +586,9 @@ def test_extract_rejects_foreign_json(capsys, tmp_path):
     [1, 2],
     {"kind": "dominating-set-reduction", "k": 2},
     {"kind": "dominating-set-reduction", "source_dimacs": "p edge 1 0\n"},
+    # a valid source with a JSON boolean k, which Python counts as an int
+    {"kind": "dominating-set-reduction", "k": True,
+     "source_dimacs": emit_dimacs(generate("cubic:n=4", 0))},
 ])
 def test_extract_rejects_malformed_instance(capsys, tmp_path, payload):
     bogus = tmp_path / "bogus.json"
@@ -594,6 +597,7 @@ def test_extract_rejects_malformed_instance(capsys, tmp_path, payload):
     code, out = run(capsys, "extract", str(bogus), sfile)
     assert code == EXIT_INVALID
     assert out["kind"] == "invalid-input"
+    assert out["error"].startswith(f"{bogus} "), out  # the file is at fault, not the set
 
 
 def test_gen_inline_and_to_file(capsys, tmp_path):
@@ -627,6 +631,13 @@ def test_gen_seed_env_fallback(capsys, monkeypatch):
     _, from_flag = run(capsys, "gen", "degcap:n=9,dmax=4", "--seed", "11")
     assert from_env["dimacs"] == from_flag["dimacs"]
     assert from_env["seed"] == 11
+
+
+def test_gen_names_a_bad_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV, "abc")
+    code, out = run(capsys, "gen", "cubic:n=4")
+    assert (code, out["kind"]) == (EXIT_INVALID, "invalid-input")
+    assert out["error"] == f"{SEED_ENV}='abc' is not an integer seed"
 
 
 def test_gen_rejects_bad_spec(capsys):
