@@ -3,7 +3,8 @@
 The general solver for graphs no specialised algorithm covers, in the style
 of Fernau & Raible, "Alliances in graphs: a complexity-theoretic study"
 (SOFSEM 2007): grow one connected vertex set from a root, always branching
-on the member that lacks the most defenders.
+on the member that lacks the most defenders.  Where that member has no
+spare candidate, every candidate is forced, and one branch adds them all.
 
 Sizes are searched by iterative deepening, with the "least cost over the
 bound" of Korf, "Depth-first iterative-deepening" (Artificial Intelligence
@@ -51,8 +52,11 @@ def solve_min_alliance_search(
     (ties: smallest id) is branched on.  With c_1 < c_2 < ... its allowed
     neighbours outside S and outside the banned set, branch i adds c_i and
     bans c_1..c_{i-1}, for i up to (number of candidates - deficit + 1).  A
-    node is pruned when the deficit exceeds the number of candidates, or
-    when its bound exceeds the remaining budget k - |S|.
+    node with no spare candidate, whose deficit equals its number of
+    candidates, has one branch, which adds every candidate at once: they are
+    all forced, and no node is spent on each in turn.  A node is pruned when
+    the deficit exceeds the number of candidates, or when its bound exceeds
+    the remaining budget k - |S|.
 
     The bound counts the vertices the members force and the thresholds
     thr(v) = need(v) + 1 the candidates reach: an alliance holding v holds
@@ -78,10 +82,11 @@ def solve_min_alliance_search(
     deficit of u is at least the number of its candidates that A still
     needs, so at least `deficit` candidates lie in A and the first of them,
     c_j, has j <= candidates - deficit + 1.  Branch j alone keeps S inside A
-    and every banned vertex outside it, and the budget prune never cuts it:
-    A holds F, and `deficit` candidates, the largest thr(c) among them at
-    least the deficit-th smallest, so the bound is at most |A - S| <=
-    k - |S|.  So each level at or above the optimum finds an alliance, and
+    and every banned vertex outside it (with no spare candidate, A holds
+    every candidate, and the one branch adds them all and bans no other),
+    and the budget prune never cuts it: A holds F, and `deficit`
+    candidates, the largest thr(c) among them at least the deficit-th
+    smallest, so the bound is at most |A - S| <= k - |S|.  So each level at or above the optimum finds an alliance, and
     each level below it finds none: a failed climb proves lo + 1 a lower
     bound, a failed descent proves hi optimal, and both directions are
     exact.  The bound reads S and its bans and never k, and the prune cuts
@@ -273,6 +278,14 @@ def _alliances(
     alliance A in its subtree, and it depends on S and its bans alone,
     never on the level.
 
+    A node whose worst member has exactly `deficit` candidates pushes a
+    frame of width 1: every alliance below the node holds all of those
+    candidates, so its one branch adds them together, undoing it removes
+    them together, and they are unbanned when the frame pops.  No alliance
+    below the node holds fewer, so the node's bound, its budget prune and
+    the arguments below, which read a node's S, bans and bound alone, hold
+    for it as for any node.
+
     After a find A of s vertices at level k, the walk goes on at level
     s - 1.  The budget prune alone depends on the level, so level s - 1
     visits a subsequence of level k's nodes, in the same order.  It follows
@@ -325,7 +338,7 @@ def _alliances(
         if force is not None:
             forced.append(force[root])
         # one frame per branching node:
-        # [candidates, branches taken, width, |S|, bound]
+        # [candidates, candidates taken, width, |S|, bound]
         frames: list[list] = []
         found = False
         least = len(roots) + 1  # least |S| + bound the budget prune cut
@@ -366,27 +379,38 @@ def _alliances(
                         frames.append([cands, 0, len(cands) - deficit + 1, size, bound])
                     elif size + bound < least:
                         least = size + bound
-            # next branch: undo the last one (its vertex stays banned), or
+            # next branch: undo the last one (its vertices stay banned), or
             # lift the frame's bans and backtrack once every branch is taken
             while frames:
                 frame = frames[-1]
-                cands, taken, width, _, _ = frame
+                cands, taken, width, size, _ = frame
                 if taken:
-                    for u in nbrs[members.pop()]:
-                        lack[u] += 1
+                    while len(members) > size:
+                        for u in nbrs[members.pop()]:
+                            lack[u] += 1
                     if force is not None:
-                        forced.pop()
+                        del forced[size + 1 :]
                 if taken < width:
-                    v = cands[taken]
-                    blocked[v] = True
-                    members.append(v)
-                    for u in nbrs[v]:
-                        lack[u] -= 1
-                    if force is not None:
-                        forced.append(forced[-1] | force[v])
-                    frame[1] = taken + 1
+                    if width > 1:  # branch i adds c_i
+                        v = cands[taken]
+                        blocked[v] = True
+                        members.append(v)
+                        for u in nbrs[v]:
+                            lack[u] -= 1
+                        if force is not None:
+                            forced.append(forced[-1] | force[v])
+                        frame[1] = taken + 1
+                    else:  # no spare candidate: the one branch adds them all
+                        for v in cands:
+                            blocked[v] = True
+                            members.append(v)
+                            for u in nbrs[v]:
+                                lack[u] -= 1
+                            if force is not None:
+                                forced.append(forced[-1] | force[v])
+                        frame[1] = len(cands)
                     break
-                for c in cands[:width]:
+                for c in cands[:taken]:
                     blocked[c] = False
                 frames.pop()
             else:

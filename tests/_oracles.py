@@ -17,12 +17,17 @@ the general branch and bound before it descended from an incumbent; and
 computed before a twin cover's remainder was read off its closed-twin
 classes; `connected_subsets_by_sorted_lists`, brute force's
 connected-subset enumeration before it held its sets as vertex masks;
-`alliances_by_deficit`, the general branch and bound's walk before it
-bounded a node by the vertices its members force;
-`alliances_without_node_bound`, that walk before it bounded a node by its
-candidates' thresholds; and `search_without_root_bound`, its level
-schedule before it read an optimum of one or two off the degrees and
-started each root at its root bound.
+`alliances_by_deficit`, the general branch and bound's walk without its
+bound by the vertices its members force;
+`alliances_without_node_bound`, that walk without its bound by its
+candidates' thresholds (both keep the walk's branching, forced groups
+included, so that its finds are compared with theirs level by level); and
+`search_without_root_bound`, its level schedule before it read an optimum
+of one or two off the degrees and started each root at its root bound.
+`alliances_one_candidate_per_branch`, the walk before a node whose
+candidates are all forced added them in one branch, finds alliances above
+the optimum in another order, so only the optimum size is checked against
+it.
 """
 
 from __future__ import annotations
@@ -208,10 +213,12 @@ def climb_only_search(g):
 
 
 def alliances_by_deficit(g, k, roots, need, deadline, reach=None):
-    """`search._alliances` as it was when the budget prune read the worst
+    """`search._alliances` as it would be if the budget prune read the worst
     member's deficit alone: the first alliance of at most k vertices in the
     search order, then the first of at most |A| - 1 vertices, and so on.
-    It reads the deadline clock, this module's `monotonic`, once per node."""
+    A node whose worst member has exactly `deficit` candidates branches
+    once, on all of them: every alliance below it holds them all.  It reads
+    the deadline clock, this module's `monotonic`, once per node."""
     from minalliance import BudgetExceeded
 
     if reach is None:
@@ -238,7 +245,8 @@ def alliances_by_deficit(g, k, roots, need, deadline, reach=None):
             blocked[root] = True
             continue
         add(root)
-        frames = []  # [candidates, branches taken, width, |S|, deficit]
+        # [candidates, branches taken, width, |S|, deficit, all forced]
+        frames = []
         found = False
         least = len(roots) + 1
         while True:
@@ -255,7 +263,7 @@ def alliances_by_deficit(g, k, roots, need, deadline, reach=None):
                 found = True
                 yield sorted(members)
                 k = len(members) - 1
-                for i, (_, _, _, size, deficit) in enumerate(frames):
+                for i, (_, _, _, size, deficit, _) in enumerate(frames):
                     if deficit > k - size:
                         for stale in frames[i:]:
                             stale[2] = stale[1]
@@ -265,19 +273,23 @@ def alliances_by_deficit(g, k, roots, need, deadline, reach=None):
                 size = len(members)
                 if deficit <= len(cands):
                     if deficit <= k - size:
-                        frames.append([cands, 0, len(cands) - deficit + 1, size, deficit])
+                        group = deficit == len(cands)
+                        width = 1 if group else len(cands) - deficit + 1
+                        frames.append([cands, 0, width, size, deficit, group])
                     elif size + deficit < least:
                         least = size + deficit
             while frames:
                 frame = frames[-1]
-                cands, taken, width, _, _ = frame
+                cands, taken, width, _, _, group = frame
                 if taken:
-                    drop_last()
+                    for _ in range(len(cands) if group else 1):
+                        drop_last()
                 if taken < width:
-                    add(cands[taken])
+                    for v in cands if group else [cands[taken]]:
+                        add(v)
                     frame[1] = taken + 1
                     break
-                for c in cands[:width]:
+                for c in cands if group else cands[:width]:
                     blocked[c] = False
                 frames.pop()
             else:
@@ -288,10 +300,12 @@ def alliances_by_deficit(g, k, roots, need, deadline, reach=None):
 
 
 def alliances_without_node_bound(g, k, roots, need, deadline, reach=None):
-    """`search._alliances` as it was when a node's bound was the larger of
-    its deficit and the number of forced vertices outside S: the first
+    """`search._alliances` as it would be if a node's bound were the larger
+    of its deficit and the number of forced vertices outside S: the first
     alliance of at most k vertices in the search order, then the first of
-    at most |A| - 1 vertices, and so on.  It reads the deadline clock, this
+    at most |A| - 1 vertices, and so on.  A node whose worst member has
+    exactly `deficit` candidates branches once, on all of them: every
+    alliance below it holds them all.  It reads the deadline clock, this
     module's `monotonic`, once per node."""
     from minalliance import BudgetExceeded
     from minalliance.search import _allowed_view
@@ -316,7 +330,8 @@ def alliances_without_node_bound(g, k, roots, need, deadline, reach=None):
             lack[u] -= 1
         if force is not None:
             forced.append(force[root])
-        frames = []  # [candidates, branches taken, width, |S|, bound]
+        # [candidates, branches taken, width, |S|, bound, all forced]
+        frames = []
         found = False
         least = len(roots) + 1
         while True:
@@ -333,7 +348,7 @@ def alliances_without_node_bound(g, k, roots, need, deadline, reach=None):
                 found = True
                 yield sorted(members)
                 k = len(members) - 1
-                for i, (_, _, _, size, bound) in enumerate(frames):
+                for i, (_, _, _, size, bound, _) in enumerate(frames):
                     if bound > k - size:
                         for stale in frames[i:]:
                             stale[2] = stale[1]
@@ -346,9 +361,123 @@ def alliances_without_node_bound(g, k, roots, need, deadline, reach=None):
                     if force is not None:
                         bound = max(deficit, forced[-1].bit_count() - size)
                     if bound <= k - size:
+                        group = deficit == len(cands)
+                        width = 1 if group else len(cands) - deficit + 1
+                        frames.append([cands, 0, width, size, bound, group])
+                    elif size + bound < least:
+                        least = size + bound
+            while frames:
+                frame = frames[-1]
+                cands, taken, width, _, _, group = frame
+                if taken:
+                    for _ in range(len(cands) if group else 1):
+                        for u in nbrs[members.pop()]:
+                            lack[u] += 1
+                        if force is not None:
+                            forced.pop()
+                if taken < width:
+                    for v in cands if group else [cands[taken]]:
+                        blocked[v] = True
+                        members.append(v)
+                        for u in nbrs[v]:
+                            lack[u] -= 1
+                        if force is not None:
+                            forced.append(forced[-1] | force[v])
+                    frame[1] = taken + 1
+                    break
+                for c in cands if group else cands[:width]:
+                    blocked[c] = False
+                frames.pop()
+            else:
+                for u in nbrs[members.pop()]:
+                    lack[u] += 1
+                if force is not None:
+                    forced.pop()
+                if not found:
+                    reach[root] = least
+                break
+
+
+def alliances_one_candidate_per_branch(
+    g, k, roots, need, deadline, reach=None, view=None
+):
+    """`search._alliances` as it was before a node whose worst member has
+    exactly `deficit` candidates added them all in one branch: that node
+    had one branch, adding c_1, and each node below it added the next
+    forced candidate once the worst member's deficit came back to it.  The
+    first alliance of at most k vertices in that search order, then the
+    first of at most |A| - 1 vertices, and so on.  It takes the arguments
+    of `search._alliances` and reads the deadline clock, this module's
+    `monotonic`, once per node."""
+    from minalliance import BudgetExceeded
+    from minalliance.search import _allowed_view, _kth_need
+
+    if reach is None:
+        reach = {}
+    nbrs, template, force, top, floor = _allowed_view(g, roots, need) if view is None else view
+    lack = list(need)  # need(v) - |N(v) cap S|
+    # a vertex is blocked while it is a member, banned or forbidden
+    blocked = template[:]
+    members = []
+    # the union of the members' force masks, after each member added
+    forced = [0]
+
+    for root in roots:
+        if k < 1:  # not even a root fits
+            return
+        if reach.get(root, 0) > k:  # its walk at level k would find nothing
+            blocked[root] = True
+            continue
+        blocked[root] = True
+        members.append(root)
+        for u in nbrs[root]:
+            lack[u] -= 1
+        if force is not None:
+            forced.append(force[root])
+        # one frame per branching node:
+        # [candidates, branches taken, width, |S|, bound]
+        frames = []
+        found = False
+        least = len(roots) + 1  # least |S| + bound the budget prune cut
+        while True:
+            if deadline is not None and monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"time limit exceeded while searching size {k}", lower_bound=k
+                )
+            worst, deficit = -1, 0
+            for u in members:
+                d = lack[u]
+                if d > deficit or (d == deficit and d > 0 and u < worst):
+                    worst, deficit = u, d
+            if deficit == 0:
+                found = True
+                yield sorted(members)
+                k = len(members) - 1
+                # from the outermost frame level k would not push, every
+                # frame takes no further branch
+                for i, (_, _, _, size, bound) in enumerate(frames):
+                    if bound > k - size:
+                        for stale in frames[i:]:
+                            stale[2] = stale[1]
+                        break
+            else:
+                cands = [c for c in nbrs[worst] if not blocked[c]]
+                size = len(members)
+                if deficit <= len(cands):
+                    bound = deficit
+                    if force is not None:
+                        bound = max(deficit, forced[-1].bit_count() - size)
+                    if size == 1:  # the root's node: its root bound reads these thresholds
+                        bound = max(bound, floor[root] - 1)
+                    elif top - size > bound:  # else no threshold can raise it
+                        # the deficit-th smallest threshold of a candidate
+                        bound = max(bound, _kth_need(need, cands, deficit) + 1 - size)
+                    if bound <= k - size:
                         frames.append([cands, 0, len(cands) - deficit + 1, size, bound])
                     elif size + bound < least:
                         least = size + bound
+            # next branch: undo the last one (its vertex stays banned), or
+            # lift the frame's bans and backtrack once every branch is taken
             while frames:
                 frame = frames[-1]
                 cands, taken, width, _, _ = frame
@@ -371,6 +500,7 @@ def alliances_without_node_bound(g, k, roots, need, deadline, reach=None):
                     blocked[c] = False
                 frames.pop()
             else:
+                # drop the root, which stays banned for the later roots
                 for u in nbrs[members.pop()]:
                     lack[u] += 1
                 if force is not None:

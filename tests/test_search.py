@@ -86,7 +86,7 @@ def _reduction(source, seed):
     return build_reduction(src, len(minimum_dominating_set(src)))
 
 
-@pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
+@pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6", "cubic:n=8", "cubic:n=10"])
 def test_reduction_targets_reach_k_prime(source):
     inst = _reduction(source, 1)
     sol = solve_min_alliance_search(inst.target)

@@ -24,6 +24,7 @@ from minalliance.search import _alliance_within, _alliances
 import _oracles
 from _oracles import (
     alliances_by_deficit,
+    alliances_one_candidate_per_branch,
     alliances_without_node_bound,
     climb_only_search,
     majority_protected,
@@ -84,6 +85,12 @@ def test_a_level_finds_its_first_alliance_at_its_size(g):
             assert _alliance_within(g, len(found), roots, need, None) == found
 
 
+def _reduction_target(source):
+    """The reduction instance of seed 1 of `source`, at its domination number."""
+    src = generate(source, 1)
+    return build_reduction(src, len(minimum_dominating_set(src)))
+
+
 def _restarted_levels(g, roots, need):
     """What fresh levels find from n' down, each at one below the last find."""
     restarts, k = [], len(roots)
@@ -108,10 +115,7 @@ def test_resumed_descent_equals_restarted_levels(g):
 
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
 def test_resumed_descent_equals_restarted_levels_on_reduction_targets(source):
-    src = generate(source, 1)
-    _assert_resumed_walk_restarts_each_level(
-        build_reduction(src, len(minimum_dominating_set(src))).target
-    )
+    _assert_resumed_walk_restarts_each_level(_reduction_target(source).target)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -186,22 +190,30 @@ def test_forced_vertex_bound_keeps_the_deficit_walk_finds(g):
 
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
 def test_forced_vertex_bound_keeps_the_deficit_walk_finds_on_reduction_targets(source):
-    src = generate(source, 1)
-    _assert_walk_matches(
-        build_reduction(src, len(minimum_dominating_set(src))).target, alliances_by_deficit
-    )
+    _assert_walk_matches(_reduction_target(source).target, alliances_by_deficit)
 
 
-def test_reach_bounds_the_nodes_on_a_reduction_target(monkeypatch):
-    # one deadline read per node, plus one for the deadline itself: 470
-    # nodes on this target, where a budget prune that reads the worst
-    # member's deficit alone takes 842, and 1 620 without `reach`
+def _solve_counting_reads(g, walk):
+    """The optimum size, or None, that the search finds with `walk` as its
+    walk, and how often the search and the walk read their deadline clocks."""
     reads = []
-    monkeypatch.setattr(search, "monotonic", lambda: reads.append(None) or 0.0)
-    src = generate("cubic:n=4", 1)
-    target = build_reduction(src, len(minimum_dominating_set(src))).target
-    assert solve_min_alliance_search(target, time_limit=1.0).size == 24
-    assert len(reads) - 1 <= 500
+    clock = lambda: reads.append(None) or 0.0
+    with mock.patch.object(search, "_alliances", walk), mock.patch.object(
+        search, "monotonic", clock
+    ), mock.patch.object(_oracles, "monotonic", clock):
+        sol = solve_min_alliance_search(g, time_limit=1.0)
+    return (None if sol is None else sol.size), len(reads)
+
+
+def test_reach_bounds_the_nodes_on_a_reduction_target():
+    # one deadline read per node, plus one for the deadline itself: 283, 728
+    # and 1 660 nodes on these targets, against 432, 1 344 and 3 982 when
+    # each forced candidate took a node of its own
+    pins = [("cubic:n=4", 24, 300), ("cubic:n=6", 40, 800), ("cubic:n=8", 56, 1800)]
+    for source, size, most in pins:
+        found, reads = _solve_counting_reads(_reduction_target(source).target, _alliances)
+        assert found == size
+        assert reads - 1 <= most
 
 
 @st.composite
@@ -265,4 +277,27 @@ def test_threshold_node_bound_keeps_the_walk_finds_on_cliqueplus(spec, seed):
     reads, ref_reads = _assert_walk_matches(
         generate(spec, seed), alliances_without_node_bound
     )
+    assert reads < ref_reads
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_bound_cases)
+def test_forced_groups_keep_the_optimum(g):
+    # against the walk that adds each forced candidate at a node of its own:
+    # the finds above the optimum may come in another order, the optimum not
+    assert (
+        _solve_counting_reads(g, _alliances)[0]
+        == _solve_counting_reads(g, alliances_one_candidate_per_branch)[0]
+    )
+
+
+@pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6", "cubic:n=8"])
+def test_forced_groups_keep_the_optimum_on_reduction_targets(source):
+    # the pads' forced neighbours join in one branch each: fewer nodes
+    inst = _reduction_target(source)
+    size, reads = _solve_counting_reads(inst.target, _alliances)
+    ref_size, ref_reads = _solve_counting_reads(
+        inst.target, alliances_one_candidate_per_branch
+    )
+    assert size == ref_size == inst.k_prime
     assert reads < ref_reads
