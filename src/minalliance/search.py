@@ -86,13 +86,13 @@ def solve_min_alliance_search(
     every candidate, and the one branch adds them all and bans no other),
     and the budget prune never cuts it: A holds F, and `deficit`
     candidates, the largest thr(c) among them at least the deficit-th
-    smallest, so the bound is at most |A - S| <= k - |S|.  So each level at or above the optimum finds an alliance, and
-    each level below it finds none: a failed climb proves lo + 1 a lower
-    bound, a failed descent proves hi optimal, and both directions are
-    exact.  The bound reads S and its bans and never k, and the prune cuts
-    only subtrees that hold no alliance of at most k vertices, so each
-    level's first find, and the witness, is the one the deficit alone
-    gives.
+    smallest, so the bound is at most |A - S| <= k - |S|.  So each level
+    at or above the optimum finds an alliance, and each level below it
+    finds none: a failed climb proves lo + 1 a lower bound, a failed
+    descent proves hi optimal, and both directions are exact.  The bound
+    reads S and its bans and never k, and the prune cuts only subtrees
+    that hold no alliance of at most k vertices, so each level's first
+    find, and the witness, is the one the deficit alone gives.
 
     Before any level, an optimum of one or two is read off the degrees
     (`degree_alliance`, whose answer is the first climb's find).  Else each
@@ -391,24 +391,17 @@ def _alliances(
                     if force is not None:
                         del forced[size + 1 :]
                 if taken < width:
-                    if width > 1:  # branch i adds c_i
-                        v = cands[taken]
+                    # branch i adds c_i; with no spare candidate, the one
+                    # branch adds them all
+                    added = cands[taken : taken + 1] if width > 1 else cands
+                    for v in added:
                         blocked[v] = True
                         members.append(v)
                         for u in nbrs[v]:
                             lack[u] -= 1
                         if force is not None:
                             forced.append(forced[-1] | force[v])
-                        frame[1] = taken + 1
-                    else:  # no spare candidate: the one branch adds them all
-                        for v in cands:
-                            blocked[v] = True
-                            members.append(v)
-                            for u in nbrs[v]:
-                                lack[u] -= 1
-                            if force is not None:
-                                forced.append(forced[-1] | force[v])
-                        frame[1] = len(cands)
+                    frame[1] = taken + len(added)
                     break
                 for c in cands[:taken]:
                     blocked[c] = False

@@ -28,6 +28,9 @@ of one or two off the degrees and started each root at its root bound.
 candidates are all forced added them in one branch, finds alliances above
 the optimum in another order, so only the optimum size is checked against
 it.
+
+`reduction_instance`, no oracle, builds the hardness reduction's instances
+that the search tests of more than one module run on.
 """
 
 from __future__ import annotations
@@ -508,6 +511,15 @@ def alliances_one_candidate_per_branch(
                 if not found:
                     reach[root] = least
                 break
+
+
+def reduction_instance(source, seed):
+    """The reduction instance of `generate(source, seed)` at its domination
+    number."""
+    from minalliance import build_reduction, generate, minimum_dominating_set
+
+    src = generate(source, seed)
+    return build_reduction(src, len(minimum_dominating_set(src)))
 
 
 def search_without_root_bound(g):

@@ -8,16 +8,14 @@ from minalliance import (
     BudgetExceeded,
     brute_force_min_alliance,
     build_graph,
-    build_reduction,
     extract_dominating_set,
     generate,
-    minimum_dominating_set,
     protection_threshold,
     solve_min_alliance_search,
     verify_alliance,
 )
 
-from _oracles import climb_only_search, milp_min_alliance_size
+from _oracles import climb_only_search, milp_min_alliance_size, reduction_instance
 
 
 def test_no_allowed_vertex_has_no_alliance():
@@ -81,14 +79,9 @@ def test_budget_lower_bound_is_proven(monkeypatch):
     assert bounds[-1] == 8  # the optimum, once the clock never runs out
 
 
-def _reduction(source, seed):
-    src = generate(source, seed)
-    return build_reduction(src, len(minimum_dominating_set(src)))
-
-
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6", "cubic:n=8", "cubic:n=10"])
 def test_reduction_targets_reach_k_prime(source):
-    inst = _reduction(source, 1)
+    inst = reduction_instance(source, 1)
     sol = solve_min_alliance_search(inst.target)
     assert sol.valid
     assert sol.size == inst.k_prime
@@ -99,7 +92,7 @@ def test_reduction_targets_reach_k_prime(source):
 def test_descent_bounds_the_levels_run(source, most, search_turns):
     # a climb alone runs 38 and 54 levels: every size from the threshold 3
     # up to the optimum 40 or 56; climbs and descent turns count alike
-    inst = _reduction(source, 1)
+    inst = reduction_instance(source, 1)
     assert solve_min_alliance_search(inst.target).size == inst.k_prime
     assert len(search_turns) <= most
 
@@ -119,7 +112,7 @@ def _union(a, b):
 def test_witness_matches_climb_only(recipe, seed):
     kind, spec, *other = recipe
     if kind == "reduction":
-        g = _reduction(spec, seed).target
+        g = reduction_instance(spec, seed).target
     elif kind == "union":
         g = _union(generate(spec, seed), generate(other[0], seed + 100))
     else:

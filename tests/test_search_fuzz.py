@@ -12,9 +12,7 @@ from hypothesis import given, settings, strategies as st
 from minalliance import (
     brute_force_min_alliance,
     build_graph,
-    build_reduction,
     generate,
-    minimum_dominating_set,
     protection_threshold,
     solve_min_alliance_search,
 )
@@ -28,6 +26,7 @@ from _oracles import (
     alliances_without_node_bound,
     climb_only_search,
     majority_protected,
+    reduction_instance,
     search_without_root_bound,
 )
 
@@ -85,12 +84,6 @@ def test_a_level_finds_its_first_alliance_at_its_size(g):
             assert _alliance_within(g, len(found), roots, need, None) == found
 
 
-def _reduction_target(source):
-    """The reduction instance of seed 1 of `source`, at its domination number."""
-    src = generate(source, 1)
-    return build_reduction(src, len(minimum_dominating_set(src)))
-
-
 def _restarted_levels(g, roots, need):
     """What fresh levels find from n' down, each at one below the last find."""
     restarts, k = [], len(roots)
@@ -115,7 +108,7 @@ def test_resumed_descent_equals_restarted_levels(g):
 
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
 def test_resumed_descent_equals_restarted_levels_on_reduction_targets(source):
-    _assert_resumed_walk_restarts_each_level(_reduction_target(source).target)
+    _assert_resumed_walk_restarts_each_level(reduction_instance(source, 1).target)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -190,7 +183,7 @@ def test_forced_vertex_bound_keeps_the_deficit_walk_finds(g):
 
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
 def test_forced_vertex_bound_keeps_the_deficit_walk_finds_on_reduction_targets(source):
-    _assert_walk_matches(_reduction_target(source).target, alliances_by_deficit)
+    _assert_walk_matches(reduction_instance(source, 1).target, alliances_by_deficit)
 
 
 def _solve_counting_reads(g, walk):
@@ -211,7 +204,7 @@ def test_reach_bounds_the_nodes_on_a_reduction_target():
     # each forced candidate took a node of its own
     pins = [("cubic:n=4", 24, 300), ("cubic:n=6", 40, 800), ("cubic:n=8", 56, 1800)]
     for source, size, most in pins:
-        found, reads = _solve_counting_reads(_reduction_target(source).target, _alliances)
+        found, reads = _solve_counting_reads(reduction_instance(source, 1).target, _alliances)
         assert found == size
         assert reads - 1 <= most
 
@@ -294,7 +287,7 @@ def test_forced_groups_keep_the_optimum(g):
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6", "cubic:n=8"])
 def test_forced_groups_keep_the_optimum_on_reduction_targets(source):
     # the pads' forced neighbours join in one branch each: fewer nodes
-    inst = _reduction_target(source)
+    inst = reduction_instance(source, 1)
     size, reads = _solve_counting_reads(inst.target, _alliances)
     ref_size, ref_reads = _solve_counting_reads(
         inst.target, alliances_one_candidate_per_branch
