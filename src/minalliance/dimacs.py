@@ -3,25 +3,41 @@ marks forbidden vertices.  Vertices are 1-indexed on disk, 0-indexed in code.
 
 `parse_dimacs` reads text in the exact layout `emit_dimacs` writes on a fast
 path (`_parse_canonical`) and everything else line by line (`_parse_lines`);
-both give the same graph, and every fault is reported by the line parser."""
+both give the same graph, and every fault is reported by the line parser.
+The fast path also needs the edge lines in ascending order of (u, v), as
+`emit_dimacs` writes them; edges in any other order take the line parser.
+
+The fast path's pattern repeats comment lines, then edge lines, then
+forbidden lines.  On Python 3.11 and later each repeat is possessive: it
+never gives back a line it has matched.  That changes no match.  A line
+matches in one way only, and each repeated line starts with its own letter
+(`c`, `e`, `f`), which cannot start what follows the repeat (the `p` line,
+an `f` line, the end of the text).  A match that stopped a repeat a line
+early would need that line to be read as what follows, which its first
+letter rules out; so backtracking into a repeat never helps, and the
+possessive form only spares the engine the attempt.
+"""
 
 from __future__ import annotations
 
 import functools
-import operator
 import re
+import sys
 
-from .graphs import Graph, _freeze
+from .graphs import Graph, _freeze, _from_neighbours
 
 # The layout `emit_dimacs` writes: comment lines, the problem line, edge
 # lines, forbidden lines, single spaces, every line ended by "\n".  A comment
 # must not span a line break that `str.splitlines` (the line parser's split)
-# sees, so its class excludes every such separator, not only "\n".
+# sees, so its class excludes every such separator, not only "\n".  The three
+# line repeats are possessive where the `re` module has them (Python 3.11 and
+# later): see the module docstring for why that matches the same texts.
+_LINES = "*+" if sys.version_info >= (3, 11) else "*"
 _CANONICAL = re.compile(
-    r"(?:c[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\n)*"
-    r"p edge ([0-9]+) ([0-9]+)\n"
-    r"((?:e [0-9]+ [0-9]+\n)*)"
-    r"((?:f [0-9]+\n)*)"
+    r"(?:c[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\n)" + _LINES
+    + r"p edge ([0-9]+) ([0-9]+)\n"
+    + r"((?:e [0-9]+ [0-9]+\n)" + _LINES + ")"
+    + r"((?:f [0-9]+\n)" + _LINES + ")"
 )
 
 
@@ -54,12 +70,16 @@ def _parse_canonical(text: str) -> Graph | None:
     """The graph of `text` when it is in `emit_dimacs`'s layout with valid
     data, else None.
 
-    Valid means m edges with 1 <= u < v <= n, none repeated, and forbidden
-    ids in 1..n.  Each id is looked up in a {"1": 0, ..., str(n): n - 1}
-    dict, which parses and range-checks it in one step; "0", an id above n
-    and a leading zero all miss.  The edge count is checked before the dict
-    is built, so a header that promises more edges than the text holds
-    costs no O(n) work."""
+    Valid means m edges with 1 <= u < v <= n, each pair strictly after the
+    one before it, and forbidden ids in 1..n.  `emit_dimacs` writes its edges
+    in ascending order, which also rules out a repeated edge, and one loop
+    over the pairs checks the order while it fills the adjacency lists, which
+    come out sorted (see `_freeze`); a file whose edges are valid but out of
+    order goes to the line parser.  Each id is looked up in a
+    {"1": 0, ..., str(n): n - 1} dict, which parses and range-checks it in
+    one step; "0", an id above n and a leading zero all miss.  The edge count
+    is checked before the dict is built, so a header that promises more edges
+    than the text holds costs no O(n) work."""
     match = _CANONICAL.fullmatch(text)
     if match is None:
         return None
@@ -67,27 +87,29 @@ def _parse_canonical(text: str) -> Graph | None:
     fields = match[3].split()
     if len(fields) != 3 * m:
         return None
-    ids = _id_table(n)
+    get = _id_table(n).__getitem__
+    neigh: list[list[int]] = [[] for _ in range(n)]
+    lu = lv = -1  # the previous pair
     try:
-        us = list(map(ids.__getitem__, fields[1::3]))
-        vs = list(map(ids.__getitem__, fields[2::3]))
-        forbidden = set(map(ids.__getitem__, match[4].split()[1::2]))
+        for u, v in zip(map(get, fields[1::3]), map(get, fields[2::3])):
+            if v <= u or u < lu or (u == lu and v <= lv):
+                return None
+            lu, lv = u, v
+            neigh[u].append(v)
+            neigh[v].append(u)
+        forbidden = set(map(get, match[4].split()[1::2]))
     except KeyError:
         return None
-    if not all(map(operator.lt, us, vs)):
-        return None
-    edges = list(zip(us, vs))
-    if len(set(edges)) != m:
-        return None
-    return _freeze(n, edges, forbidden)
+    return _from_neighbours(n, m, neigh, forbidden)
 
 
 def parse_dimacs(text: str | bytes) -> Graph:
     """Parse "p edge n m" followed by m "e u v" lines and optional "f u" lines.
 
     Bytes are read as UTF-8; a bad byte is a DimacsError on its line.  Text
-    in `emit_dimacs`'s layout takes the fast path; any other text, and every
-    fault, goes through the line parser, which names the line at fault."""
+    in `emit_dimacs`'s layout, edges in ascending order, takes the fast path;
+    any other text, and every fault, goes through the line parser, which
+    names the line at fault."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")

@@ -33,28 +33,35 @@ class VertexRangeError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """`edges` sorted with u < v in each pair, `adj[v]` v's neighbours in
-    ascending order.  `masks[v]` is v's neighbourhood as an int, bit u set
-    when u is a neighbour; it is built from `adj` on first use and is no
-    field, so equality and hashing see only the fields.  Its readers are
-    `has_edge`, the twin-cover search and partition in `params`, brute force
-    and `reduction`'s domination test; `lowdeg`, `search`, `verify_alliance`
-    and the `dtc` route never build it."""
+    """The fields: `n` vertices, `m` edges, `adj[v]` v's neighbours in
+    ascending order, the `forbidden` set and `top_degree`, the largest
+    degree, counted once when the graph is built.
+
+    Two views are derived from `adj` on first use and are no fields, so
+    equality and hashing see only the fields.  `edges` is every pair (u, v)
+    with u < v, in ascending order; its readers are `emit_dimacs` and
+    `params.twin_cover_set`.  `build_graph` and the DIMACS line parser
+    already hold that list and seed it; the DIMACS fast path leaves it
+    unbuilt.  `masks[v]` is v's neighbourhood as an int, bit u set when u is
+    a neighbour.  Its readers are `has_edge`, the twin-cover search and
+    partition in `params`, brute force and `reduction`'s domination test;
+    `lowdeg`, `search`, `verify_alliance` and the `dtc` route never build
+    it."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    m: int
     adj: tuple[tuple[int, ...], ...]
     forbidden: frozenset[int]
-    top_degree: int  # counted once, in `_freeze`
+    top_degree: int
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
 
     @functools.cached_property
     def masks(self) -> tuple[int, ...]:
         bits = [1 << v for v in range(self.n)]
         return tuple(sum(map(bits.__getitem__, nbrs)) for nbrs in self.adj)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -105,16 +112,26 @@ def _freeze(n: int, edges: list[tuple[int, int]], forbidden: Iterable[int]) -> G
 
     Sorting the edges once leaves every adjacency list sorted: vertex w
     receives its neighbours a < w from the edges (a, w) in increasing a,
-    all before the edges (w, b), which follow in increasing b.
+    all before the edges (w, b), which follow in increasing b.  The sorted
+    list is what `Graph.edges` derives, so it is seeded into the graph.
     """
     edges.sort()
     neigh: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         neigh[u].append(v)
         neigh[v].append(u)
+    g = _from_neighbours(n, len(edges), neigh, forbidden)
+    vars(g)["edges"] = tuple(edges)
+    return g
+
+
+def _from_neighbours(
+    n: int, m: int, neigh: list[list[int]], forbidden: Iterable[int]
+) -> Graph:
+    """The graph whose sorted adjacency lists `neigh` hold m edges."""
     return Graph(
         n=n,
-        edges=tuple(edges),
+        m=m,
         adj=tuple(map(tuple, neigh)),
         forbidden=frozenset(forbidden),
         top_degree=max(map(len, neigh), default=0),

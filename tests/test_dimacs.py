@@ -1,6 +1,7 @@
 import pytest
 
 from minalliance import build_graph, build_reduction, emit_dimacs, generate, parse_dimacs
+from minalliance.cli import _pick_algorithm, _solve_one
 from minalliance.dimacs import (
     DimacsError,
     DuplicateEdgeError,
@@ -10,6 +11,7 @@ from minalliance.dimacs import (
     _parse_canonical,
     _parse_lines,
 )
+from minalliance.graphs import Graph
 
 from conftest import TRIANGULAR_PRISM_EDGES
 
@@ -165,3 +167,61 @@ def test_id_tables_are_shared_across_sizes_without_leaking_between_them():
     assert _id_table.cache_info().hits >= len(fives)
     for n in (5, 10, 12):
         assert _id_table(n) == {str(v + 1): v for v in range(n)}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["p edge 3 2\ne 2 3\ne 1 2\n", "p edge 4 3\ne 1 3\ne 1 2\ne 3 4\n",
+     "c out of order\np edge 4 2\ne 2 4\ne 1 4\nf 2\n"],
+)
+def test_edges_out_of_order_take_the_line_parser(text):
+    assert _parse_canonical(text) is None
+    g = parse_dimacs(text)
+    assert g == _parse_lines(text)
+    assert g.edges == tuple(sorted(g.edges)) and g.m == len(g.edges)
+
+
+def _reduction_target() -> Graph:
+    return build_reduction(generate("cubic:n=4", 1), 1).target
+
+
+@pytest.mark.parametrize(
+    "make, route",
+    [(lambda: generate("cubic:n=30", 1), "lowdeg"),
+     (lambda: generate("degcap:n=30,dmax=4", 2), "lowdeg"),
+     (lambda: generate("cliqueplus:n=26,k=2", 3), "search"),
+     (lambda: generate("twincover:n=30,t=4", 2), "search"),
+     (_reduction_target, "search")],
+    ids=["cubic", "degcap", "cliqueplus", "twincover", "reduction-target"],
+)
+def test_the_fast_path_and_a_solve_leave_edges_unbuilt(make, route):
+    g = parse_dimacs(emit_dimacs(make()))
+    algo, mod = _pick_algorithm(g, "auto", 5)
+    assert algo == route
+    assert _solve_one(g, algo, mod, None).valid
+    assert "edges" not in vars(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: generate(spec, 4)
+     for spec in ("cubic:n=30", "degcap:n=24,dmax=8", "cliqueplus:n=20,k=3",
+                  "twincover:n=24,t=4")]
+    + [_reduction_target,
+       lambda: build_graph(5, [(4, 1), (0, 3), (2, 0), (3, 4), (1, 0)], [2]),
+       lambda: build_graph(1, []),
+       lambda: build_graph(0, [])],
+    ids=["cubic", "degcap", "cliqueplus", "twincover", "reduction-target",
+         "unsorted", "one-vertex", "empty"],
+)
+def test_seeded_edges_equal_the_ones_derived_from_adj(make):
+    built = make()
+    text = emit_dimacs(built)
+    by_lines, fast = _parse_lines(text), _parse_canonical(text)
+    assert "edges" in vars(built) and "edges" in vars(by_lines)
+    assert "edges" not in vars(fast)
+    derive = Graph.edges.func
+    assert built.edges == derive(built) == by_lines.edges == derive(by_lines)
+    assert fast.edges == built.edges == tuple(sorted(built.edges))
+    assert built == by_lines == fast
+    assert built.m == by_lines.m == fast.m == len(built.edges)

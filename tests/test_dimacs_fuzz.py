@@ -2,13 +2,14 @@
 
 Each case starts from `emit_dimacs` output, which the fast path reads, and
 applies a few mutations that either keep the graph (CRLF endings, reversed
-endpoints, leading zeros, blank lines, comments between edge lines, a
-repeated `f` line, no final newline) or break the file (self-loops, the ids
-0 and n + 1, a repeated edge, a wrong edge count, `p edge 0 0`, a
-line-separator character inside a comment, a byte that is not UTF-8).
-`parse_dimacs` must give what the line parser, called directly, gives: the
-same graph with the same adjacency sets, or the same exception type,
-message and line.
+endpoints, leading zeros, blank lines, comments between edge lines, two edge
+lines swapped, a repeated `f` line, no final newline) or break the file
+(self-loops, the ids 0 and n + 1, a repeated edge, a wrong edge count,
+`p edge 0 0`, a line-separator character inside a comment, a byte that is
+not UTF-8).  Swapped edge lines keep the fast path's layout but break its
+ascending order.  `parse_dimacs` must give what the line parser, called
+directly, gives: the same graph with the same adjacency sets, edges and
+edge count, or the same exception type, message and line.
 """
 
 import pytest
@@ -27,7 +28,7 @@ SEPARATORS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
 MUTATIONS = ("crlf", "separator", "reverse", "self-loop", "leading-zero",
              "id-zero", "id-past-n", "blank", "comment-between", "repeat-edge",
              "repeat-forbidden", "no-final-newline", "wrong-m", "empty-header",
-             "bad-byte")
+             "bad-byte", "swap-edges")
 
 
 @st.composite
@@ -64,6 +65,9 @@ def _mutate(draw, lines: list[str], mutation: str, n: int) -> None:
         lines[i] = " ".join(fields)
     elif mutation == "blank":
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "  ", "\t"))))
+    elif mutation == "swap-edges" and len(kinds["e"]) >= 2:
+        i, j = draw(st.lists(st.sampled_from(kinds["e"]), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
     elif mutation == "comment-between" and kinds["e"]:
         lines.insert(draw(st.sampled_from(kinds["e"])) + 1, "c between edges")
     elif mutation in ("repeat-edge", "repeat-forbidden"):
@@ -108,7 +112,7 @@ def outcome(parse, source):
         g = parse(source)
     except DimacsError as exc:
         return type(exc), str(exc), exc.line
-    return g, g.masks
+    return g, g.masks, g.edges, g.m
 
 
 def by_lines(data: bytes):
