@@ -10,27 +10,32 @@ The exceptions are the library's former ways of computing a witness, kept
 so that their replacements are checked against them byte for byte:
 `bfs_path` and `nearest_low_path_by_full_bfs`, the two-BFS computation of a
 low-degree root's path; `best_shape_at`, the per-root definition of the
-low-degree solver's answer; `climb_only_search`, the size schedule of
-the general branch and bound before it descended from an incumbent; and
-`remainder_is_clique_by_pairs`, `partition_twin_classes_by_pairs` and
-`partition_clique_sets_by_dfs`, the structural partitions as they were
-computed before a twin cover's remainder was read off its closed-twin
-classes; `connected_subsets_by_sorted_lists`, brute force's
-connected-subset enumeration before it held its sets as vertex masks;
-`alliances_by_deficit`, the general branch and bound's walk without its
-bound by the vertices its members force;
-`alliances_without_node_bound`, that walk without its bound by its
-candidates' thresholds (both keep the walk's branching, forced groups
-included, so that its finds are compared with theirs level by level); and
-`search_without_root_bound`, its level schedule before it read an optimum
-of one or two off the degrees and started each root at its root bound.
-`alliances_one_candidate_per_branch`, the walk before a node whose
-candidates are all forced added them in one branch, finds alliances above
-the optimum in another order, so only the optimum size is checked against
-it.
+low-degree solver's answer; `remainder_is_clique_by_pairs`,
+`partition_twin_classes_by_pairs` and `partition_clique_sets_by_dfs`, the
+structural partitions as they were computed before a twin cover's
+remainder was read off its closed-twin classes; and
+`connected_subsets_by_sorted_lists`, brute force's connected-subset
+enumeration before it held its sets as vertex masks.
 
-`reduction_instance`, no oracle, builds the hardness reduction's instances
-that the search tests of more than one module run on.
+The general branch and bound has one reference walk, `reference_alliances`,
+with one switch per node rule: `force`, the bound by the vertices the
+members force; `thresholds`, the bound by the candidates' thresholds (at a
+root's own node, its root bound); and `groups`, the one branch that adds
+every candidate of a node whose candidates are all forced.  With every
+switch on it finds what `search._alliances` finds, at the same nodes.  A
+test of one rule compares the library with the reference without it: the
+finds level by level for the two bounds, which only cut nodes, and the
+optimum alone for `groups`, which reorders the finds above it.  With every
+switch off the walk shares no code with the library; `force` reads the
+force masks from `search._force_masks`, and the thresholds are sorted
+here.  `reference_search` runs the library's level schedule over a walk,
+with no root bound and no degree answer; with `climbs_only`, it climbs
+from the least threshold alone, as the search did before it descended
+from an incumbent.
+
+`roots_and_need` and `reduction_instance`, no oracles, build the search's
+inputs and the hardness reduction's instances that the search tests of
+more than one module run on.
 """
 
 from __future__ import annotations
@@ -198,247 +203,55 @@ def best_shape_at(g, v):
     return min(keys, default=None)
 
 
-def climb_only_search(g):
-    """The witness tuple `solve_min_alliance_search` used to return, or None:
-    the levels k of `_alliance_within`, from the least threshold of an
-    allowed vertex upwards, the first level that finds an alliance giving
-    the answer."""
-    from minalliance.search import _alliance_within
-
+def roots_and_need(g):
+    """The allowed vertices, ascending, and each vertex's need d(v) // 2:
+    the neighbours it needs inside an alliance besides itself."""
     roots = [v for v in range(g.n) if v not in g.forbidden]
-    need = [(g.degree(v) + 2) // 2 - 1 for v in range(g.n)]
-    first = min((need[v] + 1 for v in roots), default=1)
-    for k in range(first, len(roots) + 1):
-        members = _alliance_within(g, k, roots, need, None)
-        if members is not None:
-            return tuple(members)
-    return None
+    return roots, [len(g.adj[v]) // 2 for v in range(g.n)]
 
 
-def alliances_by_deficit(g, k, roots, need, deadline, reach=None):
-    """`search._alliances` as it would be if the budget prune read the worst
-    member's deficit alone: the first alliance of at most k vertices in the
-    search order, then the first of at most |A| - 1 vertices, and so on.
-    A node whose worst member has exactly `deficit` candidates branches
-    once, on all of them: every alliance below it holds them all.  It reads
-    the deadline clock, this module's `monotonic`, once per node."""
-    from minalliance import BudgetExceeded
-
-    if reach is None:
-        reach = {}
-    adj = g.adj
-    inside = [0] * g.n
-    blocked = [v in g.forbidden for v in range(g.n)]
-    members = []
-
-    def add(v):
-        blocked[v] = True
-        members.append(v)
-        for u in adj[v]:
-            inside[u] += 1
-
-    def drop_last():
-        for u in adj[members.pop()]:
-            inside[u] -= 1
-
-    for root in roots:
-        if k < 1:
-            return
-        if reach.get(root, 0) > k:
-            blocked[root] = True
-            continue
-        add(root)
-        # [candidates, branches taken, width, |S|, deficit, all forced]
-        frames = []
-        found = False
-        least = len(roots) + 1
-        while True:
-            if deadline is not None and monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"time limit exceeded while searching size {k}", lower_bound=k
-                )
-            worst, deficit = -1, 0
-            for u in members:
-                d = need[u] - inside[u]
-                if d > deficit or (d == deficit and d > 0 and u < worst):
-                    worst, deficit = u, d
-            if deficit == 0:
-                found = True
-                yield sorted(members)
-                k = len(members) - 1
-                for i, (_, _, _, size, deficit, _) in enumerate(frames):
-                    if deficit > k - size:
-                        for stale in frames[i:]:
-                            stale[2] = stale[1]
-                        break
-            else:
-                cands = [c for c in adj[worst] if not blocked[c]]
-                size = len(members)
-                if deficit <= len(cands):
-                    if deficit <= k - size:
-                        group = deficit == len(cands)
-                        width = 1 if group else len(cands) - deficit + 1
-                        frames.append([cands, 0, width, size, deficit, group])
-                    elif size + deficit < least:
-                        least = size + deficit
-            while frames:
-                frame = frames[-1]
-                cands, taken, width, _, _, group = frame
-                if taken:
-                    for _ in range(len(cands) if group else 1):
-                        drop_last()
-                if taken < width:
-                    for v in cands if group else [cands[taken]]:
-                        add(v)
-                    frame[1] = taken + 1
-                    break
-                for c in cands if group else cands[:width]:
-                    blocked[c] = False
-                frames.pop()
-            else:
-                drop_last()
-                if not found:
-                    reach[root] = least
-                break
-
-
-def alliances_without_node_bound(g, k, roots, need, deadline, reach=None):
-    """`search._alliances` as it would be if a node's bound were the larger
-    of its deficit and the number of forced vertices outside S: the first
-    alliance of at most k vertices in the search order, then the first of
-    at most |A| - 1 vertices, and so on.  A node whose worst member has
-    exactly `deficit` candidates branches once, on all of them: every
-    alliance below it holds them all.  It reads the deadline clock, this
-    module's `monotonic`, once per node."""
-    from minalliance import BudgetExceeded
-    from minalliance.search import _allowed_view
-
-    if reach is None:
-        reach = {}
-    nbrs, template, force = _allowed_view(g, roots, need)[:3]
-    lack = list(need)
-    blocked = template[:]
-    members = []
-    forced = [0]
-
-    for root in roots:
-        if k < 1:
-            return
-        if reach.get(root, 0) > k:
-            blocked[root] = True
-            continue
-        blocked[root] = True
-        members.append(root)
-        for u in nbrs[root]:
-            lack[u] -= 1
-        if force is not None:
-            forced.append(force[root])
-        # [candidates, branches taken, width, |S|, bound, all forced]
-        frames = []
-        found = False
-        least = len(roots) + 1
-        while True:
-            if deadline is not None and monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"time limit exceeded while searching size {k}", lower_bound=k
-                )
-            worst, deficit = -1, 0
-            for u in members:
-                d = lack[u]
-                if d > deficit or (d == deficit and d > 0 and u < worst):
-                    worst, deficit = u, d
-            if deficit == 0:
-                found = True
-                yield sorted(members)
-                k = len(members) - 1
-                for i, (_, _, _, size, bound, _) in enumerate(frames):
-                    if bound > k - size:
-                        for stale in frames[i:]:
-                            stale[2] = stale[1]
-                        break
-            else:
-                cands = [c for c in nbrs[worst] if not blocked[c]]
-                size = len(members)
-                if deficit <= len(cands):
-                    bound = deficit
-                    if force is not None:
-                        bound = max(deficit, forced[-1].bit_count() - size)
-                    if bound <= k - size:
-                        group = deficit == len(cands)
-                        width = 1 if group else len(cands) - deficit + 1
-                        frames.append([cands, 0, width, size, bound, group])
-                    elif size + bound < least:
-                        least = size + bound
-            while frames:
-                frame = frames[-1]
-                cands, taken, width, _, _, group = frame
-                if taken:
-                    for _ in range(len(cands) if group else 1):
-                        for u in nbrs[members.pop()]:
-                            lack[u] += 1
-                        if force is not None:
-                            forced.pop()
-                if taken < width:
-                    for v in cands if group else [cands[taken]]:
-                        blocked[v] = True
-                        members.append(v)
-                        for u in nbrs[v]:
-                            lack[u] -= 1
-                        if force is not None:
-                            forced.append(forced[-1] | force[v])
-                    frame[1] = taken + 1
-                    break
-                for c in cands if group else cands[:width]:
-                    blocked[c] = False
-                frames.pop()
-            else:
-                for u in nbrs[members.pop()]:
-                    lack[u] += 1
-                if force is not None:
-                    forced.pop()
-                if not found:
-                    reach[root] = least
-                break
-
-
-def alliances_one_candidate_per_branch(
-    g, k, roots, need, deadline, reach=None, view=None
+def reference_alliances(
+    g, k, roots, need, deadline, reach=None, view=None, *, force=True, thresholds=True, groups=True
 ):
-    """`search._alliances` as it was before a node whose worst member has
-    exactly `deficit` candidates added them all in one branch: that node
-    had one branch, adding c_1, and each node below it added the next
-    forced candidate once the worst member's deficit came back to it.  The
-    first alliance of at most k vertices in that search order, then the
-    first of at most |A| - 1 vertices, and so on.  It takes the arguments
-    of `search._alliances` and reads the deadline clock, this module's
+    """`search._alliances`, with one switch per node rule: the first
+    alliance of at most k vertices in the search order, then the first of
+    at most |A| - 1 vertices, and so on.
+
+    A node's bound is its deficit; with `force`, also the number of
+    vertices outside S that the members force (`search._force_masks`);
+    with `thresholds`, also the deficit-th smallest threshold need(c) + 1
+    over the candidates, less |S|, which at a root's own node is its root
+    bound less one.  With `groups`, a node whose worst member has exactly
+    `deficit` candidates adds them all in one branch; without, it branches
+    on c_1 alone.  With every switch off it reads nothing from
+    `minalliance.search`.  It takes `view` for the walk's signature and
+    does not read it, and reads the deadline clock, this module's
     `monotonic`, once per node."""
     from minalliance import BudgetExceeded
-    from minalliance.search import _allowed_view, _kth_need
 
     if reach is None:
         reach = {}
-    nbrs, template, force, top, floor = _allowed_view(g, roots, need) if view is None else view
-    lack = list(need)  # need(v) - |N(v) cap S|
     # a vertex is blocked while it is a member, banned or forbidden
-    blocked = template[:]
+    blocked = [v in g.forbidden for v in range(g.n)]
+    nbrs = [[u for u in g.adj[v] if not blocked[u]] for v in range(g.n)]
+    masks = None
+    if force:
+        from minalliance.search import _force_masks
+
+        masks = _force_masks(g, nbrs, blocked)
+    lack = list(need)  # need(v) - |N(v) cap S|
     members = []
-    # the union of the members' force masks, after each member added
-    forced = [0]
 
     for root in roots:
-        if k < 1:  # not even a root fits
+        if k < 1:
             return
-        if reach.get(root, 0) > k:  # its walk at level k would find nothing
-            blocked[root] = True
-            continue
         blocked[root] = True
+        if reach.get(root, 0) > k:
+            continue
         members.append(root)
         for u in nbrs[root]:
             lack[u] -= 1
-        if force is not None:
-            forced.append(force[root])
-        # one frame per branching node:
-        # [candidates, branches taken, width, |S|, bound]
+        # [candidates, candidates taken, width, |S|, bound]
         frames = []
         found = False
         least = len(roots) + 1  # least |S| + bound the budget prune cut
@@ -468,49 +281,77 @@ def alliances_one_candidate_per_branch(
                 size = len(members)
                 if deficit <= len(cands):
                     bound = deficit
-                    if force is not None:
-                        bound = max(deficit, forced[-1].bit_count() - size)
-                    if size == 1:  # the root's node: its root bound reads these thresholds
-                        bound = max(bound, floor[root] - 1)
-                    elif top - size > bound:  # else no threshold can raise it
-                        # the deficit-th smallest threshold of a candidate
-                        bound = max(bound, _kth_need(need, cands, deficit) + 1 - size)
+                    if masks is not None:
+                        union = 0
+                        for u in members:
+                            union |= masks[u]
+                        bound = max(bound, union.bit_count() - size)
+                    if thresholds:
+                        kth = sorted([need[c] for c in cands])[deficit - 1]
+                        bound = max(bound, kth + 1 - size)
                     if bound <= k - size:
                         frames.append([cands, 0, len(cands) - deficit + 1, size, bound])
                     elif size + bound < least:
                         least = size + bound
-            # next branch: undo the last one (its vertex stays banned), or
-            # lift the frame's bans and backtrack once every branch is taken
             while frames:
                 frame = frames[-1]
-                cands, taken, width, _, _ = frame
-                if taken:
+                cands, taken, width, size, _ = frame
+                while len(members) > size:
                     for u in nbrs[members.pop()]:
                         lack[u] += 1
-                    if force is not None:
-                        forced.pop()
                 if taken < width:
-                    v = cands[taken]
-                    blocked[v] = True
-                    members.append(v)
-                    for u in nbrs[v]:
-                        lack[u] -= 1
-                    if force is not None:
-                        forced.append(forced[-1] | force[v])
-                    frame[1] = taken + 1
+                    # width 1: every candidate is forced
+                    added = cands if groups and width == 1 else [cands[taken]]
+                    for v in added:
+                        blocked[v] = True
+                        members.append(v)
+                        for u in nbrs[v]:
+                            lack[u] -= 1
+                    frame[1] = taken + len(added)
                     break
-                for c in cands[:width]:
+                for c in cands[:taken]:
                     blocked[c] = False
                 frames.pop()
             else:
-                # drop the root, which stays banned for the later roots
                 for u in nbrs[members.pop()]:
                     lack[u] += 1
-                if force is not None:
-                    forced.pop()
                 if not found:
                     reach[root] = least
                 break
+
+
+def reference_search(g, walk=reference_alliances, *, climbs_only=False):
+    """The witness tuple of `solve_min_alliance_search`'s level schedule, or
+    None, with `walk` walking each level, no root bound and no degree
+    answer: lo starts at the least threshold of an allowed vertex, the
+    walks share one `reach` that starts empty, and one climb, the incumbent's descent, then descent and
+    climb in turn run until lo == hi.  With `climbs_only`, every level is
+    a climb: the first level from lo upwards that finds an alliance gives
+    the answer."""
+    roots, need = roots_and_need(g)
+    if not roots:
+        return None
+    lo = min(need[v] for v in roots) + 1
+    hi = len(roots) + 1
+    best = None
+    if climbs_only:
+        climbs = itertools.repeat(True)
+    else:
+        climbs = itertools.chain((True, False), itertools.cycle((False, True)))
+    reach = {}
+    descent = walk(g, len(roots), roots, need, None, reach)
+    while lo < hi:
+        if next(climbs):
+            k = lo
+            members = next(walk(g, k, roots, need, None, reach), None)
+        else:
+            k = hi - 1
+            members = next(descent, None)
+        if members is None:
+            lo = k + 1
+        else:
+            best, hi = members, len(members)
+    return None if best is None else tuple(best)
 
 
 def reduction_instance(source, seed):
@@ -520,39 +361,6 @@ def reduction_instance(source, seed):
 
     src = generate(source, seed)
     return build_reduction(src, len(minimum_dominating_set(src)))
-
-
-def search_without_root_bound(g):
-    """The witness tuple `solve_min_alliance_search` returned, or None, when
-    lo started at the least threshold of an allowed vertex and `reach`
-    started empty: one climb, the incumbent's descent, then descent and
-    climb in turn until lo == hi, each level walked by
-    `alliances_without_node_bound`."""
-    from itertools import chain, cycle
-
-    roots = [v for v in range(g.n) if v not in g.forbidden]
-    if not roots:
-        return None
-    need = [len(nbrs) // 2 for nbrs in g.adj]
-    lo = min(need[v] for v in roots) + 1
-    hi = len(roots) + 1
-    best = None
-    climbs = chain((True, False), cycle((False, True)))
-    reach = {}
-    descent = alliances_without_node_bound(g, len(roots), roots, need, None, reach)
-    while lo < hi:
-        if next(climbs):
-            k = lo
-            walk = alliances_without_node_bound(g, k, roots, need, None, reach)
-            members = next(walk, None)
-        else:
-            k = hi - 1
-            members = next(descent, None)
-        if members is None:
-            lo = k + 1
-        else:
-            best, hi = members, len(members)
-    return None if best is None else tuple(best)
 
 
 def connected_subsets_by_sorted_lists(g, size, allowed):

@@ -15,7 +15,7 @@ from minalliance import (
     verify_alliance,
 )
 
-from _oracles import climb_only_search, milp_min_alliance_size, reduction_instance
+from _oracles import milp_min_alliance_size, reduction_instance, reference_search
 
 
 def test_no_allowed_vertex_has_no_alliance():
@@ -117,7 +117,7 @@ def test_witness_matches_climb_only(recipe, seed):
         g = _union(generate(spec, seed), generate(other[0], seed + 100))
     else:
         g = generate(spec, seed)
-    assert solve_min_alliance_search(g).members == climb_only_search(g)
+    assert solve_min_alliance_search(g).members == reference_search(g, climbs_only=True)
 
 
 def _dense_graph(n, variant):
@@ -142,7 +142,7 @@ def test_size_matches_milp_above_brute_force(n, variant):
     sol = solve_min_alliance_search(g)
     expected = milp_min_alliance_size(g.n, g.edges, g.forbidden)
     assert (None if sol is None else sol.size) == expected
-    assert (None if sol is None else sol.members) == climb_only_search(g)
+    assert (None if sol is None else sol.members) == reference_search(g, climbs_only=True)
     if sol is not None:
         assert verify_alliance(g, sol.members).valid
 

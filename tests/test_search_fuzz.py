@@ -1,5 +1,7 @@
-"""Differential fuzzing of the branch and bound against brute force."""
+"""Differential fuzzing of the branch and bound: against brute force, and
+against the reference walk with every rule, or with one rule switched off."""
 
+import functools
 import itertools
 from unittest import mock
 
@@ -13,7 +15,6 @@ from minalliance import (
     brute_force_min_alliance,
     build_graph,
     generate,
-    protection_threshold,
     solve_min_alliance_search,
 )
 import minalliance.search as search
@@ -21,13 +22,11 @@ from minalliance.search import _alliance_within, _alliances
 
 import _oracles
 from _oracles import (
-    alliances_by_deficit,
-    alliances_one_candidate_per_branch,
-    alliances_without_node_bound,
-    climb_only_search,
     majority_protected,
     reduction_instance,
-    search_without_root_bound,
+    reference_alliances,
+    reference_search,
+    roots_and_need,
 )
 
 
@@ -58,7 +57,7 @@ def _graphs(draw):
 @given(_graphs())
 def test_search_agrees_with_brute_force(g):
     sol = solve_min_alliance_search(g)
-    assert (None if sol is None else sol.members) == climb_only_search(g)
+    assert (None if sol is None else sol.members) == reference_search(g, climbs_only=True)
     ref = brute_force_min_alliance(g)
     if ref is None:
         assert sol is None
@@ -68,16 +67,11 @@ def test_search_agrees_with_brute_force(g):
     assert solve_min_alliance_search(g) == sol
 
 
-def _roots_and_need(g):
-    roots = [v for v in range(g.n) if v not in g.forbidden]
-    return roots, [protection_threshold(g.degree(v)) - 1 for v in range(g.n)]
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_graphs())
 def test_a_level_finds_its_first_alliance_at_its_size(g):
     # why the schedule never runs the optimum level again for the witness
-    roots, need = _roots_and_need(g)
+    roots, need = roots_and_need(g)
     for k in range(1, len(roots) + 1):
         found = _alliance_within(g, k, roots, need, None)
         if found is not None:
@@ -95,7 +89,7 @@ def _restarted_levels(g, roots, need):
 
 def _assert_resumed_walk_restarts_each_level(g):
     # the descent's one walk finds what a fresh level hi - 1 would, turn by turn
-    roots, need = _roots_and_need(g)
+    roots, need = roots_and_need(g)
     restarts = _restarted_levels(g, roots, need)
     assert list(_alliances(g, len(roots), roots, need, None)) == restarts
 
@@ -116,7 +110,7 @@ def test_resumed_descent_equals_restarted_levels_on_reduction_targets(source):
 def test_shared_reach_changes_no_level(g, rng):
     # one `reach` dict across levels in any order, then the descent: every
     # walk finds what a walk with a fresh dict finds
-    roots, need = _roots_and_need(g)
+    roots, need = roots_and_need(g)
     reach = {}
     levels = list(range(1, len(roots) + 1)) * 2
     rng.shuffle(levels)
@@ -158,9 +152,9 @@ def _finds_and_reads(module, walk, g, k, roots, need, first_only):
 
 def _assert_walk_matches(g, reference):
     # every level's first find and the descent's finds are the reference's;
-    # the forced-vertex and threshold bounds only cut nodes.  Returns the
+    # a rule the reference walks without only cuts nodes.  Returns the
     # clock reads of every run, the walk's and the reference's.
-    roots, need = _roots_and_need(g)
+    roots, need = roots_and_need(g)
     runs = [(k, True) for k in range(1, len(roots) + 1)] + [(len(roots), False)]
     total = ref_total = 0
     for k, first_only in runs:
@@ -177,13 +171,19 @@ def _assert_walk_matches(g, reference):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_graphs_with_tight_vertices())
 def test_forced_vertex_bound_keeps_the_deficit_walk_finds(g):
-    _assert_walk_matches(g, alliances_by_deficit)
-    _assert_walk_matches(build_graph(g.n, g.edges), alliances_by_deficit)
+    deficit_only = functools.partial(reference_alliances, force=False, thresholds=False)
+    _assert_walk_matches(g, deficit_only)
+    _assert_walk_matches(build_graph(g.n, g.edges), deficit_only)
 
 
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
 def test_forced_vertex_bound_keeps_the_deficit_walk_finds_on_reduction_targets(source):
-    _assert_walk_matches(reduction_instance(source, 1).target, alliances_by_deficit)
+    # the forced vertices around the pads cut nodes: 4 059 and 13 209 clock
+    # reads over every run, against 5 013 and 17 817 without the force bound
+    g = reduction_instance(source, 1).target
+    _assert_walk_matches(g, functools.partial(reference_alliances, force=False, thresholds=False))
+    reads, ref_reads = _assert_walk_matches(g, functools.partial(reference_alliances, force=False))
+    assert reads < ref_reads
 
 
 def _solve_counting_reads(g, walk):
@@ -232,11 +232,31 @@ _bound_cases = st.one_of(
 )
 
 
+def _assert_reference_is_the_walk(g):
+    # no run reads the clock more often than the reference, so equal sums
+    # mean equal reads run by run: each switch removes its rule alone
+    reads, ref_reads = _assert_walk_matches(g, reference_alliances)
+    assert reads == ref_reads
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_bound_cases)
+def test_reference_with_every_rule_is_the_walk(g):
+    _assert_reference_is_the_walk(g)
+
+
+@pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6"])
+def test_reference_with_every_rule_is_the_walk_on_reduction_targets(source):
+    _assert_reference_is_the_walk(reduction_instance(source, 1).target)
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(_bound_cases)
 def test_root_bound_and_degree_answer_keep_the_witness(g):
     sol = solve_min_alliance_search(g)
-    assert (None if sol is None else sol.members) == search_without_root_bound(g)
+    assert (None if sol is None else sol.members) == reference_search(
+        g, functools.partial(reference_alliances, thresholds=False)
+    )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -244,7 +264,7 @@ def test_root_bound_and_degree_answer_keep_the_witness(g):
 def test_no_alliance_falls_below_its_least_vertex_root_bound(g):
     # every set of allowed vertices with least vertex r and fewer than
     # bound(r) vertices fails the raw majority condition
-    roots, need = _roots_and_need(g)
+    roots, need = roots_and_need(g)
     bounds = search._allowed_view(g, roots, need)[4]
     for r in roots:
         above = [v for v in roots if v > r]
@@ -258,7 +278,7 @@ def test_no_alliance_falls_below_its_least_vertex_root_bound(g):
 def test_threshold_node_bound_keeps_the_walk_finds(g):
     # against the walk without the threshold bound: the same finds at every
     # level and in the descent, with no more nodes
-    _assert_walk_matches(g, alliances_without_node_bound)
+    _assert_walk_matches(g, functools.partial(reference_alliances, thresholds=False))
 
 
 @pytest.mark.parametrize(
@@ -268,7 +288,7 @@ def test_threshold_node_bound_keeps_the_walk_finds(g):
 def test_threshold_node_bound_keeps_the_walk_finds_on_cliqueplus(spec, seed):
     # the clique's thresholds lie above most levels: the bound cuts nodes
     reads, ref_reads = _assert_walk_matches(
-        generate(spec, seed), alliances_without_node_bound
+        generate(spec, seed), functools.partial(reference_alliances, thresholds=False)
     )
     assert reads < ref_reads
 
@@ -280,7 +300,7 @@ def test_forced_groups_keep_the_optimum(g):
     # the finds above the optimum may come in another order, the optimum not
     assert (
         _solve_counting_reads(g, _alliances)[0]
-        == _solve_counting_reads(g, alliances_one_candidate_per_branch)[0]
+        == _solve_counting_reads(g, functools.partial(reference_alliances, groups=False))[0]
     )
 
 
@@ -290,7 +310,7 @@ def test_forced_groups_keep_the_optimum_on_reduction_targets(source):
     inst = reduction_instance(source, 1)
     size, reads = _solve_counting_reads(inst.target, _alliances)
     ref_size, ref_reads = _solve_counting_reads(
-        inst.target, alliances_one_candidate_per_branch
+        inst.target, functools.partial(reference_alliances, groups=False)
     )
     assert size == ref_size == inst.k_prime
     assert reads < ref_reads
