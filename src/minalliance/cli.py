@@ -8,27 +8,27 @@ failed verification.  `--help`, on its own or after a subcommand, prints one
 
 `_pick_algorithm` alone resolves `--algo` to a solver and searches its
 modulator.  `auto` sends a graph with forbidden vertices or none at all to
-`search`, one of maximum degree at most five to `lowdeg`, and one whose
-degrees show an optimum of one or two (`degree_alliance`) to `search`, which
-returns that witness before any level.  Otherwise a smallest
-distance-to-clique set of more than SEARCH_MAX_DTC and at most `--kmax`
-vertices routes to `dtc`, and everything else goes to the branch and bound
-`search`, whose threshold bounds solve the graphs closer to a clique faster
-than `dtc`; with `--kmax` at most SEARCH_MAX_DTC, as by default, `auto`
-searches no modulator.  The twin-cover solver runs only when named.
-Brute force and the ILP encoding stay selectable and are `--oracle`'s
-oracles: brute force up to `BRUTE_MAX_N` vertices, the ILP above.  Past
-`--time-limit`, every solver but brute force raises `BudgetExceeded`,
-printed as one `"kind": "budget"` document with the verified incumbent and
-the proven lower bound, each null when unknown.  A negative limit or
-`--kmax` is invalid input, rejected before the graph is read.
+`search`, one of maximum degree at most five to `lowdeg`, and any other to
+the branch and bound `search`, which hands a stalled walk to the paper's
+`dtc`: past `search.HANDOFF_NODES` nodes it searches a distance-to-clique
+set within `--kmax` once, and `dtc` answers with it, or with none the walk
+goes on.  It counts nodes, not seconds, so the route and the witness depend
+on the graph alone.  The twin-cover solver runs only when named.  Brute
+force and the ILP encoding stay selectable and are `--oracle`'s oracles:
+brute force up to `BRUTE_MAX_N` vertices, the ILP above.  Past
+`--time-limit`, which covers a hand-off's walk and `dtc` together, every
+solver but brute force raises `BudgetExceeded`, printed as one `"kind":
+"budget"` document with the verified incumbent and the proven lower bound,
+each null when unknown.  A negative limit or `--kmax` is invalid input,
+rejected before the graph is read.
 
 A `solve` document, and each record of `bench`'s list, holds `algorithm`
 (the solver that ran), `instance`, `n`, `m`, `params`, `size`, `witness`
-(1-indexed), `valid` and `wall_time_s`, which times the solver alone on
-every route, neither the modulator search nor the oracle.  With no alliance,
-`size` and `valid` are null and `witness` is empty.  `--oracle` adds `match`
-and, unless the oracle finds no alliance, `oracle_size`; an ILP oracle past
+(1-indexed), `valid` and `wall_time_s`, which times the solver (after a
+hand-off, the walk, the modulator search and `dtc`) but neither a named
+route's modulator search nor the oracle.  With no alliance, `size` and
+`valid` are null and `witness` is empty.  `--oracle` adds `match` and,
+unless the oracle finds no alliance, `oracle_size`; an ILP oracle past
 `--time-limit` leaves `match` null.  `bench` runs the oracle once per graph.
 A `bench` entry that cannot take a graph (a guard, a missing modulator, a
 degree bound) or runs past `--time-limit` gets the error document `solve`
@@ -73,7 +73,6 @@ from .alliances import (
     BudgetExceeded,
     InternalVerificationError,
     brute_force_min_alliance,
-    degree_alliance,
     verify_alliance,
 )
 from .dimacs import emit_dimacs, parse_dimacs
@@ -99,10 +98,8 @@ SEED_ENV = "MINALLIANCE_SEED"
 
 ALGORITHMS = ("auto", "search", "brute", "lowdeg", "ilp", "dtc", "twincover")
 
-# `auto` leaves a graph this close to a clique to `search`, whose threshold
-# bounds solve it faster than `dtc`'s guess loop; `dtc` takes the graphs
-# whose smallest distance-to-clique set is larger, up to `--kmax`
-SEARCH_MAX_DTC = 5
+# the smallest modulators of the near-clique graphs that stall search: 7 to 10
+KMAX_DEFAULT = 10
 
 # built once: json.dumps with any option set builds a new encoder per call
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -162,43 +159,46 @@ def _parse_witness_ds(text: str, n: int) -> list[int]:
     return out
 
 
-def _pick_algorithm(g: Graph, algo: str, kmax: int) -> tuple[str, frozenset[int] | None]:
-    """Resolve `algo` to the solver that runs, with the modulator it runs
-    with: `dtc` and `twincover` search theirs (a ValueError when none is
-    within `kmax`), and `auto` routes as the module docstring says."""
+class _HandOff(Exception):
+    """Raised through `auto`'s stalled search with the modulator `dtc` takes."""
+
+
+def _pick_algorithm(g: Graph, algo: str, kmax: int):
+    """Resolve `algo` to the solver that runs and what it runs with: a named
+    `dtc` or `twincover` its modulator within `kmax` (else a ValueError),
+    `auto`'s `search` its stall hook."""
     if algo == "auto":
         # lowdeg and dtc take no forbidden vertex and no empty graph
         if g.forbidden or not g.n:
             return "search", None
         if g.max_degree() <= 5:
             return "lowdeg", None
-        # no distance-to-clique set can be large enough for dtc; search
-        # answers an optimum of one or two vertices from the degrees
-        if kmax <= SEARCH_MAX_DTC or degree_alliance(g) is not None:
-            return "search", None
-    if algo in ("auto", "dtc"):
+
+        def hand_off():  # a modulator within kmax ends the walk, and dtc answers
+            mod = distance_to_clique_set(g, kmax)
+            if mod is not None:
+                raise _HandOff(mod)
+
+        return "search", hand_off
+    if algo == "dtc":
         mod = distance_to_clique_set(g, kmax)
-        # the set is a smallest one, so auto keeps a graph within
-        # SEARCH_MAX_DTC of a clique out of dtc
-        if mod is not None and (algo == "dtc" or len(mod) > SEARCH_MAX_DTC):
-            return "dtc", mod
-        if algo == "dtc":
+        if mod is None:
             raise ValueError(f"no distance-to-clique set within k_max={kmax}")
+        return "dtc", mod
     if algo == "twincover":
         cover = twin_cover_set(g, kmax)
         if cover is None:
             raise ValueError(f"no twin cover within k_max={kmax}")
         return "twincover", cover
-    return ("search" if algo == "auto" else algo), None
+    return algo, None
 
 
-def _solve_one(g: Graph, algo: str, mod: frozenset[int] | None,
-               time_limit: float | None):
-    """Run `algo`; dtc and twincover with the modulator `_pick_algorithm` found."""
+def _solve_one(g: Graph, algo: str, mod, time_limit: float | None):
+    """Run `algo` with what `_pick_algorithm` found for it."""
     if algo == "lowdeg":
         return solve_min_alliance_lowdeg(g, time_limit=time_limit)
     if algo == "search":
-        return solve_min_alliance_search(g, time_limit=time_limit)
+        return solve_min_alliance_search(g, time_limit=time_limit, stall=mod)
     if algo == "brute":
         return brute_force_min_alliance(g)
     if algo == "ilp":
@@ -223,12 +223,9 @@ def _document(g: Graph, instance: str, sol) -> dict:
     }
 
 
-def _check_time_limit(time_limit: float | None) -> None:
+def _check_limits(time_limit: float | None, kmax: int) -> None:
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"--time-limit must be a nonnegative number, got {time_limit}")
-
-
-def _check_kmax(kmax: int) -> None:
     if kmax < 0:
         raise ValueError(f"--kmax must be nonnegative, got {kmax}")
 
@@ -237,7 +234,11 @@ def _solve_record(g: Graph, instance: str, algo: str, args) -> dict:
     """Run `algo` with the `--kmax` and `--time-limit` of `args`."""
     algo, mod = _pick_algorithm(g, algo, args.kmax)
     t0 = time.perf_counter()
-    sol = _solve_one(g, algo, mod, args.time_limit)
+    try:
+        sol = _solve_one(g, algo, mod, args.time_limit)
+    except _HandOff as exc:  # dtc gets what the walk left of the limit
+        left = args.time_limit and max(0.0, args.time_limit + t0 - time.perf_counter())
+        algo, sol = "dtc", solve_dtc(g, exc.args[0], time_limit=left)
     wall_time_s = round(time.perf_counter() - t0, 6)
     if sol is not None and not sol.valid:
         raise InternalVerificationError(
@@ -294,8 +295,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_solve(args) -> tuple[int, dict]:
-    _check_time_limit(args.time_limit)
-    _check_kmax(args.kmax)
+    _check_limits(args.time_limit, args.kmax)
     g = _read_graph(args.graph)
     rec = _solve_record(g, args.graph, args.algo, args)
     if args.oracle:
@@ -304,7 +304,7 @@ def _cmd_solve(args) -> tuple[int, dict]:
 
 
 def _cmd_params(args) -> tuple[int, dict]:
-    _check_kmax(args.kmax)
+    _check_limits(None, args.kmax)
     g = _read_graph(args.graph)
     dtc = distance_to_clique_set(g, args.kmax)
     cover = twin_cover_set(g, args.kmax)
@@ -412,8 +412,7 @@ def _bench_record(g: Graph, instance: str, algo: str, args) -> dict:
 
 
 def _cmd_bench(args) -> tuple[int, list[dict]]:
-    _check_time_limit(args.time_limit)
-    _check_kmax(args.kmax)
+    _check_limits(args.time_limit, args.kmax)
     corpus = sorted(Path(args.corpus).glob("*.dimacs"))
     if not corpus:
         raise ValueError(f"no .dimacs files under {args.corpus}")
@@ -477,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=ALGORITHMS,
     )
-    p.add_argument("--kmax", type=int, default=5)
+    p.add_argument("--kmax", type=int, default=KMAX_DEFAULT)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("params", help="report structural parameters")
     p.add_argument("graph")
-    p.add_argument("--kmax", type=int, default=5)
+    p.add_argument("--kmax", type=int, default=KMAX_DEFAULT)
     p.set_defaults(func=_cmd_params)
 
     p = sub.add_parser("reduce", help="build the dominating-set reduction")
@@ -513,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run solvers across a corpus directory")
     p.add_argument("corpus")
     p.add_argument("--algo", default="auto")
-    p.add_argument("--kmax", type=int, default=5)
+    p.add_argument("--kmax", type=int, default=KMAX_DEFAULT)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--artifacts", default="counterexamples")

@@ -17,7 +17,7 @@ only through that prune (see `_alliances`).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import chain, cycle
 from operator import itemgetter
 from time import monotonic
@@ -25,9 +25,12 @@ from time import monotonic
 from .alliances import AllianceSolution, BudgetExceeded, checked_alliance, degree_alliance
 from .graphs import Graph
 
+# a solve whose walks pass this many nodes calls its `stall` hook
+HANDOFF_NODES = 20_000
+
 
 def solve_min_alliance_search(
-    g: Graph, *, time_limit: float | None = None
+    g: Graph, *, time_limit: float | None = None, stall: Callable[[], None] | None = None
 ) -> AllianceSolution | None:
     """Minimum defensive alliance avoiding forbidden vertices, or None.
 
@@ -132,6 +135,12 @@ def solve_min_alliance_search(
     `lower_bound` = lo, which every smaller size is proven not to reach,
     and the incumbent as checked by `checked_alliance`, or None before the
     first descent has found one.  The degree answer reads no clock.
+
+    The walks of one solve share one node count, the climbs' and the
+    descent's.  `stall`, when given, is called once, at node
+    HANDOFF_NODES + 1; if it returns, the walk goes on where it stood, and
+    whatever it raises ends the solve.  The count reads no clock, so whether
+    and where the hook is called depends on the graph alone.
     """
     small = degree_alliance(g)
     if small is not None:
@@ -142,6 +151,7 @@ def solve_min_alliance_search(
     # neighbours a member needs inside S: ceil((d+1)/2) minus itself, d // 2
     need = [len(nbrs) // 2 for nbrs in g.adj]
     view = _allowed_view(g, roots, need)
+    nodes = _Nodes(stall)
     # per root, the least level that could change its walk: first its bound,
     # copied, as the walk reads the bounds themselves
     reach = dict(view[4])
@@ -152,12 +162,12 @@ def solve_min_alliance_search(
     # climb, the incumbent's descent, then descent and climb in turn
     climbs = chain((True, False), cycle((False, True)))
     # one walk for every descent: each turn resumes it at level hi - 1
-    descent = _alliances(g, len(roots), roots, need, deadline, reach, view)
+    descent = _alliances(g, len(roots), roots, need, deadline, reach, view, nodes)
     try:
         while lo < hi:
             if next(climbs):
                 k = lo
-                members = _alliance_within(g, k, roots, need, deadline, reach, view)
+                members = _alliance_within(g, k, roots, need, deadline, reach, view, nodes)
             else:
                 k = hi - 1
                 members = next(descent, None)
@@ -175,6 +185,20 @@ def solve_min_alliance_search(
             lower_bound=lo,
         ) from None
     return None if best is None else checked_alliance(g, best, "search witness")
+
+
+class _Nodes:
+    """The nodes the walks of one solve have visited, and the node at which
+    they call `stall`: HANDOFF_NODES + 1, or 0, which no count reaches, when
+    there is no hook.  A walk counts in a local and writes it back before it
+    yields or ends, and reads it again when it resumes."""
+
+    __slots__ = ("walked", "stall", "stall_at")
+
+    def __init__(self, stall: Callable[[], None] | None = None):
+        self.walked = 0
+        self.stall = stall
+        self.stall_at = 0 if stall is None else HANDOFF_NODES + 1
 
 
 def _root_bounds(roots: list[int], need: list[int], nbrs: list[list[int]]) -> dict[int, int]:
@@ -254,9 +278,10 @@ def _alliance_within(
     deadline: float | None,
     reach: dict[int, int] | None = None,
     view: tuple | None = None,
+    nodes: _Nodes | None = None,
 ) -> list[int] | None:
     """The first alliance of at most k vertices in the search order, or None."""
-    return next(_alliances(g, k, roots, need, deadline, reach, view), None)
+    return next(_alliances(g, k, roots, need, deadline, reach, view, nodes), None)
 
 
 def _alliances(
@@ -267,6 +292,7 @@ def _alliances(
     deadline: float | None,
     reach: dict[int, int] | None = None,
     view: tuple | None = None,
+    nodes: _Nodes | None = None,
 ) -> Iterator[list[int]]:
     """The first alliance A of at most k vertices in the search order, then
     the first of at most |A| - 1 vertices, and so on, in one walk.
@@ -299,6 +325,10 @@ def _alliances(
     order.  By induction, each find is what a fresh run of its level finds
     first, and no node before it is walked twice.
 
+    `nodes` is the solve's node count, fresh when not given: one node per
+    pass of the walk's loop, as one deadline check, and its hook called at
+    the count's `stall_at`.
+
     `reach` maps a root to the least level that could change its walk; the
     walks of one solve share it, and each call without it starts afresh.
     A root walk that finds nothing records the least |S| + bound over
@@ -317,6 +347,9 @@ def _alliances(
     """
     if reach is None:
         reach = {}
+    if nodes is None:
+        nodes = _Nodes()
+    walked, stall_at = nodes.walked, nodes.stall_at
     nbrs, template, force, top, floor = _allowed_view(g, roots, need) if view is None else view
     lack = list(need)  # need(v) - |N(v) cap S|
     # a vertex is blocked while it is a member, banned or forbidden
@@ -327,7 +360,7 @@ def _alliances(
 
     for root in roots:
         if k < 1:  # not even a root fits
-            return
+            break
         if reach.get(root, 0) > k:  # its walk at level k would find nothing
             blocked[root] = True
             continue
@@ -343,6 +376,9 @@ def _alliances(
         found = False
         least = len(roots) + 1  # least |S| + bound the budget prune cut
         while True:
+            walked += 1
+            if walked == stall_at:
+                nodes.stall()
             if deadline is not None and monotonic() > deadline:
                 raise BudgetExceeded(
                     f"time limit exceeded while searching size {k}", lower_bound=k
@@ -354,7 +390,9 @@ def _alliances(
                     worst, deficit = u, d
             if deficit == 0:
                 found = True
+                nodes.walked = walked
                 yield sorted(members)
+                walked = nodes.walked
                 k = len(members) - 1
                 # from the outermost frame level k would not push, every
                 # frame takes no further branch
@@ -415,3 +453,4 @@ def _alliances(
                 if not found:
                     reach[root] = least
                 break
+    nodes.walked = walked

@@ -211,7 +211,8 @@ def roots_and_need(g):
 
 
 def reference_alliances(
-    g, k, roots, need, deadline, reach=None, view=None, *, force=True, thresholds=True, groups=True
+    g, k, roots, need, deadline, reach=None, view=None, nodes=None, *,
+    force=True, thresholds=True, groups=True
 ):
     """`search._alliances`, with one switch per node rule: the first
     alliance of at most k vertices in the search order, then the first of
@@ -224,9 +225,9 @@ def reference_alliances(
     bound less one.  With `groups`, a node whose worst member has exactly
     `deficit` candidates adds them all in one branch; without, it branches
     on c_1 alone.  With every switch off it reads nothing from
-    `minalliance.search`.  It takes `view` for the walk's signature and
-    does not read it, and reads the deadline clock, this module's
-    `monotonic`, once per node."""
+    `minalliance.search`.  It takes `view` and `nodes` for the walk's
+    signature and reads neither, and reads the deadline clock, this
+    module's `monotonic`, once per node."""
     from minalliance import BudgetExceeded
 
     if reach is None:

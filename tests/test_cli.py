@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,14 @@ from minalliance import (
     emit_dimacs,
     generate,
     parse_dimacs,
+    solve_dtc,
     verify_alliance,
 )
 from minalliance.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
-    SEARCH_MAX_DTC,
+    KMAX_DEFAULT,
     SEED_ENV,
     run_command,
     write_counterexample,
@@ -131,8 +133,8 @@ def test_solve_auto_on_high_degree_clique_attachments(capsys, tmp_path):
     g = generate("cliqueplus:n=12,k=2", 3)
     assert g.max_degree() > 5  # otherwise the dispatcher rightly picks lowdeg
     assert degree_alliance(g) is None  # optimum > 2, else search answers
-    # a distance to clique of at most SEARCH_MAX_DTC leaves the graph to search
-    assert len(distance_to_clique_set(g, 5)) <= SEARCH_MAX_DTC
+    # dtc could run, but search answers before any hand-off
+    assert distance_to_clique_set(g, KMAX_DEFAULT) is not None
     path = tmp_path / "cp.dimacs"
     path.write_text(emit_dimacs(g))
     code, out = run(capsys, "solve", str(path), "--oracle")
@@ -142,14 +144,101 @@ def test_solve_auto_on_high_degree_clique_attachments(capsys, tmp_path):
 
 
 def test_auto_sends_a_large_distance_to_clique_set_to_dtc(capsys, tmp_path):
-    # a smallest dtc set of 8 vertices, within --kmax 8 and above SEARCH_MAX_DTC
+    # search stalls on this graph, whose smallest dtc set has 8 vertices,
+    # within the default --kmax
     path = tmp_path / "cp.dimacs"
-    path.write_text(emit_dimacs(generate("cliqueplus:n=100,k=8", 3)))
-    code, out = run(capsys, "solve", str(path), "--kmax", "8")
+    path.write_text(emit_dimacs(generate("cliqueplus:n=100,k=8", 16)))
+    code, out = run(capsys, "solve", str(path))
     assert (code, out["algorithm"], out["valid"]) == (EXIT_OK, "dtc", True)
 
 
-@pytest.mark.parametrize("k", range(2, SEARCH_MAX_DTC + 1))
+# the near-clique graphs on which search stalls: each ran past 5 s, four with
+# no incumbent, before a stalled walk was handed to dtc
+NEAR_CLIQUE_TAIL = [
+    ("cliqueplus:n=60,k=9", 19),
+    ("cliqueplus:n=60,k=10", 8),
+    ("cliqueplus:n=100,k=8", 16),
+    ("cliqueplus:n=100,k=9", 9),
+    ("cliqueplus:n=100,k=9", 16),
+    ("cliqueplus:n=100,k=10", 8),
+]
+
+
+def tail_file(tmp_path, spec, seed):
+    g = generate(spec, seed)
+    path = tmp_path / "tail.dimacs"
+    path.write_text(emit_dimacs(g))
+    return g, str(path)
+
+
+@pytest.mark.parametrize("spec, seed", NEAR_CLIQUE_TAIL)
+def test_auto_hands_the_near_clique_tail_to_dtc_within_a_second(capsys, tmp_path, spec, seed):
+    g, path = tail_file(tmp_path, spec, seed)
+    t0 = time.perf_counter()
+    code, out = run(capsys, "solve", path)
+    elapsed = time.perf_counter() - t0
+    assert (code, out["algorithm"], out["valid"]) == (EXIT_OK, "dtc", True)
+    assert elapsed < 1.0
+    assert out["size"] == solve_dtc(g, distance_to_clique_set(g, KMAX_DEFAULT)).size
+    if (spec, seed) in (("cliqueplus:n=60,k=10", 8), ("cliqueplus:n=100,k=8", 16)):
+        pytest.importorskip("scipy.optimize")
+        assert out["size"] == milp_min_alliance_size(g.n, g.edges)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name` and return the list its calls append to."""
+    calls, func = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or func(*args))
+    return calls
+
+
+def test_a_stall_without_a_modulator_keeps_the_search_document(capsys, tmp_path, monkeypatch):
+    import minalliance.cli as cli
+
+    # G(30, 0.4) walks 77 482 nodes, past the hand-off, and has no
+    # distance-to-clique set within the default --kmax
+    rng = random.Random(1)
+    n = 30
+    g = build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4])
+    path = tmp_path / "gnp.dimacs"
+    path.write_text(emit_dimacs(g))
+    calls = count_calls(monkeypatch, cli, "distance_to_clique_set")
+    code, auto = run(capsys, "solve", str(path))
+    assert code == EXIT_OK and len(calls) == 1
+    code, search = run(capsys, "solve", str(path), "--algo", "search")
+    assert code == EXIT_OK and len(calls) == 1
+    for doc in (auto, search):
+        doc.pop("wall_time_s")
+    assert auto == search and auto["algorithm"] == "search"
+
+
+def test_a_named_search_never_hands_off(capsys, tmp_path, monkeypatch):
+    import minalliance.cli as cli
+    import minalliance.search as search
+
+    _, path = tail_file(tmp_path, "cliqueplus:n=100,k=8", 16)
+    calls = count_calls(monkeypatch, cli, "distance_to_clique_set")
+    # the clock stands still for twice the hand-off's nodes, then jumps past
+    # any deadline
+    ticks = iter(range(2 * search.HANDOFF_NODES))
+    monkeypatch.setattr(search, "monotonic", lambda: 0.0 if next(ticks, None) is not None else 1e9)
+    code, out = run(capsys, "solve", path, "--algo", "search", "--time-limit", "1")
+    assert (code, out["kind"]) == (EXIT_INVALID, "budget")
+    assert calls == []
+
+
+def test_the_hand_off_does_not_depend_on_the_clock(capsys, tmp_path):
+    _, path = tail_file(tmp_path, "cliqueplus:n=60,k=9", 19)
+    docs = []
+    for argv in ([], ["--time-limit", "60"]):
+        code, out = run(capsys, "solve", path, *argv)
+        assert code == EXIT_OK
+        out.pop("wall_time_s")
+        docs.append(out)
+    assert docs[0] == docs[1] and docs[0]["algorithm"] == "dtc"
+
+
+@pytest.mark.parametrize("k", range(2, 6))
 @pytest.mark.parametrize("n, seed", [(10, 1), (10, 2), (10, 3), (14, 1), (14, 2), (18, 1)])
 def test_auto_matches_brute_force_on_cliqueplus(capsys, tmp_path, k, n, seed):
     path = tmp_path / "cp.dimacs"
@@ -836,7 +925,7 @@ def test_bench_records_a_budget_exit_with_its_incumbent(capsys, tmp_path, monkey
     import minalliance.cli as cli_mod
     from minalliance import BudgetExceeded
 
-    def out_of_time(graph, *, time_limit=None):
+    def out_of_time(graph, *, time_limit=None, stall=None):
         incumbent = verify_alliance(graph, range(graph.n))
         raise BudgetExceeded("time limit exceeded", alliance=incumbent, lower_bound=2)
 
@@ -980,18 +1069,19 @@ def test_write_counterexample_helper(tmp_path):
 
 
 def test_options_do_not_carry_over_between_calls(capsys, tmp_path):
-    # a smallest dtc set of 6 vertices: --kmax decides the route
+    # a smallest dtc set of 6 vertices: a named dtc runs with it, and auto's
+    # search answers before any hand-off
     g = generate("cliqueplus:n=14,k=6", 1)
     assert degree_alliance(g) is None  # optimum > 2, else search answers
-    assert len(distance_to_clique_set(g, 8)) == SEARCH_MAX_DTC + 1
+    assert len(distance_to_clique_set(g, 8)) == 6
     path = tmp_path / "cp.dimacs"
     path.write_text(emit_dimacs(g))
     code, out = run(capsys, "solve", str(path), "--algo", "search", "--kmax", "8", "--oracle")
     assert (code, out["algorithm"], out["match"]) == (EXIT_OK, "search", True)
-    code, out = run(capsys, "solve", str(path), "--kmax", "8")
+    code, out = run(capsys, "solve", str(path), "--algo", "dtc", "--kmax", "8")
     assert (code, out["algorithm"]) == (EXIT_OK, "dtc")
     code, plain = run(capsys, "solve", str(path))
-    # auto with the default kmax 5, and no --oracle fields
+    # auto with the default kmax, and no --oracle fields
     assert (code, plain["algorithm"]) == (EXIT_OK, "search")
     assert "match" not in plain and "oracle_size" not in plain
     assert plain["size"] == out["size"]

@@ -155,7 +155,8 @@ def modulator_fpt_corpus(tmp_path_factory):
 
 
 def test_partitions_match_former_computations_on_benchmark_corpus(modulator_fpt_corpus):
-    # the modulators `solve --algo auto --kmax 5` searches on each graph
+    # the modulators a named `solve --algo dtc` and `--algo twincover` search
+    # on each graph at `--kmax 5`
     cases = 0
     for g in modulator_fpt_corpus:
         for cand in (distance_to_clique_set(g, 5), twin_cover_set(g, 5)):

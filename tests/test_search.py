@@ -79,6 +79,24 @@ def test_budget_lower_bound_is_proven(monkeypatch):
     assert bounds[-1] == 8  # the optimum, once the clock never runs out
 
 
+@pytest.mark.parametrize("handoff", [1, 8, 20, 300, 3000, 4500, 4773])
+def test_the_stall_hook_runs_once_at_the_solves_node_count(monkeypatch, handoff):
+    import minalliance.search as search
+
+    # 4 773 nodes over five climbs and five descent turns; the climbs and the
+    # descent share one count, and each node reads the deadline clock once
+    # after the read that sets the deadline
+    g = generate("degcap:n=30,dmax=8", 1)
+    want = solve_min_alliance_search(g).members
+    reads, calls = [], []
+    monkeypatch.setattr(search, "monotonic", lambda: reads.append(None) or 0.0)
+    monkeypatch.setattr(search, "HANDOFF_NODES", handoff)
+    sol = solve_min_alliance_search(g, time_limit=1.0, stall=lambda: calls.append(len(reads)))
+    assert len(reads) == 4774
+    assert calls == ([] if handoff == 4773 else [handoff + 1])
+    assert sol.members == want  # a hook that returns leaves the walk where it stood
+
+
 @pytest.mark.parametrize("source", ["cubic:n=4", "cubic:n=6", "cubic:n=8", "cubic:n=10"])
 def test_reduction_targets_reach_k_prime(source):
     inst = reduction_instance(source, 1)
