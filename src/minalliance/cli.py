@@ -39,22 +39,19 @@ stops `bench` with one error document.  A `verify` document holds the
 `solve` fields except `algorithm` and `wall_time_s`, which say nothing about a
 verification, plus `violations`.
 
-`run_command` builds the argparse tree once per process, and with it a table
-read off the tree's actions as built: each subcommand's defaults (`func`
-too), positionals, and exact long options with their `type`, `choices`,
-`const` and `required`.  A plain command line, the subcommand followed by
-positionals and exact long options each with its value, is read off that
-table into the namespace `build_parser().parse_args` returns, without
-argparse, whose parse costs several times the solve on a small graph.  The
-reader declines anything else: a word that starts with "-" and is not an
-exact option (`-h`, `--`, an abbreviation, `--opt=value`, a negative-looking
-value), a value that fails its `type` or `choices`, a missing value,
-positional or required option, or an extra positional.  argparse then reads
-the whole tree, so every help and error document is argparse's, word for
-word.  A seeded differential test of the reader against the full tree keeps
+`run_command` builds the argparse tree once per process, and with it a table:
+for each subcommand, its positional dests and the namespace argparse gives
+the subcommand followed by those dests as words (`reduce`, whose `--k` is
+required, has none).  A plain command line, a subcommand followed by exactly
+its positionals, none starting with "-", fills a copy of that namespace
+without argparse, whose parse costs several times the solve on a small graph.
+Any other line, an option, `-h` or `--` among them, goes to argparse on the
+whole tree, so every option, help and error document is argparse's, word for
+word.  A seeded differential test of the table against the full tree keeps
 the two in step.  Each call parses into a fresh namespace, so no option
-carries over to the next.  Input files are opened unbuffered by the path as
-given, and one shared encoder prints every success document.
+carries over to the next.  Input and output files are opened by the path as
+given (input files unbuffered), and one shared encoder prints every success
+document.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
 
 from .alliances import (
     BRUTE_MAX_N,
@@ -110,6 +106,12 @@ def _read_graph(path: str | Path) -> Graph:
     # costs more than the read on a small graph
     with open(path, "rb", buffering=0) as fh:
         return parse_dimacs(fh.read())
+
+
+def _write_text(path: str, text: str) -> None:
+    # by the path as given: Path("") is ".", whose error would not name ""
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _read_vertex_set(path: str, n: int) -> list[int]:
@@ -333,18 +335,18 @@ def _cmd_reduce(args) -> tuple[int, dict]:
         "target_m": inst.target.m,
         "forbidden_count": inst.forbidden_count,
     }
-    if args.out:
-        Path(args.out).write_text(emit_dimacs(inst.target))
+    if args.out is not None:
+        _write_text(args.out, emit_dimacs(inst.target))
         out["target_path"] = args.out
-    if args.instance_out:
+    if args.instance_out is not None:
         payload = {
             "kind": "dominating-set-reduction",
             "k": inst.k,
             "source_dimacs": emit_dimacs(g),
         }
-        Path(args.instance_out).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_text(args.instance_out, json.dumps(payload, indent=2) + "\n")
         out["instance_path"] = args.instance_out
-    if args.witness_ds:
+    if args.witness_ds is not None:
         ds = _parse_witness_ds(args.witness_ds, g.n)
         if not is_dominating_set(g, ds):  # named here, in the ids as written
             raise ValueError(
@@ -393,8 +395,8 @@ def _cmd_gen(args) -> tuple[int, dict]:
         "m": g.m,
         "max_degree": g.max_degree(),
     }
-    if args.out:
-        Path(args.out).write_text(text)
+    if args.out is not None:
+        _write_text(args.out, text)
         out["path"] = args.out
     else:
         out["dimacs"] = text
@@ -521,82 +523,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-class _PlainForm(NamedTuple):
-    """A subcommand's plain form, read off its parser's actions."""
-
-    defaults: dict[str, object]  # the subcommand name and `set_defaults` too
-    options: dict[str, argparse.Action]  # by exact long option string
-    positionals: tuple[argparse.Action, ...]
-    required: frozenset[argparse.Action]
-
-
-def _plain_form(command: dict[str, str], p: argparse.ArgumentParser) -> _PlainForm:
-    """The plain form of subcommand parser `p`, whose namespace starts as
-    `command`."""
-    # -h and --help stay argparse's
-    actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
-    # action defaults go first and win over `set_defaults` in argparse
-    defaults = {**command, **p._defaults, **{a.dest: a.default for a in actions}}
-    options = {s: a for a in actions for s in a.option_strings if s.startswith("--")}
-    positionals = tuple(a for a in actions if not a.option_strings)
-    required = frozenset(a for a in actions if a.required)
-    return _PlainForm(defaults, options, positionals, required)
-
-
 @functools.cache
-def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, _PlainForm]]:
-    """The argparse tree, built once per process, and the plain form of each
-    subcommand by name."""
+def _shared_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, tuple[list[str], argparse.Namespace]]
+]:
+    """The argparse tree, built once per process, and by subcommand name its
+    positional dests and the namespace argparse gives the subcommand followed
+    by those dests as words (`reduce`, whose `--k` is required, has none)."""
     ap = build_parser()
     (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    return ap, {name: _plain_form({sub.dest: name}, p) for name, p in sub.choices.items()}
-
-
-def _read_plain(form: _PlainForm, words: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives the subcommand of `form` followed by
-    `words`, or None unless `words` are plain: positionals and exact long
-    options, each store option followed by a value that does not start with
-    "-" and passes its `type` and `choices`, every required one present."""
-    values = dict(form.defaults)
-    seen = set()
-    positionals = iter(form.positionals)
-    words = iter(words)
-    for word in words:
-        if word[:1] == "-":
-            action = form.options.get(word)
-            if action is None:
-                return None
-            if action.nargs == 0:
-                values[action.dest] = action.const
-                seen.add(action)
-                continue
-            word = next(words, "-")  # a missing value declines as "-" does
-            if word[:1] == "-":
-                return None
-        else:
-            action = next(positionals, None)
-            if action is None:
-                return None
+    plain = {}
+    for name, p in sub.choices.items():
+        dests = [a.dest for a in p._actions if not a.option_strings]
         try:
-            value = word if action.type is None else action.type(word)
+            plain[name] = dests, ap.parse_args([name, *dests])
         except ValueError:
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-        seen.add(action)
-    if not form.required <= seen:
-        return None
-    return argparse.Namespace(**values)
+            pass
+    return ap, plain
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`: a plain form is read off the shared
-    table, and any other `argv` goes through argparse on the whole tree."""
-    ap, forms = _shared_parser()
-    form = forms.get(argv[0]) if argv else None
-    args = None if form is None else _read_plain(form, argv[1:])
-    return ap.parse_args(argv) if args is None else args
+    """`build_parser().parse_args(argv)`: a subcommand followed by exactly its
+    positionals, none starting with "-", fills a copy of the subcommand's
+    namespace, and any other `argv` goes through argparse on the whole tree."""
+    ap, plain = _shared_parser()
+    dests, args = plain.get(argv[0] if argv else "", ((), None))
+    words = argv[1:]
+    if args is None or len(words) != len(dests) or any(w[:1] == "-" for w in words):
+        return ap.parse_args(argv)
+    return argparse.Namespace(**{**vars(args), **dict(zip(dests, words))})
 
 
 def _error_document(exc: BudgetExceeded | ValueError | OSError) -> dict:

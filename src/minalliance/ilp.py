@@ -13,9 +13,9 @@ floating point anywhere.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+from time import monotonic
 from typing import Sequence
 
 from .alliances import BudgetExceeded, checked_alliance
@@ -27,7 +27,7 @@ class IlpError(ValueError):
 
 
 class IlpBudgetExceeded(BudgetExceeded):
-    """Raised when solve_ilp runs past its time or node budget.
+    """Raised when solve_ilp runs past its time budget.
 
     Carries the best integer solution seen so far (if any) so callers can
     still use the incumbent as an upper-bound witness.
@@ -218,12 +218,7 @@ def _tighten_bounds(
     return True
 
 
-def solve_ilp(
-    prob: IlpProblem,
-    *,
-    time_limit: float | None = None,
-    node_limit: int | None = None,
-) -> IlpSolution:
+def solve_ilp(prob: IlpProblem, *, time_limit: float | None = None) -> IlpSolution:
     """Exact branch and bound over the rational relaxation.
 
     Branches on the lowest-index fractional variable, floor side first, and
@@ -237,19 +232,15 @@ def solve_ilp(
         return IlpSolution(status="infeasible", assignment=None, objective_value=None)
     c = list(prob.objective)
     cons = [(list(a), b) for a, b in prob.constraints]
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    deadline = None if time_limit is None else monotonic() + time_limit
     best_val: int | None = None
     best_x: tuple[int, ...] | None = None
     nodes = 0
     stack = [([lo for lo, _ in prob.bounds], [hi for _, hi in prob.bounds])]
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and monotonic() > deadline:
             raise IlpBudgetExceeded(
                 f"time limit exceeded after {nodes} nodes", best_x, best_val
-            )
-        if node_limit is not None and nodes >= node_limit:
-            raise IlpBudgetExceeded(
-                f"node limit {node_limit} reached", best_x, best_val
             )
         lo, hi = stack.pop()
         nodes += 1

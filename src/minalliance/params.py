@@ -4,7 +4,7 @@ partitions of the leftover graph that the parameterized solvers consume."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 

@@ -35,7 +35,9 @@ from an incumbent.
 
 `roots_and_need` and `reduction_instance`, no oracles, build the search's
 inputs and the hardness reduction's instances that the search tests of
-more than one module run on.
+more than one module run on; `complete_graph`, `cycle_graph` and `star`,
+no oracles either, build the small graphs of the tests of more than one
+module.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from time import monotonic
+
+from minalliance import build_graph
 
 INF = float("inf")
 
@@ -201,6 +205,18 @@ def best_shape_at(g, v):
         if path is not None:
             keys.append((len(path), 1, tuple(sorted(path))))
     return min(keys, default=None)
+
+
+def complete_graph(n):
+    return build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def cycle_graph(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star(n_leaves):
+    return build_graph(n_leaves + 1, [(0, i + 1) for i in range(n_leaves)])
 
 
 def roots_and_need(g):

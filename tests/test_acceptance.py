@@ -5,13 +5,10 @@ output) naming the criterion and the evidence volume.  A mismatch in the
 oracle-equivalence suites writes a counterexample artifact before failing.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
-
-import pytest
 
 from minalliance import (
     IlpBudgetExceeded,

@@ -16,11 +16,7 @@ from minalliance import (
 )
 from minalliance.graphs import VertexRangeError
 
-from _oracles import min_alliance_all_subsets, simple_cycles
-
-
-def complete_graph(n):
-    return build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+from _oracles import complete_graph, min_alliance_all_subsets, simple_cycles
 
 
 @pytest.mark.parametrize(

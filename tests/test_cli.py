@@ -652,7 +652,7 @@ def test_reduce_names_non_dominating_ids_as_written(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "ids, named",
-    [("1,99", "'99'"), ("0", "'0'"), ("2,x,-1,5", "'x', '-1', '5'")],
+    [("1,99", "'99'"), ("0", "'0'"), ("2,x,-1,5", "'x', '-1', '5'"), ("", "''")],
 )
 def test_reduce_names_witness_ids_outside_the_source(capsys, tmp_path, ids, named):
     k4 = tmp_path / "k4.dimacs"
@@ -661,6 +661,22 @@ def test_reduce_names_witness_ids_outside_the_source(capsys, tmp_path, ids, name
     assert code == EXIT_INVALID
     assert out["kind"] == "invalid-input"
     assert out["error"].endswith(f"1..4: {named}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "cubic:n=4", "--out"], ["reduce", "K4", "--k", "1", "--out"],
+     ["reduce", "K4", "--k", "1", "--instance-out"]],
+    ids=["gen --out", "reduce --out", "reduce --instance-out"],
+)
+def test_an_empty_output_path_is_named_as_written(capsys, tmp_path, argv):
+    # an empty value is read, not taken for an absent option, and the file is
+    # opened by the path as given, as `solve ''` opens its graph
+    k4 = tmp_path / "k4.dimacs"
+    k4.write_text(emit_dimacs(build_graph(4, [(a, b) for b in range(4) for a in range(b)])))
+    code, out = run(capsys, *[str(k4) if a == "K4" else a for a in argv], "")
+    assert (code, out["kind"]) == (EXIT_INVALID, "invalid-input")
+    assert out["error"].endswith("No such file or directory: ''")
 
 
 def test_extract_rejects_foreign_json(capsys, tmp_path):
@@ -1192,10 +1208,29 @@ def _parse_outcome(parse, argv):
     return {k: repr(v) if isinstance(v, float) else v for k, v in vars(args).items()}
 
 
-def _random_argv(rng, forms):
-    """A command line drawn from subcommands, their options and values, and
-    words argparse reads otherwise: abbreviations, `=` forms, -h, --, the
-    empty word, negative-looking, padded and non-numeric values."""
+def _tree_words():
+    """By subcommand, its positional dests and its long option strings, read
+    off a fresh tree."""
+    import argparse
+
+    import minalliance.cli as cli_mod
+
+    ap = cli_mod.build_parser()
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: (
+            [a.dest for a in p._actions if not a.option_strings],
+            sorted(s for a in p._actions for s in a.option_strings if s.startswith("--")),
+        )
+        for name, p in sub.choices.items()
+    }
+
+
+def _random_argv(rng, words):
+    """A command line drawn from subcommands, their positionals, options and
+    values, and words argparse reads otherwise: abbreviations, `=` forms, -h,
+    --, the empty word, negative-looking, padded and non-numeric values.  A
+    share of the draws is exactly a subcommand and its positionals."""
     noise = [
         "-h", "--help", "--", "", "-1", "-", "-x", "--nonsense", "007", "abc", "nan", "inf",
         "1_0", " 5", "a b", "-x y", "1.5", "search", "lowdeg", "nope", "auto,search",
@@ -1204,10 +1239,11 @@ def _random_argv(rng, forms):
     ]
     values = ["G", "3", "0", "007", "1_0", " 5", "-1", "nan", "2.5", "abc", "", "search",
               "lowdeg", "auto,search", "nope", "cubic:n=6", "a b"]
-    command = rng.choice(sorted(forms)) if rng.random() < 0.95 else rng.choice(noise)
+    command = rng.choice(sorted(words)) if rng.random() < 0.95 else rng.choice(noise)
     argv = [command]
-    form = forms.get(command)
-    options = sorted(form.options) if form and form.options else ["--algo", "--kmax"]
+    positionals, options = words.get(command, (["graph"], ["--algo", "--kmax"]))
+    if rng.random() < 0.3:
+        return argv + [rng.choice(values + ["S", "x.dimacs"]) for _ in positionals]
     for _ in range(rng.randrange(6)):
         r = rng.random()
         if r < 0.1:
@@ -1215,30 +1251,36 @@ def _random_argv(rng, forms):
         elif r < 0.45:
             argv.append(rng.choice(["G", "S", "x.dimacs"]))
         else:
-            option = rng.choice(options)
-            argv.append(option)
-            action = form.options.get(option) if form else None
-            if action is None or action.nargs != 0:
-                if rng.random() < 0.95:
-                    argv.append(rng.choice(values))
+            argv.append(rng.choice(options))
+            if rng.random() < 0.8:
+                argv.append(rng.choice(values))
     return argv
 
 
-def test_the_plain_reader_agrees_with_argparse_or_declines():
-    # a seeded random walk over command lines: whenever the reader accepts,
-    # its namespace is the one the full tree gives; whenever the full tree
-    # errs or prints help, the reader declines
+def test_the_plain_reader_agrees_with_argparse_or_declines(monkeypatch):
+    # a seeded random walk over command lines: whenever the table reads a
+    # line, its namespace is the one the full tree gives; every other line
+    # reaches argparse
     import minalliance.cli as cli_mod
 
-    _, forms = cli_mod._shared_parser()
+    class Declined(Exception):
+        pass
+
+    class Declining:
+        def parse_args(self, argv):
+            raise Declined
+
+    _, plain = cli_mod._shared_parser()
+    monkeypatch.setattr(cli_mod, "_shared_parser", lambda: (Declining(), plain))
     full = cli_mod.build_parser()
+    words = _tree_words()
     rng = random.Random(28)
     accepted = declined = 0
     for _ in range(15000):
-        argv = _random_argv(rng, forms)
-        form = forms.get(argv[0])
-        args = None if form is None else cli_mod._read_plain(form, argv[1:])
-        if args is None:
+        argv = _random_argv(rng, words)
+        try:
+            args = cli_mod._parse_args(argv)
+        except Declined:
             declined += 1
             continue
         accepted += 1
@@ -1249,9 +1291,14 @@ def test_the_plain_reader_agrees_with_argparse_or_declines():
 def test_plain_command_lines_skip_argparse(capsys, monkeypatch, tmp_path, bridge_file):
     import argparse
 
+    import minalliance.cli as cli_mod
+
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "bridge.dimacs").write_text(Path(bridge_file).read_text())
+    members = tmp_path / "members.txt"
+    members.write_text("1\n")
+    cli_mod._shared_parser()  # the table is read off argparse once, before any line
     calls = []
     real = argparse.ArgumentParser.parse_known_args
 
@@ -1268,11 +1315,20 @@ def test_plain_command_lines_skip_argparse(capsys, monkeypatch, tmp_path, bridge
         return len(calls)
 
     assert parses("solve", bridge_file) == 0
-    assert parses("solve", bridge_file, "--algo", "search", "--kmax", "8", "--oracle") == 0
-    assert parses("gen", "cubic:n=6", "--seed", "3") == 0
-    assert parses("bench", str(corpus), "--algo", "auto,search") == 0
-    for extra in (["-h"], ["--alg", "search"], ["--algo=lowdeg"], ["--nonsense"]):
-        assert parses("solve", bridge_file, *extra) >= 1, extra
+    assert parses("verify", bridge_file, str(members)) == 0
+    assert parses("params", bridge_file) == 0
+    assert parses("gen", "cubic:n=6") == 0
+    assert parses("bench", str(corpus)) == 0
+    # only the parse counts here: extract then fails on the missing instance
+    assert parses("extract", str(tmp_path / "instance.json"), str(members)) == 0
+    for argv in (
+        ["solve", bridge_file, "--algo", "search", "--kmax", "8", "--oracle"],
+        ["gen", "cubic:n=6", "--seed", "3"],
+        ["bench", str(corpus), "--algo", "auto,search"],
+        *(["solve", bridge_file, *extra]
+          for extra in (["-h"], ["--alg", "search"], ["--algo=lowdeg"], ["--nonsense"])),
+    ):
+        assert parses(*argv) >= 1, argv
 
 
 @pytest.mark.parametrize("path", ["", "./no-such.dimacs"])

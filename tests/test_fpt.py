@@ -30,13 +30,7 @@ from minalliance.cli import _pick_algorithm, _solve_one
 from minalliance.fpt import _priced_picks
 from minalliance.params import InvalidTwinCoverError, RemainderNotCliqueError
 
-
-def complete_graph(n):
-    return build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
-def star(n_leaves):
-    return build_graph(n_leaves + 1, [(0, i + 1) for i in range(n_leaves)])
+from _oracles import complete_graph, star
 
 
 # ---------------------------------------------------------------- demand

@@ -22,16 +22,13 @@ from minalliance.graphs import (
 
 from _oracles import (
     bfs_path,
+    cycle_graph,
     floyd_warshall,
     girth_by_enumeration,
     min_cycle_through,
     min_cycle_through_by_edge_deletion,
     simple_cycles,
 )
-
-
-def cycle_graph(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def random_graph(n, p, seed):

@@ -13,9 +13,10 @@ from minalliance import (
     solve_ilp,
     solve_min_alliance_ilp,
 )
+from minalliance import ilp
 from minalliance.ilp import _lp_min
 
-from _oracles import grid_min
+from _oracles import complete_graph, grid_min
 
 
 def prob(objective, constraints, bounds):
@@ -24,10 +25,6 @@ def prob(objective, constraints, bounds):
         constraints=tuple((tuple(a), b) for a, b in constraints),
         bounds=tuple(bounds),
     )
-
-
-def complete_graph(n):
-    return build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
 def test_single_variable_floor():
@@ -70,20 +67,30 @@ def test_validation_rejects_ragged_vectors():
         IlpProblem(objective=(1,), constraints=(), bounds=((2, 1),))
 
 
-def test_node_budget_raises():
+def expire_after(monkeypatch, nodes):
+    """Stand `ilp.monotonic` still for the read that sets the deadline and
+    the checks of `nodes` branch-and-bound nodes, then jump past any
+    deadline: a timed `solve_ilp` stops before its next node."""
+    ticks = iter(range(nodes + 1))
+    monkeypatch.setattr(ilp, "monotonic", lambda: 0.0 if next(ticks, None) is not None else 1e9)
+
+
+def test_node_budget_raises(monkeypatch):
     g = generate("degcap:n=12,dmax=5", 3)
+    expire_after(monkeypatch, 1)
     with pytest.raises(IlpBudgetExceeded):
-        solve_ilp(encode_min_alliance_ilp(g), node_limit=1)
+        solve_ilp(encode_min_alliance_ilp(g), time_limit=1.0)
 
 
-def test_budget_carries_incumbent_when_found():
+def test_budget_carries_incumbent_when_found(monkeypatch):
     g = complete_graph(6)
     problem = encode_min_alliance_ilp(g)
     best = solve_ilp(problem)
     # generous node budget: enough to find an optimum, not to prove it
     for limit in range(2, 400):
+        expire_after(monkeypatch, limit)
         try:
-            sol = solve_ilp(problem, node_limit=limit)
+            sol = solve_ilp(problem, time_limit=1.0)
         except IlpBudgetExceeded as stop:
             if stop.incumbent is not None:
                 assert stop.incumbent_value >= best.objective_value

@@ -18,11 +18,7 @@ from minalliance import (
 from minalliance.graphs import VertexRangeError, shortest_cycle_with_vertices
 from minalliance.lowdeg import DegreeBoundError, _nearest_low_path
 
-from _oracles import best_shape_at, nearest_low_path_by_full_bfs
-
-
-def cycle_graph(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+from _oracles import best_shape_at, cycle_graph, nearest_low_path_by_full_bfs
 
 
 def circulant(n, step, label=None):

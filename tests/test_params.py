@@ -25,19 +25,13 @@ from minalliance.params import (
 )
 
 from _oracles import (
+    complete_graph,
     is_twin_cover_oracle,
     lex_first_min_cover,
     smallest_clique_modulators,
     smallest_twin_covers,
+    star,
 )
-
-
-def complete_graph(n):
-    return build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
-def star(n_leaves):
-    return build_graph(n_leaves + 1, [(0, i + 1) for i in range(n_leaves)])
 
 
 def lex_min(sets):

@@ -16,7 +16,6 @@ from minalliance import (
     is_dominating_set,
     minimum_dominating_set,
     moore_bound,
-    verify_alliance,
 )
 from minalliance.graphs import VertexRangeError
 from minalliance.reduction import NotCubicError, dominating_sets_upto
