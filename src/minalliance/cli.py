@@ -415,6 +415,9 @@ def _bench_record(g: Graph, instance: str, algo: str, args) -> dict:
 
 def _cmd_bench(args) -> tuple[int, list[dict]]:
     _check_limits(args.time_limit, args.kmax)
+    if not args.artifacts:
+        # Path("") is ".", which would write the artifacts where bench runs
+        raise ValueError(f"--artifacts must name a directory, got {args.artifacts!r}")
     corpus = sorted(Path(args.corpus).glob("*.dimacs"))
     if not corpus:
         raise ValueError(f"no .dimacs files under {args.corpus}")

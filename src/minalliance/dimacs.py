@@ -190,15 +190,21 @@ def _parse_lines(text: str) -> Graph:
     return _freeze(n, edges, forbidden)
 
 
+@functools.lru_cache(maxsize=16)
+def _id_strings(n: int) -> tuple[str, ...]:
+    """("1", ..., str(n)), the on-disk ids of vertices 0..n-1, shared by
+    every emit with this n."""
+    return tuple(map(str, range(1, n + 1)))
+
+
 def emit_dimacs(g: Graph, comment: str | None = None) -> str:
-    """Canonical text for a graph: sorted edges, unix newlines, 1-indexed."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
+    """Canonical text for a graph: sorted edges, unix newlines, 1-indexed.
+
+    The edge lines come straight from the sorted adjacency lists, each edge
+    from its lower end, so `Graph.edges` is never built."""
+    ids = _id_strings(g.n)
+    lines = [f"c {part}" for part in comment.splitlines()] if comment else []
     lines.append(f"p edge {g.n} {g.m}")
-    for u, v in g.edges:
-        lines.append(f"e {u + 1} {v + 1}")
-    for v in sorted(g.forbidden):
-        lines.append(f"f {v + 1}")
+    lines += [f"e {ids[u]} {ids[v]}" for u, nbrs in enumerate(g.adj) for v in nbrs if u < v]
+    lines += [f"f {ids[v]}" for v in sorted(g.forbidden)]
     return "\n".join(lines) + "\n"

@@ -3,6 +3,13 @@
 Each generator takes a spec (either a GeneratorSpec or a compact string such
 as "cubic:n=8" or "twincover:n=12,t=3,zmax=4") plus a seed, and is fully
 deterministic for a given (spec, seed) pair.
+
+Every graph is built from per-vertex neighbour sets, each edge added at both
+ends at once, and frozen by `graphs._from_neighbour_sets`.  The order and the
+arguments of the `random.Random` calls are part of the output's contract:
+the same (spec, seed) gives the same graph from one release to the next, so
+a seeded corpus keeps its bytes, and a change that reorders a draw changes
+every graph after it.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, build_graph, is_connected
+from .graphs import Graph, _from_neighbour_sets, is_connected
 
 _RETRIES = 500
 
@@ -71,6 +78,13 @@ def generate(spec: GeneratorSpec | str, seed: int) -> Graph:
     return build(spec, random.Random(seed))
 
 
+def _join(neigh: list[set[int]], a: int, bs) -> None:
+    """Join a to every vertex of bs, both ends of each edge at once."""
+    neigh[a].update(bs)
+    for b in bs:
+        neigh[b].add(a)
+
+
 def _degree_capped(spec: GeneratorSpec, rng: random.Random) -> Graph:
     """Random connected graph with max degree at most dmax."""
     n = spec.get("n")
@@ -80,13 +94,14 @@ def _degree_capped(spec: GeneratorSpec, rng: random.Random) -> Graph:
     if n > 1 and dmax < 1:
         raise GeneratorError("dmax < 1 cannot connect anything")
     deg = [0] * n
-    edges: set[tuple[int, int]] = set()
+    neigh: list[set[int]] = [set() for _ in range(n)]
     for v in range(1, n):
         spots = [u for u in range(v) if deg[u] < dmax]
         if not spots or deg[v] >= dmax:
             raise GeneratorError(f"degree cap {dmax} cannot host a spanning tree")
         u = rng.choice(spots)
-        edges.add((u, v))
+        neigh[u].add(v)
+        neigh[v].add(u)
         deg[u] += 1
         deg[v] += 1
     room = n * dmax // 2 - (n - 1)
@@ -95,16 +110,14 @@ def _degree_capped(spec: GeneratorSpec, rng: random.Random) -> Graph:
     while extra > 0 and attempts < 20 * n:
         attempts += 1
         u, v = rng.randrange(n), rng.randrange(n)
-        if u == v:
+        if u == v or v in neigh[u] or deg[u] >= dmax or deg[v] >= dmax:
             continue
-        e = (min(u, v), max(u, v))
-        if e in edges or deg[u] >= dmax or deg[v] >= dmax:
-            continue
-        edges.add(e)
+        neigh[u].add(v)
+        neigh[v].add(u)
         deg[u] += 1
         deg[v] += 1
         extra -= 1
-    return build_graph(n, sorted(edges))
+    return _from_neighbour_sets(neigh)
 
 
 def _cubic(spec: GeneratorSpec, rng: random.Random) -> Graph:
@@ -112,26 +125,20 @@ def _cubic(spec: GeneratorSpec, rng: random.Random) -> Graph:
     n = spec.get("n")
     if n < 4 or n % 2:
         raise GeneratorError(f"3-regular graphs need even n >= 4, got {n}")
+    points = [v for v in range(n) for _ in range(3)]
     for _ in range(_RETRIES):
-        stubs = [v for v in range(n) for _ in range(3)]
+        stubs = points.copy()
         rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
+        neigh: list[set[int]] = [set() for _ in range(n)]
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            if u == v or v in neigh[u]:
                 break
-            e = (min(u, v), max(u, v))
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if not ok:
-            continue
-        g = build_graph(n, sorted(edges))
-        if is_connected(g):
-            return g
+            neigh[u].add(v)
+            neigh[v].add(u)
+        else:
+            g = _from_neighbour_sets(neigh)
+            if is_connected(g):
+                return g
     raise GeneratorError(f"no connected cubic pairing found for n={n}")
 
 
@@ -145,19 +152,18 @@ def _clique_plus(spec: GeneratorSpec, rng: random.Random) -> Graph:
     labels = list(range(n))
     rng.shuffle(labels)
     clique, outside = labels[:q], labels[q:]
-    edges = {
-        (min(a, b), max(a, b))
-        for i, a in enumerate(clique)
-        for b in clique[i + 1 :]
-    }
+    neigh: list[set[int]] = [set() for _ in range(n)]
+    for a in clique:
+        neigh[a].update(clique)
+        neigh[a].discard(a)
     for o in outside:
-        for a in rng.sample(clique, rng.randint(1, q)):
-            edges.add((min(o, a), max(o, a)))
+        _join(neigh, o, rng.sample(clique, rng.randint(1, q)))
     for i, o in enumerate(outside):
         for o2 in outside[i + 1 :]:
             if rng.random() < 0.25:
-                edges.add((min(o, o2), max(o, o2)))
-    return build_graph(n, sorted(edges))
+                neigh[o].add(o2)
+                neigh[o2].add(o)
+    return _from_neighbour_sets(neigh)
 
 
 def _twin_cover_structured(spec: GeneratorSpec, rng: random.Random) -> Graph:
@@ -174,26 +180,46 @@ def _twin_cover_structured(spec: GeneratorSpec, rng: random.Random) -> Graph:
         labels = list(range(n))
         rng.shuffle(labels)
         cover, rest = labels[:t], labels[t:]
-        edges: set[tuple[int, int]] = set()
+        neigh: list[set[int]] = [set() for _ in range(n)]
         for i, a in enumerate(cover):
             for b in cover[i + 1 :]:
                 if rng.random() < 0.5:
-                    edges.add((min(a, b), max(a, b)))
+                    neigh[a].add(b)
+                    neigh[b].add(a)
         idx = 0
         while idx < len(rest):
             size = rng.randint(1, min(zmax, len(rest) - idx))
             cl = rest[idx : idx + size]
             idx += size
-            for i, a in enumerate(cl):
-                for b in cl[i + 1 :]:
-                    edges.add((min(a, b), max(a, b)))
-            for c in rng.sample(cover, rng.randint(1, t)):
-                for a in cl:
-                    edges.add((min(a, c), max(a, c)))
-        g = build_graph(n, sorted(edges))
+            # the clique and its cover picks share one update per member
+            picks = rng.sample(cover, rng.randint(1, t))
+            for a in cl:
+                neigh[a].update(cl, picks)
+                neigh[a].discard(a)
+            for c in picks:
+                neigh[c].update(cl)
+        g = _from_neighbour_sets(neigh)
         if is_connected(g):
             return g
     raise GeneratorError(f"no connected twin-cover instance for n={n}, t={t}")
+
+
+def _gnp(spec: GeneratorSpec, rng: random.Random) -> Graph:
+    """Erdős–Rényi G(n, p) with p = pct / 100: each pair u < v, u ascending
+    and then v ascending, is an edge when its draw falls below p.  The graph
+    need not be connected."""
+    n = spec.get("n")
+    pct = spec.get("pct")
+    if n < 1:
+        raise GeneratorError(f"need n >= 1, got {n}")
+    if not (0 <= pct <= 100):
+        raise GeneratorError(f"need 0 <= pct <= 100, got {pct}")
+    p = pct / 100
+    draw = rng.random
+    neigh: list[set[int]] = [set() for _ in range(n)]
+    for u in range(n):
+        _join(neigh, u, [v for v in range(u + 1, n) if draw() < p])
+    return _from_neighbour_sets(neigh)
 
 
 # each kind's builder and the parameters it reads
@@ -202,4 +228,5 @@ _GENERATORS = {
     "cubic": (_cubic, ("n",)),
     "cliqueplus": (_clique_plus, ("n", "k")),
     "twincover": (_twin_cover_structured, ("n", "t", "zmax")),
+    "gnp": (_gnp, ("n", "pct")),
 }

@@ -39,14 +39,15 @@ class Graph:
 
     Two views are derived from `adj` on first use and are no fields, so
     equality and hashing see only the fields.  `edges` is every pair (u, v)
-    with u < v, in ascending order; its readers are `emit_dimacs` and
-    `params.twin_cover_set`.  `build_graph` and the DIMACS line parser
-    already hold that list and seed it; the DIMACS fast path leaves it
-    unbuilt.  `masks[v]` is v's neighbourhood as an int, bit u set when u is
-    a neighbour.  Its readers are `has_edge`, the twin-cover search and
-    partition in `params`, brute force and `reduction`'s domination test;
-    `lowdeg`, `search`, `verify_alliance` and the `dtc` route never build
-    it."""
+    with u < v, in ascending order; its one reader in the package is
+    `params.twin_cover_set` (`emit_dimacs` writes from `adj`).
+    `build_graph` and the DIMACS line parser already hold that list and
+    seed it; the DIMACS fast path and `_from_neighbour_sets`, which builds
+    the generated graphs, leave it unbuilt.  `masks[v]` is v's
+    neighbourhood as an int, bit u set when u is a neighbour.  Its readers
+    are `has_edge`, the twin-cover search and partition in `params`, brute
+    force and `reduction`'s domination test; `lowdeg`, `search`,
+    `verify_alliance` and the `dtc` route never build it."""
 
     n: int
     m: int
@@ -123,6 +124,28 @@ def _freeze(n: int, edges: list[tuple[int, int]], forbidden: Iterable[int]) -> G
     g = _from_neighbours(n, len(edges), neigh, forbidden)
     vars(g)["edges"] = tuple(edges)
     return g
+
+
+def _from_neighbour_sets(neigh: list[set[int]]) -> Graph:
+    """The graph on vertices 0..n-1, n = len(neigh), whose vertex v has the
+    neighbours `neigh[v]`: the constructor for graphs the package builds
+    itself.
+
+    The sets must be filled by paired adds (v into `neigh[u]` together with
+    u into `neigh[v]`), which makes them symmetric and free of repeats by
+    construction, so neither is checked.  What is checked costs O(n) once
+    the lists are sorted: a self-loop raises SelfLoopError, an id outside
+    0..n-1 VertexRangeError, as in `build_graph`.
+    """
+    n = len(neigh)
+    lists = [sorted(nbrs) for nbrs in neigh]
+    for v, nbrs in enumerate(lists):
+        if v in neigh[v]:
+            raise SelfLoopError(f"self-loop at vertex {v}")
+        if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n):
+            u = nbrs[0] if nbrs[0] < 0 else nbrs[-1]
+            raise VertexRangeError(f"edge ({v}, {u}) out of range for n={n}")
+    return _from_neighbours(n, sum(map(len, lists)) // 2, lists, ())
 
 
 def _from_neighbours(

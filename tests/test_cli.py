@@ -760,6 +760,31 @@ def small_corpus(tmp_path, count=2):
     return str(corpus)
 
 
+def test_bench_rejects_empty_artifacts_before_reading_a_graph(capsys, tmp_path, monkeypatch):
+    # Path("") is ".": without the check, a mismatch would write its
+    # reproducer files into the working directory
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "g.dimacs").write_text(emit_dimacs(generate("degcap:n=9,dmax=5", 4)))
+    import minalliance.cli as cli_mod
+
+    monkeypatch.setattr(
+        cli_mod, "solve_min_alliance_lowdeg",
+        lambda graph, *, time_limit=None: verify_alliance(graph, range(graph.n)),
+    )
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    for target in (corpus, tmp_path / "missing"):
+        code, out = run(
+            capsys, "bench", str(target), "--algo", "lowdeg", "--oracle", "--artifacts", ""
+        )
+        assert (code, out) == (
+            EXIT_INVALID,
+            {"error": "--artifacts must name a directory, got ''", "kind": "invalid-input"},
+        )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_bench_clean_corpus(capsys, tmp_path):
     code, out = run(
         capsys, "bench", small_corpus(tmp_path, 3), "--algo", "lowdeg,brute", "--oracle",

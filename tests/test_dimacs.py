@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from minalliance import build_graph, build_reduction, emit_dimacs, generate, parse_dimacs
@@ -203,22 +205,24 @@ def test_the_fast_path_and_a_solve_leave_edges_unbuilt(make, route):
 
 
 @pytest.mark.parametrize(
-    "make",
-    [lambda: generate(spec, 4)
+    "make, seeded",
+    # a generated graph, like a fast-path parse, leaves `edges` unbuilt;
+    # `build_graph` seeds it
+    [(functools.partial(generate, spec, 4), False)
      for spec in ("cubic:n=30", "degcap:n=24,dmax=8", "cliqueplus:n=20,k=3",
                   "twincover:n=24,t=4")]
-    + [_reduction_target,
-       lambda: build_graph(5, [(4, 1), (0, 3), (2, 0), (3, 4), (1, 0)], [2]),
-       lambda: build_graph(1, []),
-       lambda: build_graph(0, [])],
+    + [(_reduction_target, True),
+       (lambda: build_graph(5, [(4, 1), (0, 3), (2, 0), (3, 4), (1, 0)], [2]), True),
+       (lambda: build_graph(1, []), True),
+       (lambda: build_graph(0, []), True)],
     ids=["cubic", "degcap", "cliqueplus", "twincover", "reduction-target",
          "unsorted", "one-vertex", "empty"],
 )
-def test_seeded_edges_equal_the_ones_derived_from_adj(make):
+def test_seeded_edges_equal_the_ones_derived_from_adj(make, seeded):
     built = make()
     text = emit_dimacs(built)
     by_lines, fast = _parse_lines(text), _parse_canonical(text)
-    assert "edges" in vars(built) and "edges" in vars(by_lines)
+    assert ("edges" in vars(built)) == seeded and "edges" in vars(by_lines)
     assert "edges" not in vars(fast)
     derive = Graph.edges.func
     assert built.edges == derive(built) == by_lines.edges == derive(by_lines)

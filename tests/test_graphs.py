@@ -17,6 +17,7 @@ from minalliance.graphs import (
     DuplicateEdgeError,
     SelfLoopError,
     VertexRangeError,
+    _from_neighbour_sets,
     shortest_cycle_with_vertices,
 )
 
@@ -66,6 +67,26 @@ def test_build_rejects_out_of_range():
         build_graph(2, [(0, 2)])
     with pytest.raises(VertexRangeError):
         build_graph(2, [(-1, 1)])
+
+
+def test_neighbour_sets_give_the_graph_build_graph_gives():
+    g = _from_neighbour_sets([{1, 3}, {0, 2}, {1}, {0}, set()])
+    assert g == build_graph(5, [(3, 0), (1, 2), (0, 1)])
+    assert "edges" not in vars(g)
+    assert g.edges == ((0, 1), (0, 3), (1, 2))
+    assert _from_neighbour_sets([]) == build_graph(0, [])
+
+
+@pytest.mark.parametrize(
+    "neigh, error",
+    [([{0, 1}, {0}], SelfLoopError),
+     ([{2}, set(), {0, 2}], SelfLoopError),
+     ([{1}, {0, 2}], VertexRangeError),
+     ([{-1}, set()], VertexRangeError)],
+)
+def test_neighbour_sets_reject_loops_and_ids_out_of_range(neigh, error):
+    with pytest.raises(error):
+        _from_neighbour_sets(neigh)
 
 
 def test_build_rejects_bad_forbidden():
