@@ -78,7 +78,7 @@ def generate(spec: GeneratorSpec | str, seed: int) -> Graph:
     return build(spec, random.Random(seed))
 
 
-def _join(neigh: list[set[int]], a: int, bs) -> None:
+def _join(neigh: list[set[int]], a: int, bs: list[int]) -> None:
     """Join a to every vertex of bs, both ends of each edge at once."""
     neigh[a].update(bs)
     for b in bs:
@@ -93,29 +93,24 @@ def _degree_capped(spec: GeneratorSpec, rng: random.Random) -> Graph:
         raise GeneratorError(f"need n >= 1, got {n}")
     if n > 1 and dmax < 1:
         raise GeneratorError("dmax < 1 cannot connect anything")
-    deg = [0] * n
     neigh: list[set[int]] = [set() for _ in range(n)]
     for v in range(1, n):
-        spots = [u for u in range(v) if deg[u] < dmax]
-        if not spots or deg[v] >= dmax:
+        spots = [u for u in range(v) if len(neigh[u]) < dmax]
+        if not spots or len(neigh[v]) >= dmax:
             raise GeneratorError(f"degree cap {dmax} cannot host a spanning tree")
         u = rng.choice(spots)
         neigh[u].add(v)
         neigh[v].add(u)
-        deg[u] += 1
-        deg[v] += 1
     room = n * dmax // 2 - (n - 1)
     extra = rng.randint(0, max(0, room)) if room > 0 else 0
     attempts = 0
     while extra > 0 and attempts < 20 * n:
         attempts += 1
         u, v = rng.randrange(n), rng.randrange(n)
-        if u == v or v in neigh[u] or deg[u] >= dmax or deg[v] >= dmax:
+        if u == v or v in neigh[u] or len(neigh[u]) >= dmax or len(neigh[v]) >= dmax:
             continue
         neigh[u].add(v)
         neigh[v].add(u)
-        deg[u] += 1
-        deg[v] += 1
         extra -= 1
     return _from_neighbour_sets(neigh)
 
